@@ -1,18 +1,11 @@
 #include "core/batch.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 
-#include "core/cli.hpp"
-#include "core/experiments.hpp"
-#include "nn/transformer.hpp"
-#include "serve/cluster.hpp"
-#include "serve/scheduler.hpp"
-#include "serve/workload.hpp"
+#include "core/options.hpp"
 #include "sim/chip_config.hpp"
 #include "sim/error.hpp"
 #include "sim/thread_pool.hpp"
@@ -51,8 +44,12 @@ bool known_command(const std::string& c) {
          c == "mme-vs-tpc";
 }
 
-void check_unique_key(const BatchExperiment& e, const std::string& key,
-                      int line_no) {
+/// A key is set once per experiment, and never when a directive owns it.
+void check_key(const BatchExperiment& e, const std::string& key, int line_no) {
+  if (key == "seed" || key == "timing-only") {
+    fail(line_no, "'" + key + "' is set by the '" +
+                      (key == "seed" ? "seeds" : key) + "' directive");
+  }
   for (const auto& [k, v] : e.fixed) {
     if (k == key) fail(line_no, "key '" + key + "' already set");
   }
@@ -100,174 +97,27 @@ std::vector<Cell> expand_cells(const BatchExperiment& e) {
   }
 }
 
-// -- Typed parameter access -------------------------------------------------
-
-class ParamView {
- public:
-  explicit ParamView(const Params& p) : params_(p) {}
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    for (const auto& [k, v] : params_) {
-      if (k == key) {
-        used_.push_back(key);
-        return v;
-      }
-    }
-    return fallback;
-  }
-  [[nodiscard]] std::int64_t get_i64(const std::string& key,
-                                     std::int64_t fallback) const {
-    const std::string v = get(key, "");
-    return v.empty() && !has(key) ? fallback : parse_i64(v, "key " + key);
-  }
-  [[nodiscard]] double get_f64(const std::string& key, double fallback) const {
-    const std::string v = get(key, "");
-    if (v.empty() && !has(key)) return fallback;
-    std::size_t pos = 0;
-    double d = 0.0;
-    try {
-      d = std::stod(v, &pos);
-    } catch (const std::exception&) {
-      pos = std::string::npos;
-    }
-    if (pos != v.size()) {
-      throw sim::InvalidArgument("key " + key + " expects a number, got '" +
-                                 v + "'");
-    }
-    return d;
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return std::any_of(params_.begin(), params_.end(),
-                       [&](const auto& kv) { return kv.first == key; });
-  }
-  /// Throws on parameters the command never read — a typo'd key must not
-  /// silently run the default grid.
-  void check_all_used() const {
-    for (const auto& [k, v] : params_) {
-      if (std::find(used_.begin(), used_.end(), k) == used_.end()) {
-        throw sim::InvalidArgument("unknown key '" + k + "' for command");
-      }
-    }
-  }
-
- private:
-  const Params& params_;
-  mutable std::vector<std::string> used_;
-};
-
 // -- Command executors ------------------------------------------------------
+//
+// Every cell option is read through core/options.*, the parse sites the CLI
+// commands share; `seed` and `timing-only` come from the directives.
 
 using Metrics = std::vector<std::pair<std::string, double>>;
 
-graph::SchedulePolicy parse_policy(const std::string& s) {
-  if (s == "barrier") return graph::SchedulePolicy::kBarrier;
-  if (s == "overlap") return graph::SchedulePolicy::kOverlap;
-  throw sim::InvalidArgument("unknown scheduler policy: " + s);
+double availability_or_zero(double availability) {
+  return std::isfinite(availability) ? availability : 0.0;
 }
 
-nn::AttentionKind parse_attention(const std::string& s) {
-  if (s == "softmax") return nn::AttentionKind::kSoftmax;
-  if (s == "linear") return nn::AttentionKind::kLinear;
-  if (s == "performer") return nn::AttentionKind::kPerformer;
-  if (s == "linformer") return nn::AttentionKind::kLinformer;
-  if (s == "local") return nn::AttentionKind::kLocal;
-  throw sim::InvalidArgument("unknown attention mechanism: " + s);
-}
-
-nn::Activation parse_activation(const std::string& s) {
-  if (s == "relu") return nn::Activation::kRelu;
-  if (s == "leaky_relu") return nn::Activation::kLeakyRelu;
-  if (s == "gelu") return nn::Activation::kGelu;
-  if (s == "glu") return nn::Activation::kGlu;
-  if (s == "elu") return nn::Activation::kElu;
-  throw sim::InvalidArgument("unknown feature map: " + s);
-}
-
-serve::StreamConfig batch_stream_config(const ParamView& p,
-                                        std::uint64_t seed) {
-  serve::StreamConfig scfg;
-  scfg.arrival_rate_rps = p.get_f64("rate", scfg.arrival_rate_rps);
-  scfg.num_requests = p.get_i64("requests", scfg.num_requests);
-  scfg.prompt.lo = p.get_i64("prompt-min", scfg.prompt.lo);
-  scfg.prompt.hi = p.get_i64("prompt-max", scfg.prompt.hi);
-  scfg.output.lo = p.get_i64("output-min", scfg.output.lo);
-  scfg.output.hi = p.get_i64("output-max", scfg.output.hi);
-  scfg.priority_levels =
-      static_cast<std::int32_t>(p.get_i64("priorities", 1));
-  const std::int64_t deadline_ms = p.get_i64("deadline-ms", 0);
-  GAUDI_CHECK(deadline_ms >= 0, "deadline-ms expects a non-negative time");
-  if (deadline_ms > 0) {
-    scfg.deadline = sim::SimTime::from_ms(static_cast<double>(deadline_ms));
-  }
-  scfg.seed = seed;
-  return scfg;
-}
-
-/// Per-scheduler keys shared by serve and serve-cluster cells.  Fault keys
-/// are left to the callers: a serve cell wires one injector, a cluster cell
-/// a per-replica profile.
-serve::ServeConfig batch_serve_config(const ParamView& p,
-                                      std::optional<bool> timing_only) {
-  serve::ServeConfig cfg;
-  const std::string model = p.get("model", "gpt2");
-  if (model == "tiny") {
-    cfg.model = nn::DecodeConfig::tiny();
-  } else if (model != "gpt2") {
-    throw sim::InvalidArgument("unknown serve model: " + model);
-  }
-  cfg.max_batch = p.get_i64("max-batch", cfg.max_batch);
-  cfg.prefill_chunk = p.get_i64("prefill-chunk", cfg.prefill_chunk);
-  cfg.ctx_bucket = p.get_i64("ctx-bucket", cfg.ctx_bucket);
-  cfg.block_tokens = p.get_i64("block-tokens", cfg.block_tokens);
-  const std::int64_t kv_mb = p.get_i64("kv-mb", 64);
-  GAUDI_CHECK(kv_mb >= 1, "kv-mb expects a positive MiB count");
-  cfg.kv_budget_bytes = static_cast<std::size_t>(kv_mb) * 1024 * 1024;
-  cfg.step_cache_entries =
-      static_cast<std::size_t>(p.get_i64("cache-cap", 0));
-  cfg.timing_only = timing_only;
-  cfg.retry_max =
-      static_cast<std::int32_t>(p.get_i64("retry-max", cfg.retry_max));
-  GAUDI_CHECK(cfg.retry_max >= 0, "retry-max expects a non-negative count");
-  const std::int64_t watchdog_ms = p.get_i64("watchdog-ms", 0);
-  GAUDI_CHECK(watchdog_ms >= 0, "watchdog-ms expects a non-negative time");
-  if (watchdog_ms > 0) {
-    cfg.watchdog = sim::SimTime::from_ms(static_cast<double>(watchdog_ms));
-  }
-  cfg.shed_queue_depth = p.get_i64("shed-queue-depth", 0);
-  GAUDI_CHECK(cfg.shed_queue_depth >= 0,
-              "shed-queue-depth expects a non-negative depth");
-  cfg.shed_min_free_blocks = p.get_i64("shed-free-blocks", 0);
-  GAUDI_CHECK(cfg.shed_min_free_blocks >= 0,
-              "shed-free-blocks expects a non-negative count");
-  return cfg;
-}
-
-Metrics run_serve_cell(const ParamView& p, std::uint64_t seed,
+Metrics run_serve_cell(const ArgParser& args, std::uint64_t seed,
                        std::optional<bool> timing_only) {
-  const serve::StreamConfig scfg = batch_stream_config(p, seed);
-  serve::ServeConfig cfg = batch_serve_config(p, timing_only);
-
-  // Fault tolerance: `mtbf` (mean iterations between failures) enables the
-  // injector; the fault seed is its own key so the workload seed axis does
-  // not reshuffle the fault schedule.
-  const std::int64_t mtbf = p.get_i64("mtbf", 0);
-  GAUDI_CHECK(mtbf >= 0, "mtbf expects a non-negative iteration count");
-  if (mtbf > 0) {
-    const auto fault_seed =
-        static_cast<std::uint64_t>(p.get_i64("fault-seed", 0xFA517));
-    cfg.faults = sim::FaultInjector{
-        fault_seed, sim::FaultProfile::from_mtbf_steps(
-                        static_cast<double>(mtbf), /*chips=*/1)};
-  }
-  p.check_all_used();
+  ServeOptions o = parse_serve_options(args);
+  args.check_unused();
+  o.stream.seed = seed;
+  o.config.timing_only = timing_only;
 
   graph::Runtime rt(sim::ChipConfig::hls1());
-  serve::ContinuousBatchScheduler sched(rt, cfg);
-  const serve::ServeReport r = sched.run(serve::poisson_stream(scfg));
-  const double availability = std::isfinite(r.summary.availability)
-                                  ? r.summary.availability
-                                  : 0.0;
+  serve::ContinuousBatchScheduler sched(rt, o.config);
+  const serve::ServeReport r = sched.run(o.requests());
   return {{"throughput_tok_s", r.summary.throughput_tok_s},
           {"goodput_tok_s", r.summary.goodput_tok_s},
           {"ttft_p99_ms", r.summary.ttft_p99_ms},
@@ -277,72 +127,23 @@ Metrics run_serve_cell(const ParamView& p, std::uint64_t seed,
           {"shed", static_cast<double>(r.summary.shed)},
           {"failed", static_cast<double>(r.summary.failed)},
           {"timed_out", static_cast<double>(r.summary.timed_out)},
-          {"availability", availability},
+          {"availability", availability_or_zero(r.summary.availability)},
           {"fault_retries", static_cast<double>(r.summary.fault_retries)},
           {"wasted_tokens", static_cast<double>(r.summary.wasted_tokens)},
           {"preemptions", static_cast<double>(r.summary.preemptions)},
           {"makespan_ms", r.summary.makespan.ms()}};
 }
 
-Metrics run_serve_cluster_cell(const ParamView& p, std::uint64_t seed,
+Metrics run_serve_cluster_cell(const ArgParser& args, std::uint64_t seed,
                                std::optional<bool> timing_only) {
-  const serve::StreamConfig scfg = batch_stream_config(p, seed);
-  serve::ClusterConfig ccfg;
-  ccfg.replica = batch_serve_config(p, timing_only);
-  ccfg.replicas = p.get_i64("replicas", ccfg.replicas);
-  GAUDI_CHECK(ccfg.replicas >= 1, "replicas expects a positive count");
-  ccfg.policy = serve::parse_load_balance_policy(p.get("lb", "round-robin"));
-  const std::int64_t heartbeat_ms = p.get_i64(
-      "heartbeat-ms", static_cast<std::int64_t>(ccfg.heartbeat_interval.ms()));
-  GAUDI_CHECK(heartbeat_ms >= 0, "heartbeat-ms expects a non-negative time");
-  ccfg.heartbeat_interval =
-      sim::SimTime::from_ms(static_cast<double>(heartbeat_ms));
-  const std::int64_t suspicion_ms = p.get_i64(
-      "suspicion-ms", static_cast<std::int64_t>(ccfg.suspicion_timeout.ms()));
-  GAUDI_CHECK(suspicion_ms > 0, "suspicion-ms expects a positive time");
-  ccfg.suspicion_timeout =
-      sim::SimTime::from_ms(static_cast<double>(suspicion_ms));
-  const std::int64_t hedge_ms = p.get_i64("hedge-ms", 0);
-  GAUDI_CHECK(hedge_ms >= 0, "hedge-ms expects a non-negative time");
-  ccfg.hedge_budget = sim::SimTime::from_ms(static_cast<double>(hedge_ms));
-  ccfg.breaker_enabled = p.get_i64("breaker", 1) != 0;
-  const std::int64_t mtbf = p.get_i64("mtbf", 0);
-  GAUDI_CHECK(mtbf >= 0, "mtbf expects a non-negative iteration count");
-  ccfg.fault_seed =
-      static_cast<std::uint64_t>(p.get_i64("fault-seed", 0xFA517));
-  if (mtbf > 0) {
-    ccfg.fault_profile = sim::FaultProfile::from_mtbf_steps(
-        static_cast<double>(mtbf), /*chips=*/1);
-  }
-
-  // Live migration & draining (serve/migration.*).
-  ccfg.migration.enabled = p.get_i64("migrate", 0) != 0;
-  ccfg.migration.chunk_blocks =
-      p.get_i64("migration-chunk-blocks", ccfg.migration.chunk_blocks);
-  GAUDI_CHECK(ccfg.migration.chunk_blocks >= 1,
-              "migration-chunk-blocks expects a positive block count");
-  ccfg.drain_replica = p.get_i64("drain-replica", ccfg.drain_replica);
-  GAUDI_CHECK(ccfg.drain_replica < ccfg.replicas,
-              "drain-replica expects an index below replicas");
-  const std::int64_t drain_at_ms = p.get_i64("drain-at-ms", 0);
-  GAUDI_CHECK(drain_at_ms >= 0, "drain-at-ms expects a non-negative time");
-  ccfg.drain_at = sim::SimTime::from_ms(static_cast<double>(drain_at_ms));
-  const std::int64_t health_window_ms = p.get_i64(
-      "health-window-ms", static_cast<std::int64_t>(ccfg.health_window.ms()));
-  GAUDI_CHECK(health_window_ms > 0, "health-window-ms expects a positive time");
-  ccfg.health_window =
-      sim::SimTime::from_ms(static_cast<double>(health_window_ms));
-  ccfg.degraded_after = p.get_i64("degraded-after", ccfg.degraded_after);
-  GAUDI_CHECK(ccfg.degraded_after >= 1,
-              "degraded-after expects a positive count");
-  p.check_all_used();
+  ServeClusterOptions o = parse_serve_cluster_options(args);
+  args.check_unused();
+  o.stream.seed = seed;
+  o.config.replica.timing_only = timing_only;
 
   graph::Runtime rt(sim::ChipConfig::hls1());
-  serve::ClusterRouter router(rt, ccfg);
-  const serve::ClusterReport r = router.run(serve::poisson_stream(scfg));
-  const double availability = std::isfinite(r.summary.availability)
-                                  ? r.summary.availability
-                                  : 0.0;
+  serve::ClusterRouter router(rt, o.config);
+  const serve::ClusterReport r = router.run(o.requests());
   Metrics m = {{"throughput_tok_s", r.summary.throughput_tok_s},
                {"goodput_tok_s", r.summary.goodput_tok_s},
                {"ttft_p99_ms", r.summary.ttft_p99_ms},
@@ -350,7 +151,7 @@ Metrics run_serve_cluster_cell(const ParamView& p, std::uint64_t seed,
                {"completed", static_cast<double>(r.summary.completed)},
                {"failed", static_cast<double>(r.summary.failed)},
                {"timed_out", static_cast<double>(r.summary.timed_out)},
-               {"availability", availability},
+               {"availability", availability_or_zero(r.summary.availability)},
                {"chip_failures", static_cast<double>(r.chip_failures)},
                {"failovers", static_cast<double>(r.failovers)},
                {"hedges_launched", static_cast<double>(r.hedges_launched)},
@@ -371,17 +172,9 @@ Metrics run_serve_cluster_cell(const ParamView& p, std::uint64_t seed,
   return m;
 }
 
-Metrics run_profile_layer_cell(const ParamView& p) {
-  LayerExperiment exp;
-  exp.attention.kind = parse_attention(p.get("attention", "softmax"));
-  exp.attention.feature_map = parse_activation(p.get("feature-map", "elu"));
-  exp.seq_len = p.get_i64("seq", exp.seq_len);
-  exp.batch = p.get_i64("batch", exp.batch);
-  exp.heads = p.get_i64("heads", exp.heads);
-  exp.head_dim = p.get_i64("head-dim", exp.head_dim);
-  exp.ffn_dim = p.get_i64("ffn", exp.ffn_dim);
-  exp.policy = parse_policy(p.get("policy", "barrier"));
-  p.check_all_used();
+Metrics run_profile_layer_cell(const ArgParser& args) {
+  const LayerExperiment exp = parse_layer_experiment(args);
+  args.check_unused();
   const LayerProfile prof = run_layer_profile(exp, sim::ChipConfig::hls1());
   return {{"makespan_ms", prof.summary.makespan.ms()},
           {"mme_utilization", prof.summary.mme_utilization},
@@ -389,29 +182,23 @@ Metrics run_profile_layer_cell(const ParamView& p) {
           {"mme_idle_fraction", prof.summary.mme_idle_fraction}};
 }
 
-Metrics run_profile_model_cell(const ParamView& p) {
-  const std::string arch = p.get("arch", "gpt2");
-  nn::LmConfig cfg = arch == "bert" ? nn::LmConfig::bert_paper()
-                     : arch == "gpt2"
-                         ? nn::LmConfig::gpt2_paper()
-                         : throw sim::InvalidArgument("unknown arch: " + arch);
-  cfg.seq_len = p.get_i64("seq", cfg.seq_len);
-  cfg.batch = p.get_i64("batch", cfg.batch);
-  cfg.n_layers = p.get_i64("layers", cfg.n_layers);
-  const graph::SchedulePolicy policy =
-      parse_policy(p.get("policy", "barrier"));
-  p.check_all_used();
-  const LlmProfile prof = run_llm_profile(cfg, policy, sim::ChipConfig::hls1());
+Metrics run_profile_model_cell(const ArgParser& args) {
+  const ModelExperiment exp = parse_model_experiment(args);
+  args.check_unused();
+  const LlmProfile prof =
+      run_llm_profile(exp.model, exp.policy, sim::ChipConfig::hls1());
   return {{"makespan_ms", prof.summary.makespan.ms()},
           {"mme_utilization", prof.summary.mme_utilization},
           {"tpc_utilization", prof.summary.tpc_utilization},
           {"params", static_cast<double>(prof.param_count)}};
 }
 
-Metrics run_mme_vs_tpc_cell(const ParamView& p) {
-  const std::int64_t size = p.get_i64("size", 512);
-  const std::int64_t batch = p.get_i64("batch", 64);
-  p.check_all_used();
+/// The CLI takes a list of sizes (--sizes); a cell probes one `size`, so a
+/// grid sweeps it as an axis.
+Metrics run_mme_vs_tpc_cell(const ArgParser& args) {
+  const std::int64_t size = args.get_int("size", 512);
+  const std::int64_t batch = args.get_int("batch", 64);
+  args.check_unused();
   const std::vector<MmeVsTpcRow> rows =
       run_mme_vs_tpc(sim::ChipConfig::hls1(), {size}, batch);
   GAUDI_ASSERT(rows.size() == 1, "one size probes one row");
@@ -422,18 +209,18 @@ Metrics run_mme_vs_tpc_cell(const ParamView& p) {
 
 Metrics run_cell_once(const Cell& cell, std::uint64_t seed,
                       std::optional<bool> timing_only_default) {
-  const ParamView p(cell.params);
+  const ArgParser args = ArgParser::from_pairs(cell.params);
   const std::optional<bool> timing_only = cell.exp->timing_only.has_value()
                                               ? cell.exp->timing_only
                                               : timing_only_default;
   const std::string& cmd = cell.exp->command;
-  if (cmd == "serve") return run_serve_cell(p, seed, timing_only);
+  if (cmd == "serve") return run_serve_cell(args, seed, timing_only);
   if (cmd == "serve-cluster") {
-    return run_serve_cluster_cell(p, seed, timing_only);
+    return run_serve_cluster_cell(args, seed, timing_only);
   }
-  if (cmd == "profile-layer") return run_profile_layer_cell(p);
-  if (cmd == "profile-model") return run_profile_model_cell(p);
-  if (cmd == "mme-vs-tpc") return run_mme_vs_tpc_cell(p);
+  if (cmd == "profile-layer") return run_profile_layer_cell(args);
+  if (cmd == "profile-model") return run_profile_model_cell(args);
+  if (cmd == "mme-vs-tpc") return run_mme_vs_tpc_cell(args);
   throw sim::InvalidArgument("unknown batch command: " + cmd);
 }
 
@@ -473,11 +260,11 @@ BatchConfig parse_batch_config(std::istream& in) {
       cur->command = t[1];
     } else if (d == "set") {
       if (t.size() != 3) fail(line_no, "set expects a key and one value");
-      check_unique_key(*cur, t[1], line_no);
+      check_key(*cur, t[1], line_no);
       cur->fixed.emplace_back(t[1], t[2]);
     } else if (d == "sweep") {
       if (t.size() < 3) fail(line_no, "sweep expects a key and >= 1 value");
-      check_unique_key(*cur, t[1], line_no);
+      check_key(*cur, t[1], line_no);
       cur->sweeps.emplace_back(
           t[1], std::vector<std::string>(t.begin() + 2, t.end()));
     } else if (d == "seeds") {

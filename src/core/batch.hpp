@@ -10,13 +10,19 @@
 // Grammar (line-oriented; '#' starts a comment, blank lines ignored):
 //
 //   experiment <name>
-//     command <serve|profile-layer|profile-model|mme-vs-tpc>
+//     command <serve|serve-cluster|profile-layer|profile-model|mme-vs-tpc>
 //     set <key> <value>          # fixed parameter (CLI option spelling)
 //     sweep <key> <v1> <v2> ...  # one grid axis; axes multiply
 //     seeds <s1> <s2> ...        # workload seeds (0x... accepted)
 //     repeats <n>                # replicas per seed: seed+0 .. seed+n-1
 //     timing-only <on|off>       # serve cells only; default defers to env
 //   end
+//
+// A key is an option of the command without its dashes, parsed and checked
+// by the same function the CLI command calls (core/options.hpp), so a bad
+// value fails naming `--key`.  `seed` and `timing-only` are not keys: the
+// `seeds` and `timing-only` directives set them.  mme-vs-tpc takes one
+// `size` (and `batch`) per cell where the CLI takes a --sizes list.
 //
 // Each point of the sweep grid is one *cell*; each cell runs once per
 // (seed, repeat) pair with effective seed `seed + repeat`, and the cell's

@@ -1,0 +1,209 @@
+#include "core/options.hpp"
+
+#include "sim/error.hpp"
+
+namespace gaudi::core {
+
+namespace {
+
+void require(bool ok, const std::string& message) {
+  if (!ok) throw sim::InvalidArgument(message);
+}
+
+/// Integer option `key` of at least `min` (0 or 1); anything smaller fails
+/// as "--key expects a positive <noun>".
+std::int64_t bounded(const ArgParser& args, const std::string& key,
+                     std::int64_t fallback, std::int64_t min,
+                     const std::string& noun) {
+  const std::int64_t v = args.get_int(key, fallback);
+  require(v >= min, "--" + key + " expects a " +
+                        (min > 0 ? "positive " : "non-negative ") + noun +
+                        ", got " + std::to_string(v));
+  return v;
+}
+
+/// `bounded` for a whole number of milliseconds.
+sim::SimTime millis(const ArgParser& args, const std::string& key,
+                    sim::SimTime fallback, std::int64_t min) {
+  return sim::SimTime::from_ms(static_cast<double>(bounded(
+      args, key, static_cast<std::int64_t>(fallback.ms()), min, "time")));
+}
+
+graph::SchedulePolicy parse_policy(const ArgParser& args) {
+  return args.get_enum(
+      "policy",
+      {graph::SchedulePolicy::kBarrier, graph::SchedulePolicy::kOverlap},
+      graph::schedule_policy_name);
+}
+
+void parse_stream(const ArgParser& args, StreamOptions& o) {
+  serve::StreamConfig& s = o.stream;
+  s.arrival_rate_rps = args.get_f64("rate", s.arrival_rate_rps);
+  s.num_requests = args.get_int("requests", s.num_requests);
+  s.prompt.lo = args.get_int("prompt-min", s.prompt.lo);
+  s.prompt.hi = args.get_int("prompt-max", s.prompt.hi);
+  s.output.lo = args.get_int("output-min", s.output.lo);
+  s.output.hi = args.get_int("output-max", s.output.hi);
+  s.priority_levels = static_cast<std::int32_t>(
+      args.get_int("priorities", s.priority_levels));
+  s.deadline = millis(args, "deadline-ms", s.deadline, 0);
+  s.seed = static_cast<std::uint64_t>(
+      args.get_int("seed", static_cast<std::int64_t>(s.seed)));
+  o.arrivals = args.get("arrivals", "");
+}
+
+/// Per-replica scheduler options of both serving commands; faults are left
+/// to the callers, which wire them differently.
+serve::ServeConfig parse_scheduler(const ArgParser& args) {
+  constexpr std::size_t kMiB = 1024 * 1024;
+  serve::ServeConfig c;
+  if (args.get_choice("model", {"gpt2", "tiny"}) == 1) {
+    c.model = nn::DecodeConfig::tiny();
+  }
+  c.max_batch = bounded(args, "max-batch", c.max_batch, 1, "count");
+  c.prefill_chunk =
+      bounded(args, "prefill-chunk", c.prefill_chunk, 1, "token count");
+  c.ctx_bucket = bounded(args, "ctx-bucket", c.ctx_bucket, 1, "token count");
+  c.block_tokens =
+      bounded(args, "block-tokens", c.block_tokens, 1, "token count");
+  c.kv_budget_bytes =
+      static_cast<std::size_t>(bounded(
+          args, "kv-mb", static_cast<std::int64_t>(c.kv_budget_bytes / kMiB),
+          1, "MiB count")) *
+      kMiB;
+  c.step_cache_entries = static_cast<std::size_t>(bounded(
+      args, "cache-cap", static_cast<std::int64_t>(c.step_cache_entries), 0,
+      "count"));
+  c.timing_only = args.get_bool("timing-only");
+  c.retry_max = static_cast<std::int32_t>(
+      bounded(args, "retry-max", c.retry_max, 0, "count"));
+  c.retry_backoff = millis(args, "retry-backoff-ms", c.retry_backoff, 0);
+  c.retry_backoff_max =
+      millis(args, "retry-backoff-max-ms", c.retry_backoff_max, 1);
+  c.watchdog = millis(args, "watchdog-ms", c.watchdog, 0);
+  c.shed_queue_depth =
+      bounded(args, "shed-queue-depth", c.shed_queue_depth, 0, "depth");
+  c.shed_min_free_blocks =
+      bounded(args, "shed-free-blocks", c.shed_min_free_blocks, 0, "count");
+  return c;
+}
+
+}  // namespace
+
+LayerExperiment parse_layer_experiment(const ArgParser& args) {
+  using nn::Activation;
+  using nn::AttentionKind;
+  LayerExperiment exp;
+  exp.attention.kind = args.get_enum(
+      "attention",
+      {AttentionKind::kSoftmax, AttentionKind::kLinear,
+       AttentionKind::kPerformer, AttentionKind::kLinformer,
+       AttentionKind::kLocal},
+      nn::attention_kind_name);
+  exp.attention.feature_map = args.get_enum(
+      "feature-map",
+      {Activation::kElu, Activation::kRelu, Activation::kLeakyRelu,
+       Activation::kGelu, Activation::kGlu},
+      nn::activation_name);
+  exp.seq_len = args.get_int("seq", exp.seq_len);
+  exp.batch = args.get_int("batch", exp.batch);
+  exp.heads = args.get_int("heads", exp.heads);
+  exp.head_dim = args.get_int("head-dim", exp.head_dim);
+  exp.ffn_dim = args.get_int("ffn", exp.ffn_dim);
+  exp.policy = parse_policy(args);
+  return exp;
+}
+
+ModelExperiment parse_model_experiment(const ArgParser& args) {
+  ModelExperiment m;
+  m.model = args.get_enum("arch", {nn::LmArch::kGpt2, nn::LmArch::kBert},
+                          nn::lm_arch_name) == nn::LmArch::kBert
+                ? nn::LmConfig::bert_paper()
+                : nn::LmConfig::gpt2_paper();
+  m.model.seq_len = args.get_int("seq", m.model.seq_len);
+  m.model.batch = args.get_int("batch", m.model.batch);
+  m.model.n_layers = args.get_int("layers", m.model.n_layers);
+  m.policy = parse_policy(args);
+  return m;
+}
+
+FaultOptions parse_fault_options(const ArgParser& args, std::uint32_t chips) {
+  FaultOptions f;
+  f.seed = static_cast<std::uint64_t>(
+      args.get_int("fault-seed", static_cast<std::int64_t>(f.seed)));
+  const std::int64_t mtbf = bounded(args, "mtbf", 0, 0, "step count");
+  if (args.get_bool("faults", false)) {
+    f.profile = mtbf > 0 ? sim::FaultProfile::from_mtbf_steps(
+                               static_cast<double>(mtbf), chips)
+                         : sim::FaultProfile::stress();
+  }
+  return f;
+}
+
+std::vector<serve::Request> StreamOptions::requests() const {
+  return arrivals.empty() ? serve::poisson_stream(stream)
+                          : serve::load_trace(arrivals);
+}
+
+ServeOptions parse_serve_options(const ArgParser& args) {
+  ServeOptions o;
+  parse_stream(args, o);
+  o.config = parse_scheduler(args);
+  const FaultOptions f = parse_fault_options(args, /*chips=*/1);
+  o.config.faults = sim::FaultInjector{f.seed, f.profile};
+  return o;
+}
+
+ServeClusterOptions parse_serve_cluster_options(const ArgParser& args) {
+  using serve::LoadBalancePolicy;
+  ServeClusterOptions o;
+  parse_stream(args, o);
+  serve::ClusterConfig& c = o.config;
+  c.replica = parse_scheduler(args);
+  // One cluster seed; the router derives a decorrelated stream per replica.
+  const FaultOptions f = parse_fault_options(args, /*chips=*/1);
+  c.fault_seed = f.seed;
+  c.fault_profile = f.profile;
+
+  c.replicas = bounded(args, "replicas", c.replicas, 1, "count");
+  c.policy = args.get_enum("lb",
+                           {LoadBalancePolicy::kRoundRobin,
+                            LoadBalancePolicy::kJoinShortestQueue,
+                            LoadBalancePolicy::kLeastKvLoad},
+                           serve::load_balance_policy_name);
+  c.heartbeat_interval = millis(args, "heartbeat-ms", c.heartbeat_interval, 0);
+  c.suspicion_timeout = millis(args, "suspicion-ms", c.suspicion_timeout, 1);
+  c.hedge_budget = millis(args, "hedge-ms", c.hedge_budget, 0);
+  c.breaker_enabled = args.get_bool("breaker", c.breaker_enabled);
+  c.breaker_window =
+      bounded(args, "breaker-window", c.breaker_window, 1, "count");
+  c.breaker_min_samples =
+      bounded(args, "breaker-min", c.breaker_min_samples, 1, "count");
+  c.breaker_threshold = args.get_f64("breaker-threshold", c.breaker_threshold);
+  require(c.breaker_threshold > 0.0 && c.breaker_threshold <= 1.0,
+          "--breaker-threshold expects a fraction in (0, 1]");
+  c.breaker_cooldown =
+      millis(args, "breaker-cooldown-ms", c.breaker_cooldown, 1);
+
+  // Live migration & draining (serve/migration.*).
+  c.migration.enabled = args.get_bool("migrate", c.migration.enabled);
+  c.migration.chunk_blocks = bounded(
+      args, "migration-chunk-blocks", c.migration.chunk_blocks, 1, "block count");
+  if (args.has("drain-replica")) {
+    require(c.replicas >= 2, "--drain-replica needs at least two replicas");
+    c.drain_replica = args.get_int("drain-replica", c.drain_replica);
+    require(c.drain_replica >= 0 && c.drain_replica < c.replicas,
+            "--drain-replica expects an index in [0, " +
+                std::to_string(c.replicas) + "), got " +
+                std::to_string(c.drain_replica));
+  }
+  require(!args.has("drain-at-ms") || c.drain_replica >= 0,
+          "--drain-at-ms requires --drain-replica");
+  c.drain_at = millis(args, "drain-at-ms", c.drain_at, 0);
+  c.health_window = millis(args, "health-window-ms", c.health_window, 1);
+  c.degraded_after =
+      bounded(args, "degraded-after", c.degraded_after, 1, "count");
+  return o;
+}
+
+}  // namespace gaudi::core

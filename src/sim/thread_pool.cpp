@@ -76,8 +76,14 @@ void ThreadPool::parallel_for_chunks(
   std::atomic<std::size_t> remaining{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
+  // The completion handshake lives on this stack frame.  Only the worker
+  // that retires the last chunk touches it after its decrement, and only
+  // under done_mutex; waiting for `done` rather than for `remaining == 0`
+  // keeps this call from returning, and destroying the frame, until that
+  // worker has set `done` and released the lock.
   std::mutex done_mutex;
   std::condition_variable done_cv;
+  bool done = false;
 
   std::size_t submitted = 0;
   {
@@ -96,6 +102,7 @@ void ThreadPool::parallel_for_chunks(
         }
         if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           std::lock_guard dlock(done_mutex);
+          done = true;
           done_cv.notify_all();
         }
       });
@@ -105,7 +112,7 @@ void ThreadPool::parallel_for_chunks(
   cv_.notify_all();
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return done; });
   if (first_error) {
     std::rethrow_exception(first_error);
   }

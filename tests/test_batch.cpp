@@ -76,6 +76,12 @@ TEST(BatchConfig, RejectsMalformedInput) {
       sim::InvalidArgument);  // duplicate name
   EXPECT_THROW(parse("experiment a\ncommand serve\nwat 1\nend\n"),
                sim::InvalidArgument);
+  // The seed and the timing mode belong to their directives, not to keys.
+  EXPECT_THROW(parse("experiment a\ncommand serve\nset seed 4\nend\n"),
+               sim::InvalidArgument);
+  EXPECT_THROW(
+      parse("experiment a\ncommand serve\nsweep timing-only on off\nend\n"),
+      sim::InvalidArgument);
 }
 
 // --- StatsSink -------------------------------------------------------------
@@ -166,6 +172,59 @@ experiment typo
 end
 )");
   EXPECT_THROW((void)run_batch(cfg), sim::InvalidArgument);
+}
+
+/// The CSV rows of cell `label`, with the label cut out so cells compare.
+std::string cell_rows(const std::string& csv, const std::string& label) {
+  std::istringstream in(csv);
+  std::string rows;
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t at = line.find("," + label + ",");
+    if (at != std::string::npos) {
+      rows += line.substr(0, at) + line.substr(at + label.size() + 1) + "\n";
+    }
+  }
+  return rows;
+}
+
+TEST(BatchRun, SweepsMtbfThroughZeroWithAFaultSeed) {
+  // `mtbf` sets only the rate and `fault-seed` only the stream; the
+  // `faults` switch turns injection on.  Both keys are read either way, so
+  // a grid can fix the fault seed while sweeping mtbf through 0.
+  const std::string grid = R"(
+experiment faults
+  command serve
+  set model tiny
+  set requests 12
+  set prompt-min 2
+  set prompt-max 6
+  set output-min 2
+  set output-max 4
+  set max-batch 2
+  set prefill-chunk 4
+  set ctx-bucket 4
+  set block-tokens 4
+  set kv-mb 1
+  set rate 200
+  set fault-seed 7
+  sweep mtbf 0 8
+  timing-only on
+end
+)";
+  const BatchRunResult off = run_batch(parse(grid));
+  EXPECT_EQ(off.cells, 2u);
+  // Switch off: the rate has no effect, so both cells are the fault-free run.
+  EXPECT_EQ(cell_rows(off.csv, "mtbf=0"), cell_rows(off.csv, "mtbf=8"));
+  EXPECT_NE(off.csv.find("faults,mtbf=0,fault_retries,1,0,"),
+            std::string::npos)
+      << off.csv;
+
+  std::string with_faults = grid;
+  with_faults.insert(with_faults.find("  set fault-seed"), "  set faults on\n");
+  const BatchRunResult on = run_batch(parse(with_faults));
+  // Switch on: mtbf 0 is the stress profile, mtbf 8 a calibrated rate.
+  EXPECT_NE(cell_rows(on.csv, "mtbf=0"), cell_rows(on.csv, "mtbf=8"));
+  EXPECT_NE(cell_rows(on.csv, "mtbf=8"), cell_rows(off.csv, "mtbf=8"));
 }
 
 }  // namespace

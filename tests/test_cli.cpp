@@ -1,8 +1,14 @@
-// CLI tests: the option parser's contract and end-to-end command dispatch.
+// CLI tests: the option parser's contract, end-to-end command dispatch, and
+// agreement between the CLI and batch-cell front-ends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/batch.hpp"
 #include "core/cli.hpp"
 #include "sim/error.hpp"
 
@@ -40,6 +46,33 @@ TEST(ArgParser, RejectsMalformedTokens) {
   EXPECT_THROW(ArgParser({"seq", "1024"}), sim::InvalidArgument);
   ArgParser p({"--seq", "abc"});
   EXPECT_THROW(p.get_int("seq", 0), sim::InvalidArgument);
+}
+
+TEST(ArgParser, BooleansShareOneGrammar) {
+  ArgParser p({"--a", "--b", "on", "--c", "1", "--d", "off", "--e", "0",
+               "--f", "maybe"});
+  EXPECT_TRUE(p.get_bool("a", false));  // bare flag
+  EXPECT_TRUE(p.get_bool("b", false));
+  EXPECT_TRUE(p.get_bool("c", false));
+  EXPECT_FALSE(p.get_bool("d", true));
+  EXPECT_FALSE(p.get_bool("e", true));
+  EXPECT_TRUE(p.get_bool("missing", true));
+  EXPECT_FALSE(p.get_bool("missing").has_value());
+  try {
+    (void)p.get_bool("f", false);
+    FAIL() << "'maybe' accepted";
+  } catch (const sim::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--f"), std::string::npos);
+  }
+}
+
+TEST(ArgParser, FromPairsReadsLikeArgv) {
+  const ArgParser p = ArgParser::from_pairs({{"rate", "2.5"}, {"lb", "jsq"}});
+  EXPECT_DOUBLE_EQ(p.get_f64("rate", 0.0), 2.5);
+  EXPECT_EQ(p.get_choice("lb", {"round-robin", "jsq"}), 1u);
+  EXPECT_EQ(p.get_choice("policy", {"barrier", "overlap"}), 0u);  // absent
+  EXPECT_NO_THROW(p.check_unused());
+  EXPECT_THROW((void)p.get_choice("lb", {"round-robin"}), sim::InvalidArgument);
 }
 
 TEST(Cli, HelpAndUnknownCommand) {
@@ -210,6 +243,192 @@ TEST(Cli, TrainGuardedSdcRunIsCaughtAndDeterministic) {
   EXPECT_EQ(out, again);
   EXPECT_EQ(run({"train", "--sdc-rate", "1.5"}, &out), 1);
   EXPECT_EQ(run({"train", "--sdc-rate", "lots"}, &out), 1);
+}
+
+// --- Both front-ends -------------------------------------------------------
+//
+// `gaudisim_cli serve ...` and a batch cell with `command serve` parse every
+// option at one shared site, so they must accept, reject and run a setting
+// the same way.
+
+using Options = std::vector<std::pair<std::string, std::string>>;
+
+/// A tiny-model stream small enough that accepted settings run in
+/// milliseconds.
+const Options& tiny_stream() {
+  static const Options kOptions = {
+      {"model", "tiny"},     {"requests", "6"},      {"rate", "100"},
+      {"prompt-min", "2"},   {"prompt-max", "6"},    {"output-min", "2"},
+      {"output-max", "4"},   {"max-batch", "2"},     {"prefill-chunk", "4"},
+      {"ctx-bucket", "4"},   {"block-tokens", "4"},  {"kv-mb", "1"}};
+  return kOptions;
+}
+
+/// `base` with `overrides` replacing or extending it, in order.
+Options with(Options base, const Options& overrides) {
+  for (const auto& [key, value] : overrides) {
+    const auto it = std::find_if(
+        base.begin(), base.end(), [&](const auto& kv) { return kv.first == key; });
+    if (it != base.end()) {
+      it->second = value;
+    } else {
+      base.emplace_back(key, value);
+    }
+  }
+  return base;
+}
+
+/// Runs `command` through the CLI; returns its output ("error: ..." on
+/// failure, with exit code 1).
+std::string via_cli(const std::string& command, const Options& options) {
+  std::vector<std::string> argv{"gaudisim_cli", command, "--timing-only", "on"};
+  for (const auto& [key, value] : options) {
+    argv.push_back("--" + key);
+    argv.push_back(value);
+  }
+  std::ostringstream out;
+  const int rc = run_cli(argv, out);
+  EXPECT_EQ(rc, out.str().rfind("error: ", 0) == 0 ? 1 : 0) << out.str();
+  return out.str();
+}
+
+/// Runs `command` as a one-cell batch grid; returns its CSV, or
+/// "error: ..." as the CLI would print it.
+std::string via_batch(const std::string& command, const Options& options) {
+  std::ostringstream cfg;
+  cfg << "experiment cell\n  command " << command << "\n  timing-only on\n";
+  for (const auto& [key, value] : options) {
+    cfg << "  set " << key << ' ' << value << '\n';
+  }
+  cfg << "end\n";
+  std::istringstream in(cfg.str());
+  try {
+    return run_batch(parse_batch_config(in)).csv;
+  } catch (const sim::Error& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+TEST(FrontEnds, RejectBadValuesNamingTheOption) {
+  struct Row {
+    const char* command;
+    Options options;
+    /// Text both errors must contain; nullptr: the setting is accepted and
+    /// runs exactly like the same command without it.
+    const char* error;
+  };
+  const std::vector<Row> rows = {
+      // Scheduler geometry and robustness knobs.
+      {"serve", {{"max-batch", "0"}}, "--max-batch"},
+      {"serve", {{"prefill-chunk", "0"}}, "--prefill-chunk"},
+      {"serve", {{"ctx-bucket", "0"}}, "--ctx-bucket"},
+      {"serve", {{"block-tokens", "-3"}}, "--block-tokens"},
+      {"serve", {{"kv-mb", "0"}}, "--kv-mb"},
+      {"serve", {{"retry-max", "-1"}}, "--retry-max"},
+      {"serve", {{"retry-max", "3x"}}, "--retry-max"},
+      {"serve", {{"watchdog-ms", "-5"}}, "--watchdog-ms"},
+      {"serve", {{"watchdog-ms", "soon"}}, "--watchdog-ms"},
+      {"serve", {{"shed-queue-depth", "-2"}}, "--shed-queue-depth"},
+      {"serve", {{"shed-free-blocks", "-1"}}, "--shed-free-blocks"},
+      {"serve", {{"retry-backoff-ms", "-1"}}, "--retry-backoff-ms"},
+      {"serve", {{"retry-backoff-max-ms", "0"}}, "--retry-backoff-max-ms"},
+      {"serve", {{"rate", "fast"}}, "--rate"},
+      {"serve", {{"model", "llama"}}, "--model"},
+      // Fault keys are checked with --faults off, but have no effect then.
+      {"serve", {{"mtbf", "-5"}}, "--mtbf"},
+      {"serve", {{"faults", "maybe"}}, "--faults"},
+      {"serve", {{"faults", "off"}, {"mtbf", "25"}, {"fault-seed", "9"}},
+       nullptr},
+      // Serving never queries an SDC injector.
+      {"serve", {{"sdc-rate", "0.5"}}, "unknown option: --sdc-rate"},
+      // Router.
+      {"serve-cluster", {{"replicas", "0"}}, "--replicas"},
+      {"serve-cluster", {{"lb", "fastest"}}, "--lb"},
+      {"serve-cluster", {{"suspicion-ms", "0"}}, "--suspicion-ms"},
+      {"serve-cluster", {{"hedge-ms", "-1"}}, "--hedge-ms"},
+      {"serve-cluster", {{"breaker", "2"}}, "--breaker"},
+      {"serve-cluster", {{"breaker-threshold", "2"}}, "--breaker-threshold"},
+      {"serve-cluster", {{"breaker-cooldown-ms", "0"}},
+       "--breaker-cooldown-ms"},
+      {"serve-cluster", {{"retry-backoff-max-ms", "0"}},
+       "--retry-backoff-max-ms"},
+      {"serve-cluster", {{"nonsense", "1"}}, "unknown option: --nonsense"},
+      {"serve-cluster", {{"mtbf", "40"}, {"fault-seed", "99"}}, nullptr},
+      // Live migration and draining.
+      {"serve-cluster", {{"migration-chunk-blocks", "0"}},
+       "--migration-chunk-blocks"},
+      {"serve-cluster", {{"replicas", "1"}, {"drain-replica", "0"}},
+       "--drain-replica"},
+      {"serve-cluster", {{"replicas", "3"}, {"drain-replica", "3"}},
+       "--drain-replica"},
+      {"serve-cluster", {{"drain-replica", "-5"}, {"drain-at-ms", "20"}},
+       "--drain-replica"},
+      {"serve-cluster", {{"drain-at-ms", "5"}},
+       "--drain-at-ms requires --drain-replica"},
+      {"serve-cluster",
+       {{"replicas", "2"}, {"drain-replica", "0"}, {"drain-at-ms", "-1"}},
+       "--drain-at-ms"},
+      {"serve-cluster", {{"migrate", "on"}, {"health-window-ms", "0"}},
+       "--health-window-ms"},
+      {"serve-cluster", {{"migrate", "on"}, {"degraded-after", "0"}},
+       "--degraded-after"},
+      {"serve-cluster", {{"migrate", "off"}}, nullptr},
+  };
+  for (const Row& row : rows) {
+    const Options options = with(tiny_stream(), row.options);
+    SCOPED_TRACE(std::string(row.command) + " --" + row.options[0].first +
+                 " " + row.options[0].second);
+    const std::string cli = via_cli(row.command, options);
+    const std::string batch = via_batch(row.command, options);
+    if (row.error != nullptr) {
+      EXPECT_EQ(cli.rfind("error: ", 0), 0u) << cli;
+      EXPECT_NE(cli.find(row.error), std::string::npos) << cli;
+      EXPECT_EQ(batch.rfind("error: ", 0), 0u) << batch;
+      EXPECT_NE(batch.find(row.error), std::string::npos) << batch;
+    } else {
+      EXPECT_EQ(cli, via_cli(row.command, tiny_stream()));
+      EXPECT_EQ(batch, via_batch(row.command, tiny_stream()));
+    }
+  }
+}
+
+/// The number that follows `label` in `text`.
+double number_after(const std::string& text, const std::string& label) {
+  const std::size_t at = text.find(label);
+  EXPECT_NE(at, std::string::npos) << label << " missing from:\n" << text;
+  return at == std::string::npos ? -1.0
+                                 : std::stod(text.substr(at + label.size()));
+}
+
+/// The mean of `metric` in a one-cell batch CSV.
+double csv_mean(const std::string& csv, const std::string& metric) {
+  // Rows read "experiment,cell,metric,n,mean,p50,p99".
+  const std::string prefix = "cell,-," + metric + ",1,";
+  return number_after(csv, "\n" + prefix);
+}
+
+TEST(FrontEnds, ServeClusterCellMatchesTheCommand) {
+  // Faults, hedging, live migration and a drain: the CLI report and the
+  // batch cell must describe one and the same run.
+  const Options options = {
+      {"requests", "24"},   {"rate", "120"},     {"replicas", "3"},
+      {"lb", "jsq"},        {"faults", "on"},    {"mtbf", "30"},
+      {"fault-seed", "7"},  {"hedge-ms", "6"},   {"migrate", "on"},
+      {"drain-replica", "0"}, {"drain-at-ms", "20"}};
+  const std::string report = via_cli("serve-cluster", options);
+  const std::string csv = via_batch("serve-cluster", options);
+  ASSERT_EQ(report.find("error:"), std::string::npos) << report;
+  ASSERT_EQ(csv.find("error:"), std::string::npos) << csv;
+  EXPECT_NE(report.find("faults:"), std::string::npos) << report;
+
+  EXPECT_EQ(number_after(report, " offered, "), csv_mean(csv, "completed"));
+  EXPECT_EQ(number_after(report.substr(report.find("\ncluster:")), "(jsq), "),
+            csv_mean(csv, "failovers"));
+  EXPECT_GT(csv_mean(csv, "failovers"), 0.0);
+  // The report prints the makespan to the microsecond: "... over 796.815 ms".
+  const std::string makespan = report.substr(report.find(") over ") + 7);
+  ASSERT_EQ(makespan.substr(makespan.find(' '), 4), " ms\n") << report;
+  EXPECT_NEAR(std::stod(makespan), csv_mean(csv, "makespan_ms"), 5e-4);
 }
 
 }  // namespace

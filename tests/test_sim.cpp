@@ -149,6 +149,31 @@ TEST(ThreadPool, PropagatesFirstException) {
                std::runtime_error);
 }
 
+// Overwrites the stack region a just-returned parallel_for frame used, so a
+// worker still touching that frame's completion state finds garbage there
+// rather than a look-alike of the next call's.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char junk[4096];
+  for (std::size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xA5;
+}
+
+TEST(ThreadPool, BackToBackSmallCallsNeverOutliveTheirCaller) {
+  // The worker that retires the last chunk must be done with the caller's
+  // completion state before the caller can return and free it.  Many tiny
+  // back-to-back ranges, with the stack scribbled between calls, give a
+  // late worker every chance to trip over a dead frame.
+  ThreadPool pool(4);
+  std::atomic<std::size_t> total{0};
+  constexpr std::size_t kCalls = 20000;
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    pool.parallel_for(8, [&](std::size_t i) {
+      total.fetch_add(i, std::memory_order_relaxed);
+    });
+    scribble_stack();
+  }
+  EXPECT_EQ(total.load(), kCalls * 28);
+}
+
 TEST(Errors, CheckMacroThrowsTyped) {
   EXPECT_THROW(GAUDI_CHECK(false, "bad arg"), InvalidArgument);
   EXPECT_THROW(GAUDI_ASSERT(false, "broken"), InternalError);
