@@ -102,7 +102,6 @@ commands:
       --ctx-bucket N             context-length bucket for compiled steps (64)
       --block-tokens N           KV block size in tokens      (64)
       --kv-mb N                  KV pool budget in MiB        (64)
-      --cache-cap N              LRU cap on compiled decode steps; 0 = all
       --seed N                   workload seed                (0x5E21E)
       --faults                   inject chip failures / stalls / stragglers
       --fault-seed N             fault schedule seed          (0xFA517)

@@ -1,5 +1,7 @@
 #include "core/options.hpp"
 
+#include <limits>
+
 #include "sim/error.hpp"
 
 namespace gaudi::core {
@@ -10,23 +12,30 @@ void require(bool ok, const std::string& message) {
   if (!ok) throw sim::InvalidArgument(message);
 }
 
-/// Integer option `key` of at least `min` (0 or 1); anything smaller fails
-/// as "--key expects a positive <noun>".
-std::int64_t bounded(const ArgParser& args, const std::string& key,
-                     std::int64_t fallback, std::int64_t min,
-                     const std::string& noun) {
+/// Integer option `key` in [`min`, `max`], `min` being 0 or 1; anything
+/// smaller fails as "--key expects a positive <noun>".
+std::int64_t bounded(
+    const ArgParser& args, const std::string& key, std::int64_t fallback,
+    std::int64_t min, const std::string& noun,
+    std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
   const std::int64_t v = args.get_int(key, fallback);
   require(v >= min, "--" + key + " expects a " +
                         (min > 0 ? "positive " : "non-negative ") + noun +
                         ", got " + std::to_string(v));
+  require(v <= max, "--" + key + " expects a " + noun + " of at most " +
+                        std::to_string(max) + ", got " + std::to_string(v));
   return v;
 }
 
-/// `bounded` for a whole number of milliseconds.
+/// `bounded` for a whole number of milliseconds.  The ceiling (about 11.6
+/// days) keeps every time, and the sum of a few, inside SimTime's int64
+/// picoseconds.
 sim::SimTime millis(const ArgParser& args, const std::string& key,
                     sim::SimTime fallback, std::int64_t min) {
-  return sim::SimTime::from_ms(static_cast<double>(bounded(
-      args, key, static_cast<std::int64_t>(fallback.ms()), min, "time")));
+  constexpr std::int64_t kMaxMillis = 1'000'000'000;
+  return sim::SimTime::from_ms(static_cast<double>(
+      bounded(args, key, static_cast<std::int64_t>(fallback.ms()), min,
+              "time", kMaxMillis)));
 }
 
 graph::SchedulePolicy parse_policy(const ArgParser& args) {
@@ -69,11 +78,10 @@ serve::ServeConfig parse_scheduler(const ArgParser& args) {
   c.kv_budget_bytes =
       static_cast<std::size_t>(bounded(
           args, "kv-mb", static_cast<std::int64_t>(c.kv_budget_bytes / kMiB),
-          1, "MiB count")) *
+          1, "MiB count",
+          static_cast<std::int64_t>(std::numeric_limits<std::size_t>::max() /
+                                    kMiB))) *
       kMiB;
-  c.step_cache_entries = static_cast<std::size_t>(bounded(
-      args, "cache-cap", static_cast<std::int64_t>(c.step_cache_entries), 0,
-      "count"));
   c.timing_only = args.get_bool("timing-only");
   c.retry_max = static_cast<std::int32_t>(
       bounded(args, "retry-max", c.retry_max, 0, "count"));

@@ -12,9 +12,9 @@
 // traffic, no re-scheduling.
 //
 // Higher layers key coarser entries through the same store: the serving
-// scheduler and nn::DecodeStepCache memoize per-step *makespans* so a
-// repeated decode step costs one mutex-guarded map probe, without even
-// building or compiling the step graph.
+// scheduler's pricer memoizes decode-step and prefill-chunk *makespans*, so
+// a shape priced once costs later schedulers one mutex-guarded map probe,
+// without even building or compiling the graph.
 //
 // The memo is deliberately process-global (guarded by a mutex, safe for the
 // batch runner's parallel replicas): the entries are pure functions of their

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <string>
 
-#include "graph/fingerprint.hpp"
-#include "graph/timing_memo.hpp"
 #include "nn/layers.hpp"
-#include "sim/fault.hpp"
+#include "sim/error.hpp"
 
 namespace gaudi::nn {
 
@@ -240,7 +237,7 @@ DecodeStepGraph build_gpt_decode_step(Graph& g, const DecodeConfig& cfg,
   return out;
 }
 
-DecodeStepCache::Entry& DecodeStepCache::touch(std::int64_t context_len) {
+const DecodeStepCache::Entry& DecodeStepCache::step(std::int64_t context_len) {
   const auto it = entries_.find(context_len);
   if (it != entries_.end()) {
     if (max_entries_ > 0) {  // refresh recency on hit
@@ -251,7 +248,12 @@ DecodeStepCache::Entry& DecodeStepCache::touch(std::int64_t context_len) {
     }
     return it->second;
   }
-  auto& inserted = entries_[context_len];  // default: unmaterialized
+  Graph g;
+  Entry fresh;
+  fresh.step = build_gpt_decode_step(g, cfg_, context_len, seed_);
+  fresh.compiled = rt_.compile(g, copts_);
+  const Entry& inserted =
+      entries_.emplace(context_len, std::move(fresh)).first->second;
   if (max_entries_ > 0) {
     recency_.push_front(context_len);
     // Evict from the cold end until we are back under the cap; the entry we
@@ -264,65 +266,6 @@ DecodeStepCache::Entry& DecodeStepCache::touch(std::int64_t context_len) {
     }
   }
   return inserted;
-}
-
-void DecodeStepCache::materialize(std::int64_t context_len, Entry& e) {
-  Graph g;
-  e.step = build_gpt_decode_step(g, cfg_, context_len, seed_);
-  e.compiled = rt_.compile(g, copts_);
-  e.materialized = true;
-}
-
-const DecodeStepCache::Entry& DecodeStepCache::step(std::int64_t context_len) {
-  Entry& e = touch(context_len);
-  if (!e.materialized) materialize(context_len, e);
-  return e;
-}
-
-std::string DecodeStepCache::time_key(std::int64_t context_len,
-                                      graph::SchedulePolicy policy) const {
-  graph::Fingerprint fp;
-  fp.u64(graph::chip_fingerprint(rt_.config()));
-  fp.i64(cfg_.vocab);
-  fp.i64(cfg_.batch);
-  fp.i64(cfg_.heads);
-  fp.i64(cfg_.head_dim);
-  fp.i64(cfg_.n_layers);
-  fp.i64(cfg_.ffn_dim);
-  fp.i64(cfg_.max_seq);
-  fp.boolean(copts_.fuse_elementwise);
-  fp.boolean(copts_.enforce_capacity);
-  fp.u64(seed_);
-  fp.i64(context_len);
-  fp.u8(static_cast<std::uint8_t>(policy));
-  std::ostringstream os;
-  os << "decode-step:" << std::hex << fp.digest();
-  return os.str();
-}
-
-sim::SimTime DecodeStepCache::step_time(std::int64_t context_len,
-                                        const graph::RunOptions& opts) {
-  Entry& e = touch(context_len);
-  // The memo caches *fault-free* step times: a run with an enabled fault
-  // injector may stretch or stall the makespan, so it must neither answer
-  // from the memo nor poison it — mirror the runtime's fault resolution
-  // (explicit opts pointer, else the environment) before consulting it.
-  const sim::FaultInjector* faults = opts.faults != nullptr
-                                         ? opts.faults
-                                         : sim::fault_injector_from_env();
-  const bool fault_run = faults != nullptr && faults->enabled();
-  graph::TimingMemo& memo = graph::TimingMemo::global();
-  const std::string key = time_key(context_len, opts.policy);
-  if (!fault_run) {
-    sim::SimTime cached{};
-    if (memo.find_time(key, &cached)) return cached;
-  }
-  if (!e.materialized) materialize(context_len, e);
-  graph::RunOptions ropts = opts;
-  ropts.mode = tpc::ExecMode::kTiming;
-  const sim::SimTime cost = rt_.run(e.compiled, {}, ropts).makespan;
-  if (!fault_run) memo.insert_time(key, cost);
-  return cost;
 }
 
 }  // namespace gaudi::nn

@@ -92,22 +92,19 @@ struct DecodeStepGraph {
 /// only changes shape when the KV cache grows.  This cache keys compiled
 /// artifacts by context length, so the per-token loop pays the full
 /// compiler pipeline (mapping, fusion, DMA insertion, memory planning)
-/// exactly once per distinct cache length and then just runs.
+/// exactly once per distinct cache length and then just runs.  Serving does
+/// not use it: the continuous-batching scheduler keeps only each bucket's
+/// makespan (serve/scheduler.*).
 ///
-/// Under a serving workload the set of live context lengths is unbounded
-/// (long, varied contexts each pin a compiled artifact), so the cache takes
-/// an optional `max_entries` cap: when exceeded, the least-recently-used
-/// entry is discarded and counted in `evictions()`.  The default (0) keeps
-/// every entry, preserving the original behavior.
+/// Long, varied contexts would each pin a compiled artifact, so the cache
+/// takes an optional `max_entries` cap: when exceeded, the least-recently-
+/// used entry is discarded and counted in `evictions()`.  The default (0)
+/// keeps every entry.
 class DecodeStepCache {
  public:
   struct Entry {
     DecodeStepGraph step;          ///< value ids + params for binding feeds
     graph::CompiledGraph compiled;  ///< owns its copy of the step graph
-    /// False while the entry is residency bookkeeping only: `step_time`
-    /// answered its cost from the process-wide timing memo without building
-    /// or compiling the graph.  `step()` materializes on demand.
-    bool materialized = false;
   };
 
   DecodeStepCache(const graph::Runtime& rt, DecodeConfig cfg,
@@ -124,18 +121,6 @@ class DecodeStepCache {
   /// survives the eviction its own insertion triggers).
   const Entry& step(std::int64_t context_len);
 
-  /// Timing-only makespan of the step at `context_len`: answered from the
-  /// process-wide graph::TimingMemo when a previous cache (any instance with
-  /// the same chip/model/compile/seed) already measured it, building and
-  /// compiling the graph only on a memo miss.  Residency and eviction
-  /// bookkeeping runs either way, so `compiled_steps()` / `evictions()`
-  /// match a `step()`-based run byte for byte.  `opts.mode` is forced to
-  /// timing.  The memo holds *fault-free* times only: when the resolved
-  /// fault injector (opts.faults, else the environment) is enabled, the
-  /// step is measured live and the memo is neither read nor written.
-  sim::SimTime step_time(std::int64_t context_len,
-                         const graph::RunOptions& opts);
-
   /// Distinct context lengths currently *resident* — with an entry cap this
   /// is at most `max_entries`; add `evictions()` for the total number of
   /// compilations performed minus cache hits.
@@ -148,17 +133,6 @@ class DecodeStepCache {
   [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
 
  private:
-  /// LRU lookup-or-insert without compiling; new entries start
-  /// unmaterialized.  The reference follows the same validity rule as
-  /// `step()`.
-  Entry& touch(std::int64_t context_len);
-  /// Builds and compiles the step graph into an unmaterialized entry.
-  void materialize(std::int64_t context_len, Entry& e);
-  /// Memo key for `step_time`: digest of chip config, model config, compile
-  /// options, parameter seed, context length, and schedule policy.
-  [[nodiscard]] std::string time_key(std::int64_t context_len,
-                                     graph::SchedulePolicy policy) const;
-
   graph::Runtime rt_;  // cheap by-value copy: holds only the chip config
   DecodeConfig cfg_;
   graph::CompileOptions copts_;

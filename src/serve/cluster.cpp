@@ -77,13 +77,10 @@ ClusterRouter::ClusterRouter(const graph::Runtime& rt, ClusterConfig cfg)
     GAUDI_CHECK(cfg_.drain_at >= sim::SimTime::zero(),
                 "drain_at must be >= 0");
   }
-  health_on_ = cfg_.health_enabled();
-  if (health_on_) {
-    GAUDI_CHECK(cfg_.health_window > sim::SimTime::zero(),
-                "health_window must be positive");
-    GAUDI_CHECK(cfg_.degraded_after >= 1, "degraded_after must be >= 1");
-    validate_ = sim::env_flag("GAUDI_VALIDATE", false);
-  }
+  GAUDI_CHECK(cfg_.health_window > sim::SimTime::zero(),
+              "health_window must be positive");
+  GAUDI_CHECK(cfg_.degraded_after >= 1, "degraded_after must be >= 1");
+  validate_ = sim::env_flag("GAUDI_VALIDATE", false);
   const bool faults_on = cfg_.fault_profile.any_rate_positive();
   if (faults_on && cfg_.migration.enabled) {
     // The migration path's fabric link draws from its own decorrelated
@@ -104,10 +101,7 @@ ClusterRouter::ClusterRouter(const graph::Runtime& rt, ClusterConfig cfg)
     }
     Replica& rep = replicas_[static_cast<std::size_t>(r)];
     rep.sched = std::make_unique<ContinuousBatchScheduler>(rt_, rcfg);
-    rep.sched->bind_cluster();
-    if (health_on_) {
-      rep.health = HealthTracker{cfg_.health_window, cfg_.degraded_after};
-    }
+    rep.health = HealthTracker{cfg_.health_window, cfg_.degraded_after};
   }
 }
 
@@ -200,7 +194,7 @@ std::int64_t ClusterRouter::pick_replica(sim::SimTime now,
     // The evacuation check precedes breaker_allows so a draining replica
     // never consumes the open->half-open transition or hosts a probe.
     if (idx == exclude || rep.suspected) return false;
-    if (health_on_ && evacuating(rep, now)) return false;
+    if (evacuating(rep, now)) return false;
     return breaker_allows(rep, now);
   };
   switch (cfg_.policy) {
@@ -296,18 +290,16 @@ void ClusterRouter::cancel_side(std::int64_t sid, std::int64_t r) {
   std::int64_t orig = 0;
   if (drop_side(sid, &orig) == nullptr) return;
   Replica& rep = replicas_[static_cast<std::size_t>(r)];
-  std::int64_t rows = rep.sched->cancel(sid);
-  if (rows < 0) {
+  const auto d = rep.sched->extract(sid);
+  if (!d) {
     // Not in the machine: the side strands on a dead replica's wire.
-    rows = 0;
     rep.stranded.erase(
         std::remove_if(rep.stranded.begin(), rep.stranded.end(),
                        [&](const Routed& q) { return q.req.id == sid; }),
         rep.stranded.end());
-  }
-  if (rows > 0) {
-    sink_.on_wasted(rows);
-    hedge_wasted_ += rows;
+  } else if (d->lost_rows > 0) {
+    sink_.on_wasted(d->lost_rows);
+    hedge_wasted_ += d->lost_rows;
   }
   // A cancelled probe proves nothing about the replica: allow a new probe.
   if (cfg_.breaker_enabled && rep.breaker == BreakerState::kHalfOpen &&
@@ -840,23 +832,21 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
       Replica& rep = replicas_[static_cast<std::size_t>(r)];
       if (!rep.busy || rep.busy_until > now) continue;
       rep.busy = false;
-      const ContinuousBatchScheduler::StepResult result =
-          std::move(rep.pending);
+      ContinuousBatchScheduler::StepResult result = std::move(rep.pending);
       rep.pending = {};
-      if (health_on_ && (result.straggled || result.hbm_stalled)) {
+      if (result.straggled || result.hbm_stalled) {
         // A fault-stretched iteration delays this replica's heartbeats —
         // the router-visible health signal (serve/migration.*).
         rep.health.record(result.end);
       }
       apply_events(r, result.events);
+      rep.sched->recycle(std::move(result.events));
       if (result.chip_failed) process_death(r, result.end);
     }
-    if (health_on_) {
-      process_drain(now);
-      process_migrations(now);
-      evacuation_round(now);
-      process_drain(now);
-    }
+    process_drain(now);
+    process_migrations(now);
+    evacuation_round(now);
+    process_drain(now);
     process_hedges(now);
     dispatch_round(now);
     bool replay = false;
@@ -873,6 +863,7 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
           apply_events(r, sr.events);
           replay = true;
         }
+        rep.sched->recycle(std::move(sr.events));
         continue;
       }
       rep.busy = true;
@@ -910,17 +901,15 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
     }
     for (const QueueEntry& q : queue_) consider(q.eligible_at);
     for (const HedgeTimer& h : hedges_) consider(h.fire);
-    if (health_on_) {
-      if (cfg_.drain_replica >= 0 && !drain_fired_) consider(cfg_.drain_at);
-      for (const Migration& m : migrations_) consider(m.done_at);
-      if (cfg_.migration.enabled) {
-        // A degraded replica re-enters rotation when enough health events
-        // age out of the window; without this instant on the horizon a
-        // fleet that is all-degraded would stall instead of recovering.
-        for (const Replica& rep : replicas_) {
-          if (!rep.health.degraded(now)) continue;
-          if (const auto decay = rep.health.next_decay(now)) consider(*decay);
-        }
+    if (cfg_.drain_replica >= 0 && !drain_fired_) consider(cfg_.drain_at);
+    for (const Migration& m : migrations_) consider(m.done_at);
+    if (cfg_.migration.enabled) {
+      // A degraded replica re-enters rotation when enough health events
+      // age out of the window; without this instant on the horizon a fleet
+      // that is all-degraded would stall instead of recovering.
+      for (const Replica& rep : replicas_) {
+        if (!rep.health.degraded(now)) continue;
+        if (const auto decay = rep.health.next_decay(now)) consider(*decay);
       }
     }
     if (!have) {

@@ -99,8 +99,8 @@ struct ClusterConfig {
   /// Live KV migration over the scaleout fabric (serve/migration.*): an
   /// evacuating replica streams each running request's paged KV blocks to a
   /// healthy peer, delta-syncs the rows generated in flight, and cuts over
-  /// with zero re-prefill.  Disabled (with no drain scheduled) the cluster
-  /// is byte-identical to the pre-migration path.
+  /// with zero re-prefill.  With migration disabled and no drain
+  /// scheduled, no replica ever evacuates.
   MigrationConfig migration{};
   /// Administrative drain for planned maintenance: at `drain_at` the named
   /// replica stops taking dispatches and evacuates — running work migrates
@@ -108,19 +108,12 @@ struct ClusterConfig {
   /// with zero request failures.  -1 disables.
   std::int64_t drain_replica = -1;
   sim::SimTime drain_at{};
-  /// Health scoring (migration runs only): a replica whose fault-stretched
-  /// iterations — the straggler/HBM-pressure signals that delay its
-  /// heartbeats — reach `degraded_after` within a sliding `health_window`
-  /// reads degraded and is proactively evacuated before the chip dies.
+  /// Health scoring: a replica whose fault-stretched iterations — the
+  /// straggler/HBM-pressure signals that delay its heartbeats — reach
+  /// `degraded_after` within a sliding `health_window` reads degraded and,
+  /// with migration enabled, is proactively evacuated before the chip dies.
   sim::SimTime health_window = sim::SimTime::from_ms(50.0);
   std::int64_t degraded_after = 3;
-
-  /// Any of the new health-driven machinery active?  False keeps every new
-  /// code path (health recording, evacuation, report lines, extra event
-  /// horizons) dormant for byte-identity with the pre-migration cluster.
-  [[nodiscard]] bool health_enabled() const {
-    return migration.enabled || drain_replica >= 0;
-  }
 };
 
 /// Per-replica slice of the fleet report.
@@ -231,8 +224,7 @@ class ClusterRouter {
     /// Administrative drain (sticky: survives a death/rejoin cycle).
     bool draining = false;
     bool drain_done = false;
-    /// Sliding window of fault-stretched iterations (serve/migration.*);
-    /// only consulted when ClusterConfig::health_enabled().
+    /// Sliding window of fault-stretched iterations (serve/migration.*).
     HealthTracker health;
     ReplicaStats stats;
   };
@@ -324,7 +316,6 @@ class ClusterRouter {
   /// decorrelated from every replica's iteration stream.
   sim::FaultInjector link_faults_{};
   std::uint64_t migration_seq_ = 0;  ///< transfer-leg counter (fault sites)
-  bool health_on_ = false;           ///< cached cfg_.health_enabled()
   bool drain_fired_ = false;
   bool validate_ = false;  ///< GAUDI_VALIDATE: audit allocators at cutover
   std::int64_t rr_cursor_ = 0;

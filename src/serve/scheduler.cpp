@@ -19,18 +19,28 @@ std::size_t kv_bytes_per_token(const nn::DecodeConfig& cfg) {
 
 namespace {
 
-nn::DecodeConfig decode_model(const ServeConfig& cfg) {
-  nn::DecodeConfig m = cfg.model;
-  m.batch = cfg.max_batch;
-  return m;
-}
-
-/// Explicitly disabled injector handed to cost-probe runs: the per-bucket
+/// Explicitly disabled injector handed to the pricer's runs: the per-bucket
 /// cost tables are clean baselines, so a process-wide GAUDI_FAULTS opt-in
 /// must not perturb them — serve-level faults apply at iteration
 /// granularity, on top of the clean costs.  (The runtime treats a pointer
 /// to a disabled injector as "faults off", overriding the env fallback.)
 const sim::FaultInjector kNoFaults{};
+
+/// run()'s half of the event stream: one scheduler event into its sink.
+void record_event(MetricsSink& sink, const ReplicaEvent& e) {
+  switch (e.kind) {
+    case ReplicaEventKind::kFirstToken: sink.on_first_token(e.id, e.at); break;
+    case ReplicaEventKind::kToken:
+      sink.on_token(e.id, sim::SimTime::from_ps(e.aux));
+      break;
+    case ReplicaEventKind::kComplete: sink.on_complete(e.id, e.at); break;
+    case ReplicaEventKind::kReject: sink.on_reject(e.id, e.at); break;
+    case ReplicaEventKind::kDrop: sink.on_drop(e.id, e.at); break;
+    case ReplicaEventKind::kShed: sink.on_shed(e.id, e.at); break;
+    case ReplicaEventKind::kTimeout: sink.on_timeout(e.id, e.at); break;
+    case ReplicaEventKind::kPreempt: sink.on_preempt(e.id, e.aux); break;
+  }
+}
 
 PagedKvConfig kv_config(const ServeConfig& cfg) {
   PagedKvConfig kv;
@@ -52,9 +62,11 @@ PagedKvConfig kv_config(const ServeConfig& cfg) {
 sim::SimTime retry_backoff_delay(sim::SimTime base, sim::SimTime cap,
                                  std::int32_t attempt) {
   GAUDI_ASSERT(attempt >= 1, "backoff attempts count from 1");
-  const std::int64_t factor =
-      std::int64_t{1} << std::min<std::int32_t>(attempt - 1, 20);
-  return std::min(base * factor, cap);
+  const std::int32_t shift = std::min<std::int32_t>(attempt - 1, 62);
+  // base * 2^shift > cap  <=>  base > cap / 2^shift: compare before
+  // multiplying so that a huge base saturates instead of overflowing.
+  if (base.ps() > (cap.ps() >> shift)) return cap;
+  return base * (std::int64_t{1} << shift);
 }
 
 ContinuousBatchScheduler::ContinuousBatchScheduler(const graph::Runtime& rt,
@@ -65,8 +77,6 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(const graph::Runtime& rt,
                        ? *cfg_.timing_only
                        : graph::timing_only_from_env()),
       validate_(sim::env_flag("GAUDI_VALIDATE", false)),
-      steps_(rt_, decode_model(cfg_), cfg_.compile, cfg_.param_seed,
-             cfg_.step_cache_entries),
       hbm_(rt_.config().memory),
       kv_(kv_config(cfg_), &hbm_) {
   GAUDI_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
@@ -83,59 +93,17 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(const graph::Runtime& rt,
               "overload-shedding thresholds must be >= 0");
 }
 
-void ContinuousBatchScheduler::emit(ReplicaEventKind kind, std::int64_t id,
-                                    sim::SimTime at, std::int64_t aux) {
-  if (cluster_) {
-    GAUDI_ASSERT(events_ != nullptr,
-                 "cluster-mode event outside a driven step");
-    events_->push_back({kind, id, at, aux});
-    return;
-  }
-  switch (kind) {
-    case ReplicaEventKind::kFirstToken: sink_.on_first_token(id, at); break;
-    case ReplicaEventKind::kToken:
-      sink_.on_token(id, sim::SimTime::from_ps(aux));
-      break;
-    case ReplicaEventKind::kComplete: sink_.on_complete(id, at); break;
-    case ReplicaEventKind::kReject: sink_.on_reject(id, at); break;
-    case ReplicaEventKind::kDrop: sink_.on_drop(id, at); break;
-    case ReplicaEventKind::kShed: sink_.on_shed(id, at); break;
-    case ReplicaEventKind::kTimeout: sink_.on_timeout(id, at); break;
-    case ReplicaEventKind::kPreempt: sink_.on_preempt(id, aux); break;
-  }
-}
-
 std::int64_t ContinuousBatchScheduler::ctx_to_bucket(std::int64_t ctx) const {
   const std::int64_t b = cfg_.ctx_bucket;
   const std::int64_t rounded = (ctx + b - 1) / b * b;
   return std::clamp<std::int64_t>(rounded, 1, cfg_.model.max_seq - 1);
 }
 
-sim::SimTime ContinuousBatchScheduler::decode_step_cost(
-    std::int64_t ctx_bucket) {
-  const auto it = decode_cost_.find(ctx_bucket);
-  if (it != decode_cost_.end()) return it->second;
-  graph::RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.timing_only = timing_only_;
-  // Cost tables are pure timing: guard sweeps (e.g. a process-wide
-  // GAUDI_GUARD) must not inflate serving costs in one mode and not the
-  // other, and env-level fault injection must not perturb them either.
-  opts.guard = sim::NumericsPolicy::kOff;
-  opts.faults = &kNoFaults;
-  sim::SimTime cost{};
-  if (timing_only_) {
-    cost = steps_.step_time(ctx_bucket, opts);
-  } else {
-    const nn::DecodeStepCache::Entry& entry = steps_.step(ctx_bucket);
-    cost = rt_.run(entry.compiled, {}, opts).makespan;
-  }
-  decode_cost_.emplace(ctx_bucket, cost);
-  return cost;
-}
-
-std::string ContinuousBatchScheduler::prefill_time_key(
-    std::int64_t bucket) const {
+std::string ContinuousBatchScheduler::price_key(Phase phase,
+                                                std::int64_t bucket,
+                                                std::int64_t batch) const {
+  // The pricer always runs the default schedule policy, so the policy is
+  // not part of the key.
   graph::Fingerprint fp;
   fp.u64(graph::chip_fingerprint(rt_.config()));
   fp.i64(cfg_.model.vocab);
@@ -144,44 +112,47 @@ std::string ContinuousBatchScheduler::prefill_time_key(
   fp.i64(cfg_.model.n_layers);
   fp.i64(cfg_.model.ffn_dim);
   fp.i64(cfg_.model.max_seq);
+  fp.i64(batch);
   fp.boolean(cfg_.compile.fuse_elementwise);
   fp.boolean(cfg_.compile.enforce_capacity);
   fp.u64(cfg_.param_seed);
+  fp.u8(static_cast<std::uint8_t>(phase));
   fp.i64(bucket);
   std::ostringstream os;
-  os << "prefill-chunk:" << std::hex << fp.digest();
+  os << "serve-cost:" << std::hex << fp.digest();
   return os.str();
 }
 
-sim::SimTime ContinuousBatchScheduler::prefill_chunk_cost(std::int64_t chunk) {
-  const std::int64_t bucket =
-      std::min(ctx_to_bucket(chunk), cfg_.model.max_seq);
-  const auto it = prefill_cost_.find(bucket);
-  if (it != prefill_cost_.end()) return it->second;
-  graph::TimingMemo& memo = graph::TimingMemo::global();
-  const std::string key = timing_only_ ? prefill_time_key(bucket) : "";
-  if (timing_only_) {
-    sim::SimTime cached{};
-    if (memo.find_time(key, &cached)) {
-      prefill_cost_.emplace(bucket, cached);
-      return cached;
-    }
-  }
-  graph::Graph g;
+sim::SimTime ContinuousBatchScheduler::price(Phase phase,
+                                             std::int64_t bucket) {
+  const auto it = costs_.find({phase, bucket});
+  if (it != costs_.end()) return it->second;
+  // A decode step runs the whole batch shape; a prefill chunk runs one
+  // request at a time.
   nn::DecodeConfig m = cfg_.model;
-  m.batch = 1;  // prefill chunks run one request at a time
-  const nn::PrefillGraph pre =
-      nn::build_gpt_prefill(g, m, bucket, cfg_.param_seed);
-  (void)pre;
-  const graph::CompiledGraph compiled = rt_.compile(g, cfg_.compile);
-  graph::RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.timing_only = timing_only_;
-  opts.guard = sim::NumericsPolicy::kOff;  // see decode_step_cost
-  opts.faults = &kNoFaults;                // see decode_step_cost
-  const sim::SimTime cost = rt_.run(compiled, {}, opts).makespan;
-  if (timing_only_) memo.insert_time(key, cost);
-  prefill_cost_.emplace(bucket, cost);
+  m.batch = phase == Phase::kDecode ? cfg_.max_batch : 1;
+  graph::TimingMemo& memo = graph::TimingMemo::global();
+  const std::string key = timing_only_ ? price_key(phase, bucket, m.batch) : "";
+  sim::SimTime cost{};
+  if (!timing_only_ || !memo.find_time(key, &cost)) {
+    graph::Graph g;
+    if (phase == Phase::kDecode) {
+      (void)nn::build_gpt_decode_step(g, m, bucket, cfg_.param_seed);
+    } else {
+      (void)nn::build_gpt_prefill(g, m, bucket, cfg_.param_seed);
+    }
+    graph::RunOptions opts;
+    opts.mode = tpc::ExecMode::kTiming;
+    opts.timing_only = timing_only_;
+    // Cost tables are pure timing: guard sweeps (e.g. a process-wide
+    // GAUDI_GUARD) must not inflate serving costs in one mode and not the
+    // other, and env-level fault injection must not perturb them either.
+    opts.guard = sim::NumericsPolicy::kOff;
+    opts.faults = &kNoFaults;
+    cost = rt_.run(rt_.compile(g, cfg_.compile), {}, opts).makespan;
+    if (timing_only_) memo.insert_time(key, cost);
+  }
+  costs_.emplace(std::make_pair(phase, bucket), cost);
   return cost;
 }
 
@@ -332,10 +303,8 @@ void ContinuousBatchScheduler::shed_overload(sim::SimTime now) {
   }
 }
 
-void ContinuousBatchScheduler::on_chip_failure(sim::SimTime now) {
-  GAUDI_ASSERT(!cluster_,
-               "cluster-mode chip failures are handled by the router");
-  ++chip_failures_;
+void ContinuousBatchScheduler::on_chip_failure(sim::SimTime now,
+                                               MetricsSink& sink) {
   // The batch's in-flight work aborts: every running request loses its
   // paged KV blocks (the replacement chip's HBM starts cold) and either
   // re-queues with capped exponential backoff or — with the retry budget
@@ -344,11 +313,11 @@ void ContinuousBatchScheduler::on_chip_failure(sim::SimTime now) {
     kv_.release(a.req.id);
     const std::int64_t wasted = computed_rows(a);
     if (a.fault_retries >= cfg_.retry_max) {
-      sink_.on_fail(a.req.id, now, wasted);
+      sink.on_fail(a.req.id, now, wasted);
       continue;
     }
     a.fault_retries += 1;
-    sink_.on_fault_retry(a.req.id, wasted);
+    sink.on_fault_retry(a.req.id, wasted);
     a.prefilled = 0;
     a.prefill_needed = 0;  // recomputed at re-admission
     a.eligible_at = now + retry_backoff_delay(cfg_.retry_backoff,
@@ -359,6 +328,12 @@ void ContinuousBatchScheduler::on_chip_failure(sim::SimTime now) {
   running_.clear();
   GAUDI_ASSERT(kv_.free_blocks() == kv_.total_blocks(),
                "a chip failure must leave the KV pool empty");
+}
+
+void ContinuousBatchScheduler::finish_iteration(sim::SimTime now) {
+  run_watchdog(now);
+  kv_peak_frag_ = std::max(kv_peak_frag_, kv_.stats().fragmented_tokens);
+  if (validate_) kv_.audit();
 }
 
 void ContinuousBatchScheduler::run_watchdog(sim::SimTime now) {
@@ -387,15 +362,7 @@ void ContinuousBatchScheduler::run_watchdog(sim::SimTime now) {
   }
 }
 
-void ContinuousBatchScheduler::bind_cluster() {
-  GAUDI_CHECK(iterations_ == 0 && running_.empty() && requeued_.empty() &&
-                  waiting_.empty(),
-              "bind_cluster must precede any scheduled work");
-  cluster_ = true;
-}
-
 void ContinuousBatchScheduler::enqueue(const Request& r) {
-  GAUDI_ASSERT(cluster_, "enqueue is cluster-mode only; use run()");
   waiting_.push_back(r);
 }
 
@@ -403,7 +370,6 @@ void ContinuousBatchScheduler::enqueue_resume(const Request& r,
                                               std::int64_t generated,
                                               sim::SimTime last_token,
                                               sim::SimTime now) {
-  GAUDI_ASSERT(cluster_, "enqueue_resume is cluster-mode only");
   GAUDI_ASSERT(generated >= 1, "resume carries at least the first token");
   Active a;
   a.req = r;
@@ -420,7 +386,6 @@ void ContinuousBatchScheduler::enqueue_migrated(const Request& r,
                                                 sim::SimTime last_token,
                                                 std::int64_t rows_ready,
                                                 sim::SimTime now) {
-  GAUDI_ASSERT(cluster_, "enqueue_migrated is cluster-mode only");
   GAUDI_ASSERT(generated >= 0 && rows_ready >= 0,
                "migrated progress cannot be negative");
   Active a;
@@ -506,27 +471,6 @@ ContinuousBatchScheduler::drain_all() {
   return out;
 }
 
-std::int64_t ContinuousBatchScheduler::cancel(std::int64_t id) {
-  for (std::size_t i = 0; i < running_.size(); ++i) {
-    if (running_[i].req.id != id) continue;
-    const std::int64_t rows = computed_rows(running_[i]);
-    kv_.release(id);
-    running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
-    return rows;
-  }
-  for (auto it = requeued_.begin(); it != requeued_.end(); ++it) {
-    if (it->req.id != id) continue;
-    requeued_.erase(it);
-    return 0;
-  }
-  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-    if (it->id != id) continue;
-    waiting_.erase(it);
-    return 0;
-  }
-  return -1;
-}
-
 std::int64_t ContinuousBatchScheduler::load() const {
   return static_cast<std::int64_t>(running_.size() + requeued_.size() +
                                    waiting_.size());
@@ -539,8 +483,7 @@ std::int64_t ContinuousBatchScheduler::free_kv_blocks() const {
 ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
     sim::SimTime now) {
   StepResult out;
-  events_ = &out.events;
-  const bool faults_on = cfg_.faults.enabled();
+  events_.clear();
 
   // --- Admission, then overload control over the leftover backlog. ---
   admit(now);
@@ -550,172 +493,165 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
     GAUDI_ASSERT(waiting_.empty(),
                  "waiting arrival failed to admit into an empty machine");
     out.end = now;
-    events_ = nullptr;
+    out.events = std::move(events_);
     return out;
   }
 
   out.worked = true;
   ++iterations_;
 
-    // --- KV growth for this iteration's decode appends (may preempt). ---
-    // Snapshot decode-eligible ids; growth walks them in admission order so
-    // victim choices (and therefore metrics) are deterministic.
-    struct DecodeSlot {
-      std::int64_t id = 0;
-      std::int64_t ctx_in = 0;  ///< KV rows the step attends over
-    };
-    std::vector<DecodeSlot> decode_set;
-    for (const Active& a : running_) {
-      if (!a.in_prefill() && !a.done() && a.generated >= 1) {
-        decode_set.push_back({a.req.id, a.kv_tokens()});
-      }
+  // --- KV growth for this iteration's decode appends (may preempt). ---
+  // Snapshot decode-eligible ids; growth walks them in admission order so
+  // victim choices (and therefore metrics) are deterministic.
+  struct DecodeSlot {
+    std::int64_t id = 0;
+    std::int64_t ctx_in = 0;  ///< KV rows the step attends over
+  };
+  std::vector<DecodeSlot> decode_set;
+  for (const Active& a : running_) {
+    if (!a.in_prefill() && !a.done() && a.generated >= 1) {
+      decode_set.push_back({a.req.id, a.kv_tokens()});
     }
-    std::vector<DecodeSlot> survivors;
-    for (const DecodeSlot& slot : decode_set) {
+  }
+  std::vector<DecodeSlot> survivors;
+  for (const DecodeSlot& slot : decode_set) {
+    const auto it = std::find_if(
+        running_.begin(), running_.end(),
+        [&](const Active& a) { return a.req.id == slot.id; });
+    if (it == running_.end()) continue;  // preempted by an earlier grower
+    const std::int64_t rows_after = it->kv_tokens() + 1;
+    if (!kv_.grow(slot.id, rows_after)) {
+      const std::int64_t short_tokens =
+          rows_after - kv_.reserved_tokens(slot.id);
+      if (!make_room(short_tokens, slot.id)) {
+        // Alone and still does not fit — admission validated against this,
+        // so treat it as an internal inconsistency rather than losing the
+        // request silently.
+        throw sim::InternalError(
+            "KV pool cannot hold a single admitted request");
+      }
+      const bool grown = kv_.grow(slot.id, rows_after);
+      GAUDI_ASSERT(grown, "grow after make_room");
+    }
+    survivors.push_back(slot);
+  }
+  // A later grower may preempt an earlier survivor within the same
+  // iteration; the victim's appended row went back with its blocks, so it
+  // must not be billed or emit a token this round.
+  survivors.erase(
+      std::remove_if(survivors.begin(), survivors.end(),
+                     [&](const DecodeSlot& slot) {
+                       return std::none_of(running_.begin(), running_.end(),
+                                           [&](const Active& a) {
+                                             return a.req.id == slot.id;
+                                           });
+                     }),
+      survivors.end());
+
+  // --- Select the prefill chunk (after preemption settled the set). ---
+  sim::SimTime iter_time = sim::SimTime::zero();
+  std::int64_t prefill_id = -1;
+  for (Active& a : running_) {
+    if (!a.in_prefill()) continue;
+    const std::int64_t chunk =
+        std::min(cfg_.prefill_chunk, a.prefill_needed - a.prefilled);
+    iter_time += price(Phase::kPrefill,
+                       std::min(ctx_to_bucket(chunk), cfg_.model.max_seq));
+    a.prefilled += chunk;
+    prefill_id = a.req.id;
+    ++prefill_chunks_;
+    break;  // one prefill request per iteration
+  }
+
+  if (!survivors.empty()) {
+    std::int64_t max_ctx = 1;
+    for (const DecodeSlot& slot : survivors) {
+      max_ctx = std::max(max_ctx, slot.ctx_in);
+    }
+    iter_time += price(Phase::kDecode, ctx_to_bucket(max_ctx));
+    ++decode_steps_;
+  }
+
+  GAUDI_ASSERT(iter_time > sim::SimTime::zero(),
+               "scheduler iteration performed no work");
+
+  // --- Fault injection: one oracle query per kind per iteration. ---
+  // The site is a pure function of the iteration index, so the same
+  // (stream, config, fault seed) replays the same fault schedule even
+  // across timing-only and functional builds of the run.
+  bool chip_died = false;
+  if (cfg_.faults.enabled()) {
+    const std::uint64_t site = sim::FaultInjector::site(
+        static_cast<std::uint64_t>(iterations_ - 1), 0);
+    const sim::FaultProfile& prof = cfg_.faults.profile();
+    if (cfg_.faults.fires(sim::FaultKind::kTpcStraggler, site)) {
+      ++tpc_stragglers_;
+      out.straggled = true;
+      iter_time = sim::SimTime::from_ps(static_cast<std::int64_t>(
+          static_cast<double>(iter_time.ps()) * prof.straggler_slowdown +
+          0.5));
+    }
+    if (cfg_.faults.fires(sim::FaultKind::kHbmPressure, site)) {
+      ++hbm_stalls_;
+      out.hbm_stalled = true;
+      iter_time += prof.hbm_pressure_stall;
+    }
+    chip_died = cfg_.faults.fires(sim::FaultKind::kChipFailure, site);
+  }
+  now += iter_time;
+
+  if (chip_died) {
+    // The chip died mid-iteration: the step's results never materialize,
+    // so no tokens emit this round.  The driver recovers — run() restarts
+    // the chip and retries the batch, the router drains this replica and
+    // fails its work over.
+    ++chip_failures_;
+    out.chip_failed = true;
+  } else {
+    // --- Token emission & completion. ---
+    for (const DecodeSlot& slot : survivors) {
       const auto it = std::find_if(
           running_.begin(), running_.end(),
           [&](const Active& a) { return a.req.id == slot.id; });
-      if (it == running_.end()) continue;  // preempted by an earlier grower
-      const std::int64_t rows_after = it->kv_tokens() + 1;
-      if (!kv_.grow(slot.id, rows_after)) {
-        const std::int64_t short_tokens =
-            rows_after - kv_.reserved_tokens(slot.id);
-        if (!make_room(short_tokens, slot.id)) {
-          // Alone and still does not fit — admission validated against this,
-          // so treat it as an internal inconsistency rather than losing the
-          // request silently.
-          throw sim::InternalError(
-              "KV pool cannot hold a single admitted request");
-        }
-        const bool grown = kv_.grow(slot.id, rows_after);
-        GAUDI_ASSERT(grown, "grow after make_room");
-      }
-      survivors.push_back(slot);
+      GAUDI_ASSERT(it != running_.end(), "surviving decode request vanished");
+      it->generated += 1;
+      emit(ReplicaEventKind::kToken, slot.id, now,
+           (now - it->last_token).ps());
+      it->last_token = now;
     }
-    // A later grower may preempt an earlier survivor within the same
-    // iteration; the victim's appended row went back with its blocks, so it
-    // must not be billed or emit a token this round.
-    survivors.erase(
-        std::remove_if(survivors.begin(), survivors.end(),
-                       [&](const DecodeSlot& slot) {
-                         return std::none_of(running_.begin(), running_.end(),
-                                             [&](const Active& a) {
-                                               return a.req.id == slot.id;
-                                             });
-                       }),
-        survivors.end());
-
-    // --- Select the prefill chunk (after preemption settled the set). ---
-    sim::SimTime iter_time = sim::SimTime::zero();
-    std::int64_t prefill_id = -1;
-    for (Active& a : running_) {
-      if (!a.in_prefill()) continue;
-      const std::int64_t chunk =
-          std::min(cfg_.prefill_chunk, a.prefill_needed - a.prefilled);
-      iter_time += prefill_chunk_cost(chunk);
-      a.prefilled += chunk;
-      prefill_id = a.req.id;
-      ++prefill_chunks_;
-      break;  // one prefill request per iteration
-    }
-
-    if (!survivors.empty()) {
-      std::int64_t max_ctx = 1;
-      for (const DecodeSlot& slot : survivors) {
-        max_ctx = std::max(max_ctx, slot.ctx_in);
-      }
-      iter_time += decode_step_cost(ctx_to_bucket(max_ctx));
-      ++decode_steps_;
-    }
-
-    GAUDI_ASSERT(iter_time > sim::SimTime::zero(),
-                 "scheduler iteration performed no work");
-
-    // --- Fault injection: one oracle query per kind per iteration. ---
-    // The site is a pure function of the iteration index, so the same
-    // (stream, config, fault seed) replays the same fault schedule even
-    // across timing-only and functional builds of the run.
-    bool chip_died = false;
-    if (faults_on) {
-      const std::uint64_t site = sim::FaultInjector::site(
-          static_cast<std::uint64_t>(iterations_ - 1), 0);
-      const sim::FaultProfile& prof = cfg_.faults.profile();
-      if (cfg_.faults.fires(sim::FaultKind::kTpcStraggler, site)) {
-        ++tpc_stragglers_;
-        out.straggled = true;
-        iter_time = sim::SimTime::from_ps(static_cast<std::int64_t>(
-            static_cast<double>(iter_time.ps()) * prof.straggler_slowdown +
-            0.5));
-      }
-      if (cfg_.faults.fires(sim::FaultKind::kHbmPressure, site)) {
-        ++hbm_stalls_;
-        out.hbm_stalled = true;
-        iter_time += prof.hbm_pressure_stall;
-      }
-      chip_died = cfg_.faults.fires(sim::FaultKind::kChipFailure, site);
-    }
-    now += iter_time;
-
-    if (chip_died && cluster_) {
-      // Cluster mode surfaces the death instead of recovering locally: the
-      // router bills the restart downtime, drains this replica's work
-      // (drain_all releases the KV), and fails it over to survivors.  The
-      // half-finished iteration's tokens never materialize.
-      ++chip_failures_;
-      out.chip_failed = true;
-    } else if (chip_died) {
-      // The chip died mid-iteration: the step's results never materialize,
-      // so no tokens emit this round — the computed KV rows are invalidated
-      // and every running request retries or fails (see on_chip_failure).
-      now += cfg_.chip_restart;
-      on_chip_failure(now);
-    } else {
-      // --- Token emission & completion. ---
-      for (const DecodeSlot& slot : survivors) {
-        const auto it = std::find_if(
-            running_.begin(), running_.end(),
-            [&](const Active& a) { return a.req.id == slot.id; });
-        GAUDI_ASSERT(it != running_.end(), "surviving decode request vanished");
-        it->generated += 1;
-        emit(ReplicaEventKind::kToken, slot.id, now,
-             (now - it->last_token).ps());
+    if (prefill_id >= 0) {
+      const auto it = std::find_if(
+          running_.begin(), running_.end(),
+          [&](const Active& a) { return a.req.id == prefill_id; });
+      if (it != running_.end() && !it->in_prefill() && it->generated == 0) {
+        // Prefill just completed: the prompt's last logits yield the first
+        // output token with no separate decode step.
+        it->generated = 1;
         it->last_token = now;
-      }
-      if (prefill_id >= 0) {
-        const auto it = std::find_if(
-            running_.begin(), running_.end(),
-            [&](const Active& a) { return a.req.id == prefill_id; });
-        if (it != running_.end() && !it->in_prefill() && it->generated == 0) {
-          // Prefill just completed: the prompt's last logits yield the first
-          // output token with no separate decode step.
-          it->generated = 1;
-          it->last_token = now;
-          emit(ReplicaEventKind::kFirstToken, prefill_id, now);
-        }
-      }
-      for (std::size_t i = running_.size(); i-- > 0;) {
-        if (!running_[i].done()) continue;
-        kv_.release(running_[i].req.id);
-        emit(ReplicaEventKind::kComplete, running_[i].req.id, now);
-        running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
+        emit(ReplicaEventKind::kFirstToken, prefill_id, now);
       }
     }
-
-    if (!out.chip_failed) run_watchdog(now);
-
-    kv_peak_frag_ = std::max(kv_peak_frag_, kv_.stats().fragmented_tokens);
-    if (validate_ && !out.chip_failed) kv_.audit();
+    for (std::size_t i = running_.size(); i-- > 0;) {
+      if (!running_[i].done()) continue;
+      kv_.release(running_[i].req.id);
+      emit(ReplicaEventKind::kComplete, running_[i].req.id, now);
+      running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    finish_iteration(now);
+  }
 
   out.end = now;
-  events_ = nullptr;
+  out.events = std::move(events_);
   return out;
 }
 
+void ContinuousBatchScheduler::recycle(std::vector<ReplicaEvent>&& events) {
+  events_ = std::move(events);
+  events_.clear();
+}
+
 ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
-  GAUDI_CHECK(!cluster_,
-              "a cluster-bound scheduler is driven by its router, not run()");
-  GAUDI_CHECK(iterations_ == 0 && running_.empty() && requeued_.empty() &&
-                  waiting_.empty(),
+  GAUDI_CHECK(iterations_ == 0 && !has_work(),
               "ContinuousBatchScheduler::run is one-shot; construct a fresh "
               "scheduler per stream");
 
@@ -725,7 +661,11 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
                      return a.arrival != b.arrival ? a.arrival < b.arrival
                                                    : a.id < b.id;
                    });
-  for (const Request& r : pending) sink_.on_offered(r);
+  MetricsSink sink;
+  for (const Request& r : pending) sink.on_offered(r);
+  const auto record = [&sink](const std::vector<ReplicaEvent>& events) {
+    for (const ReplicaEvent& e : events) record_event(sink, e);
+  };
 
   std::size_t next = 0;
   sim::SimTime now = sim::SimTime::zero();
@@ -733,11 +673,23 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
   while (true) {
     // --- Arrivals ripen into the waiting queue. ---
     while (next < pending.size() && pending[next].arrival <= now) {
-      waiting_.push_back(pending[next]);
+      enqueue(pending[next]);
       ++next;
     }
 
-    const StepResult sr = step(now);
+    StepResult sr = step(now);
+    record(sr.events);
+    recycle(std::move(sr.events));
+    if (sr.chip_failed) {
+      // The replacement chip serves after the restart; every running
+      // request retries or fails (see on_chip_failure), then the iteration
+      // ends as a clean one would.
+      now = sr.end + cfg_.chip_restart;
+      on_chip_failure(now, sink);
+      finish_iteration(now);
+      record(events_);
+      continue;
+    }
     if (!sr.worked) {
       // Idle: jump to the next actionable instant — an arrival or a retry
       // backoff window opening.
@@ -760,8 +712,8 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
   }
 
   ServeReport report;
-  report.summary = sink_.summary(now);
-  report.requests = sink_.requests();
+  report.summary = sink.summary(now);
+  report.requests = sink.requests();
   report.iterations = iterations_;
   report.decode_steps = decode_steps_;
   report.prefill_chunks = prefill_chunks_;
@@ -770,8 +722,10 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
   report.chip_failures = chip_failures_;
   report.hbm_stalls = hbm_stalls_;
   report.tpc_stragglers = tpc_stragglers_;
-  report.compiled_decode_steps = steps_.compiled_steps();
-  report.step_cache_evictions = steps_.evictions();
+  report.compiled_decode_steps = static_cast<std::size_t>(
+      std::count_if(costs_.begin(), costs_.end(), [](const auto& entry) {
+        return entry.first.first == Phase::kDecode;
+      }));
   report.kv_total_blocks = kv_.total_blocks();
   report.kv_peak_blocks = kv_.peak_used_blocks();
   report.kv_peak_fragmented_tokens = kv_peak_frag_;
@@ -781,10 +735,12 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
 std::string ServeReport::to_report() const {
   std::ostringstream os;
   os << summary.to_report();
+  // Nothing is evicted; the fixed "0 evicted" keeps the line's bytes, which
+  // reports and CI lanes compare across builds.
   os << "schedule: " << iterations << " iterations (" << decode_steps
      << " decode steps, " << prefill_chunks << " prefill chunks), "
-     << compiled_decode_steps << " compiled step graphs resident, "
-     << step_cache_evictions << " evicted\n";
+     << compiled_decode_steps
+     << " compiled step graphs resident, 0 evicted\n";
   os << "kv pool:  " << kv_peak_blocks << " of " << kv_total_blocks
      << " blocks at peak, " << kv_peak_fragmented_tokens
      << " token slots fragmented at peak\n";

@@ -8,15 +8,15 @@
 // request already generating — new requests join and finished requests
 // leave between iterations, never waiting for a batch to drain.
 //
-// Costs come from the compile/execute split: decode-step graphs are
-// compiled once per bucketed context length through `nn::DecodeStepCache`
+// One pricer costs both phases: a decode step at a bucketed context length
 // (batch shape fixed at `max_batch` — partially filled iterations ride the
 // compiled shape with idle slots, exactly as static-shape serving does on
-// real accelerators) and prefill chunks once per bucketed chunk length;
-// both are replayed from a memoized timing table afterwards.  An iteration
-// is billed as prefill-chunk time plus decode-step time: the two phases
-// share the engines serially, which is the pessimistic (barrier) reading
-// of the paper's scheduler study.
+// real accelerators) and a prefill chunk at a bucketed chunk length.  Each
+// (phase, bucket) is built, compiled and run once, then answered from the
+// scheduler's cost table; timing-only runs also share it across schedulers
+// through graph::TimingMemo.  An iteration is billed as prefill-chunk time
+// plus decode-step time: the two phases share the engines serially, which
+// is the pessimistic (barrier) reading of the paper's scheduler study.
 //
 // KV capacity is enforced by the paged allocator: admission reserves the
 // prompt up front, decode grows one token at a time, and when the pool is
@@ -25,12 +25,18 @@
 // recomputation.  A request that cannot fit even an empty pool is rejected
 // at admission with the same typed validation the graph builders apply.
 //
+// One event stream: step() runs one iteration and returns every observable
+// outcome as ReplicaEvents.  Two drivers consume them — run() applies them
+// to its own MetricsSink, and the cluster router (serve/cluster.*) maps them
+// back to the original requests.
+//
 // Fault tolerance (see DESIGN.md §11): an optional seeded FaultInjector is
 // consulted once per iteration.  kTpcStraggler and kHbmPressure stretch the
-// iteration's cost; kChipFailure aborts the batch mid-iteration — every
-// running request's paged KV blocks are invalidated and the requests
-// re-queue with exponential backoff under a bounded retry budget (exhausted
-// budget → kFailed).  A per-request watchdog aborts requests whose next
+// iteration's cost; kChipFailure aborts the batch mid-iteration and step()
+// returns without tokens.  The driver recovers: run() bills the restart and
+// re-queues every running request with exponential backoff under a bounded
+// retry budget (exhausted budget → kFailed); the router fails the work over
+// to other replicas.  A per-request watchdog aborts requests whose next
 // token has been pending too long (kTimedOut), and admission-time overload
 // control sheds the lowest-priority waiting arrivals when the backlog or KV
 // headroom crosses a threshold (kShed).  Every fault decision is a pure
@@ -45,6 +51,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/runtime.hpp"
@@ -66,22 +73,20 @@ struct ServeConfig {
   std::int64_t max_batch = 8;
   /// Prompt tokens prefilled per iteration for the request in prefill.
   std::int64_t prefill_chunk = 128;
-  /// Context lengths are rounded up to this bucket before compiling a
-  /// decode step, bounding the number of distinct compiled graphs.
+  /// Context and chunk lengths are rounded up to this bucket before
+  /// pricing, bounding the number of distinct graphs compiled.
   std::int64_t ctx_bucket = 64;
   /// KV pool geometry; `num_blocks` is derived from `kv_budget_bytes`.
   std::int64_t block_tokens = 64;
   std::size_t kv_budget_bytes = 64ull * 1024 * 1024;
-  /// LRU cap on resident compiled decode steps (0 = unlimited).
-  std::size_t step_cache_entries = 0;
   graph::CompileOptions compile{};
   std::uint64_t param_seed = 0xDEC0DE;
   /// Cost iterations through the timing-only fast path: decode-step and
   /// prefill-chunk makespans answer from the process-wide graph::TimingMemo,
-  /// so repeated shapes — across iterations and across scheduler instances
-  /// of the same model — skip graph construction, compilation, and
-  /// scheduling entirely.  Reports are byte-identical either way.  Unset
-  /// defers to the GAUDI_TIMING_ONLY environment variable.
+  /// so a shape priced by any scheduler of the same model skips graph
+  /// construction, compilation, and scheduling entirely.  Reports are
+  /// byte-identical either way.  Unset defers to the GAUDI_TIMING_ONLY
+  /// environment variable.
   std::optional<bool> timing_only{};
 
   // -- Fault tolerance (DESIGN.md §11) --------------------------------------
@@ -135,8 +140,7 @@ struct ServeReport {
   std::int64_t chip_failures = 0;
   std::int64_t hbm_stalls = 0;
   std::int64_t tpc_stragglers = 0;
-  std::size_t compiled_decode_steps = 0;  ///< resident in the step cache
-  std::size_t step_cache_evictions = 0;
+  std::size_t compiled_decode_steps = 0;  ///< decode buckets priced
   std::int64_t kv_total_blocks = 0;
   std::int64_t kv_peak_blocks = 0;
   std::int64_t kv_peak_fragmented_tokens = 0;
@@ -146,17 +150,17 @@ struct ServeReport {
 };
 
 /// Exponential backoff with a cap: `base * 2^(attempt-1)` clamped to `cap`.
-/// `attempt` counts from 1 (the first retry); the shift saturates before it
-/// can overflow.  Shared by the single-replica retry path and the cluster
-/// router's failover/hedge backoff.
+/// `attempt` counts from 1 (the first retry); the delay saturates at `cap`
+/// before the doubling can overflow.  Shared by the single-replica retry
+/// path and the cluster router's failover/hedge backoff.
 [[nodiscard]] sim::SimTime retry_backoff_delay(sim::SimTime base,
                                                sim::SimTime cap,
                                                std::int32_t attempt);
 
-/// One observable scheduler event.  In cluster mode (serve/cluster.*) the
-/// scheduler surfaces these to the router instead of driving its private
-/// MetricsSink: the router owns request identity (hedged copies map back to
-/// their original id) and fleet-level accounting.
+/// One observable scheduler event, returned by step().  run() feeds them to
+/// its MetricsSink; the cluster router (serve/cluster.*) owns request
+/// identity (hedged copies map back to their original id) and fleet-level
+/// accounting.
 enum class ReplicaEventKind : std::uint8_t {
   kFirstToken,
   kToken,     ///< aux = inter-token gap in ps (the ITL sample)
@@ -179,23 +183,24 @@ class ContinuousBatchScheduler {
  public:
   ContinuousBatchScheduler(const graph::Runtime& rt, ServeConfig cfg);
 
-  /// Simulates serving `stream` to completion and returns the metrics.
-  /// Deterministic: same stream + config => byte-identical report.
+  /// Simulates serving `stream` to completion and returns the metrics:
+  /// drives step() and recovers from chip deaths itself.  Deterministic:
+  /// same stream + config => byte-identical report.
   [[nodiscard]] ServeReport run(const std::vector<Request>& stream);
 
-  // --- Cluster-replica interface (serve/cluster.*) -------------------------
-  // A cluster-bound scheduler is driven one iteration at a time by the
-  // router: requests arrive via enqueue()/enqueue_resume(), each step()
-  // returns the observable events instead of feeding the private sink, and
-  // a chip failure is surfaced (chip_failed) rather than handled locally —
-  // the router drains the dead replica and fails the work over.
+  // --- Driven interface (run() and the cluster router) ---------------------
+  // Requests arrive via enqueue()/enqueue_resume()/enqueue_migrated(); each
+  // step() returns the observable events, and a chip failure is surfaced
+  // (chip_failed) for the driver to handle.
 
   /// What one driven iteration produced.  `worked == false` means nothing
   /// was admissible at `now` (ask next_wake() for the earliest retry
   /// window); events still carry any admission-time drops/sheds/rejects.
   struct StepResult {
     bool worked = false;
-    bool chip_failed = false;  ///< cluster mode only: this replica just died
+    /// The chip died mid-iteration: no tokens emitted, the running
+    /// requests still hold their KV, and the driver must recover.
+    bool chip_failed = false;
     /// Fault-stretched iteration signals (kTpcStraggler / kHbmPressure) —
     /// the router's heartbeat-latency proxy for per-replica health scoring
     /// (serve/migration.*).  Both false on a clean iteration.
@@ -214,8 +219,6 @@ class ContinuousBatchScheduler {
     std::int64_t lost_rows = 0;  ///< computed KV rows the failure threw away
   };
 
-  /// Switches this scheduler into cluster mode (before any work arrives).
-  void bind_cluster();
   /// Hands a fresh request to this replica; it joins the waiting queue and
   /// is admitted by the next step().
   void enqueue(const Request& r);
@@ -244,13 +247,17 @@ class ContinuousBatchScheduler {
   /// Removes one request wherever it sits (running, requeued, or waiting)
   /// and returns its progress state, releasing any KV *without* billing the
   /// rows as wasted.  Running extraction is the migration cutover (the
-  /// caller moved the rows over the fabric); queued extraction carries zero
-  /// rows (no KV held) and backs queue evacuation off a draining replica.
-  /// Returns nullopt when `id` is not here (died / completed since).
+  /// caller moved the rows over the fabric) or a cancelled hedge loser (the
+  /// caller bills `lost_rows`); queued extraction carries zero rows (no KV
+  /// held) and backs queue evacuation off a draining replica.  Returns
+  /// nullopt when `id` is not here (died / completed since).
   [[nodiscard]] std::optional<DrainedRequest> extract(std::int64_t id);
   /// Runs one iteration at `now` (admission, overload control, prefill +
   /// decode, fault oracle, token emission, watchdog).
   [[nodiscard]] StepResult step(sim::SimTime now);
+  /// Hands a consumed StepResult::events buffer back so the next step()
+  /// reuses its capacity instead of allocating.
+  void recycle(std::vector<ReplicaEvent>&& events);
   /// Any request anywhere in the machine (running, requeued, or waiting)?
   [[nodiscard]] bool has_work() const;
   /// Earliest backoff window opening among requeued requests — the instant
@@ -259,9 +266,6 @@ class ContinuousBatchScheduler {
   /// Strips every request (running first, then requeued, then waiting) and
   /// releases their KV; the replica is left empty for its warm restart.
   [[nodiscard]] std::vector<DrainedRequest> drain_all();
-  /// Removes one request wherever it sits (hedge loser), releasing its KV.
-  /// Returns the computed rows thrown away, or -1 if the id is not here.
-  std::int64_t cancel(std::int64_t id);
   /// Queue pressure (running + requeued + waiting) for join-shortest-queue.
   [[nodiscard]] std::int64_t load() const;
   [[nodiscard]] std::int64_t free_kv_blocks() const;
@@ -296,11 +300,17 @@ class ContinuousBatchScheduler {
     [[nodiscard]] bool done() const { return generated >= req.output_len; }
   };
 
+  /// What the pricer costs: one decode step over the running batch, or one
+  /// prefill chunk of a single request.
+  enum class Phase : std::uint8_t { kDecode, kPrefill };
+
   [[nodiscard]] std::int64_t ctx_to_bucket(std::int64_t ctx) const;
-  [[nodiscard]] sim::SimTime decode_step_cost(std::int64_t ctx_bucket);
-  [[nodiscard]] sim::SimTime prefill_chunk_cost(std::int64_t chunk);
-  /// TimingMemo key for a prefill chunk of `bucket` tokens.
-  [[nodiscard]] std::string prefill_time_key(std::int64_t bucket) const;
+  /// Makespan of `phase` at `bucket` tokens: the cost table, then (timing
+  /// only) graph::TimingMemo, then one build-compile-run of the graph.
+  [[nodiscard]] sim::SimTime price(Phase phase, std::int64_t bucket);
+  /// TimingMemo key of price(): every input that changes the makespan.
+  [[nodiscard]] std::string price_key(Phase phase, std::int64_t bucket,
+                                      std::int64_t batch) const;
   /// Frees KV until `tokens` fit, preempting victims other than `self`.
   /// Returns false when no victim remains and the pool still cannot fit.
   bool make_room(std::int64_t tokens, std::int64_t self_id);
@@ -312,9 +322,12 @@ class ContinuousBatchScheduler {
   /// post-admission backlog or KV headroom crosses the configured
   /// thresholds.
   void shed_overload(sim::SimTime now);
-  /// Chip failure: abort the batch's in-flight work — invalidate every
-  /// running request's KV blocks and re-queue (or fail) each one.
-  void on_chip_failure(sim::SimTime now);
+  /// run()'s chip-failure recovery: invalidate every running request's KV
+  /// blocks and re-queue (or fail) each one, recording both on `sink`.
+  void on_chip_failure(sim::SimTime now, MetricsSink& sink);
+  /// Iteration epilogue at `now`: the watchdog, the KV fragmentation peak,
+  /// and the GAUDI_VALIDATE allocator audit.
+  void finish_iteration(sim::SimTime now);
   /// Aborts running/requeued requests whose next token has been pending
   /// longer than the watchdog timeout.
   void run_watchdog(sim::SimTime now);
@@ -322,23 +335,20 @@ class ContinuousBatchScheduler {
   [[nodiscard]] static std::int64_t computed_rows(const Active& a) {
     return a.in_prefill() ? a.prefilled : a.kv_tokens();
   }
-  /// Routes an observable event to the cluster's event buffer (cluster
-  /// mode) or the private MetricsSink (standalone run()).
+  /// Appends an observable event to the current step's event list.
   void emit(ReplicaEventKind kind, std::int64_t id, sim::SimTime at,
-            std::int64_t aux = 0);
+            std::int64_t aux = 0) {
+    events_.push_back({kind, id, at, aux});
+  }
 
   graph::Runtime rt_;
   ServeConfig cfg_;
   bool timing_only_ = false;  ///< resolved from cfg_.timing_only / env
   bool validate_ = false;     ///< resolved from GAUDI_VALIDATE at construction
-  bool cluster_ = false;      ///< bound to a ClusterRouter (see bind_cluster)
-  std::vector<ReplicaEvent>* events_ = nullptr;  ///< step() event buffer
-  nn::DecodeStepCache steps_;
+  std::vector<ReplicaEvent> events_;  ///< the current step's events
   memory::DeviceAllocator hbm_;
   PagedKvAllocator kv_;
-  MetricsSink sink_;
-  std::map<std::int64_t, sim::SimTime> decode_cost_;   ///< by ctx bucket
-  std::map<std::int64_t, sim::SimTime> prefill_cost_;  ///< by chunk bucket
+  std::map<std::pair<Phase, std::int64_t>, sim::SimTime> costs_;  ///< price()
   std::vector<Active> running_;
   std::deque<Active> requeued_;  ///< preempted/retrying, awaiting re-admission
   std::deque<Request> waiting_;  ///< arrived, not yet admitted or shed

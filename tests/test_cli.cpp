@@ -324,6 +324,9 @@ TEST(FrontEnds, RejectBadValuesNamingTheOption) {
       {"serve", {{"ctx-bucket", "0"}}, "--ctx-bucket"},
       {"serve", {{"block-tokens", "-3"}}, "--block-tokens"},
       {"serve", {{"kv-mb", "0"}}, "--kv-mb"},
+      // A byte count that does not fit size_t, and a time past SimTime.
+      {"serve", {{"kv-mb", "99999999999999"}}, "--kv-mb"},
+      {"serve", {{"watchdog-ms", "99999999999999"}}, "--watchdog-ms"},
       {"serve", {{"retry-max", "-1"}}, "--retry-max"},
       {"serve", {{"retry-max", "3x"}}, "--retry-max"},
       {"serve", {{"watchdog-ms", "-5"}}, "--watchdog-ms"},
@@ -341,6 +344,9 @@ TEST(FrontEnds, RejectBadValuesNamingTheOption) {
        nullptr},
       // Serving never queries an SDC injector.
       {"serve", {{"sdc-rate", "0.5"}}, "unknown option: --sdc-rate"},
+      // Serving keeps no compiled decode steps, so there is no cap to set.
+      {"serve", {{"cache-cap", "4"}}, "unknown option: --cache-cap"},
+      {"serve-cluster", {{"cache-cap", "4"}}, "unknown option: --cache-cap"},
       // Router.
       {"serve-cluster", {{"replicas", "0"}}, "--replicas"},
       {"serve-cluster", {{"lb", "fastest"}}, "--lb"},

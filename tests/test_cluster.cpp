@@ -559,6 +559,53 @@ TEST(Migration, RejectsBadConfigs) {
   }
 }
 
+/// Field-by-field equality of two per-request records.
+void expect_same_records(const std::vector<serve::RequestMetrics>& a,
+                         const std::vector<serve::RequestMetrics>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(a[i].id));
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].outcome, b[i].outcome);
+    EXPECT_EQ(a[i].arrival, b[i].arrival);
+    EXPECT_EQ(a[i].first_token, b[i].first_token);
+    EXPECT_EQ(a[i].finish, b[i].finish);
+    EXPECT_EQ(a[i].tokens_out, b[i].tokens_out);
+    EXPECT_EQ(a[i].preemptions, b[i].preemptions);
+    EXPECT_EQ(a[i].fault_retries, b[i].fault_retries);
+    EXPECT_EQ(a[i].migrations, b[i].migrations);
+    EXPECT_EQ(a[i].met_deadline, b[i].met_deadline);
+  }
+}
+
+TEST(ServeDrivers, OneReplicaRouterMatchesRun) {
+  // run() and the router consume the same step() events.  Without faults,
+  // a one-replica router with its breaker off must therefore reproduce
+  // run() exactly, through preemption, shedding and watchdog timeouts.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::StreamConfig scfg = tiny_stream(40, 200.0);
+  scfg.prompt = {4, 8};
+  scfg.output = {4, 8};
+  scfg.priority_levels = 3;
+  const auto stream = serve::poisson_stream(scfg);
+  serve::ClusterConfig cfg = tiny_cluster(1);
+  cfg.replica.kv_budget_bytes = 4 * 4 * 128;  // 4 blocks: forces preemption
+  cfg.replica.shed_queue_depth = 6;
+  cfg.replica.watchdog = sim::SimTime::from_ms(60.0);
+  cfg.breaker_enabled = false;
+
+  serve::ContinuousBatchScheduler sched(rt, cfg.replica);
+  const serve::ServeReport alone = sched.run(stream);
+  serve::ClusterRouter router(rt, cfg);
+  const serve::ClusterReport fleet = router.run(stream);
+
+  EXPECT_GT(alone.summary.preemptions, 0);
+  EXPECT_GT(alone.summary.shed, 0);
+  EXPECT_GT(alone.summary.timed_out, 0);
+  EXPECT_EQ(fleet.summary.to_report(), alone.summary.to_report());
+  expect_same_records(fleet.requests, alone.requests);
+}
+
 TEST(RetryBackoff, DoublesPerAttemptAndSaturatesAtTheCap) {
   const sim::SimTime base = sim::SimTime::from_ms(5.0);
   const sim::SimTime cap = sim::SimTime::from_ms(40.0);
@@ -569,6 +616,11 @@ TEST(RetryBackoff, DoublesPerAttemptAndSaturatesAtTheCap) {
   EXPECT_EQ(serve::retry_backoff_delay(base, cap, 5), cap);
   // Attempt counts far past the shift width must not overflow: still cap.
   EXPECT_EQ(serve::retry_backoff_delay(base, cap, 63), cap);
+  // Nor may a huge base: 10^7 ms doubled ten times overflows int64 ps.
+  const sim::SimTime huge = sim::SimTime::from_ms(10'000'000.0);
+  const sim::SimTime five_s = sim::SimTime::from_ms(5000.0);
+  EXPECT_EQ(serve::retry_backoff_delay(huge, five_s, 1), five_s);
+  EXPECT_EQ(serve::retry_backoff_delay(huge, five_s, 11), five_s);
   EXPECT_THROW((void)serve::retry_backoff_delay(base, cap, 0),
                sim::InternalError);
 }

@@ -11,6 +11,7 @@
 
 #include "core/cli.hpp"
 #include "graph/runtime.hpp"
+#include "graph/timing_memo.hpp"
 #include "nn/decode.hpp"
 #include "serve/kv_cache.hpp"
 #include "serve/metrics.hpp"
@@ -666,6 +667,44 @@ TEST(Scheduler, TimingOnlyModeReproducesTheFunctionalReport) {
   const std::string ra = a.run(stream).to_report();
   const std::string rb = b.run(stream).to_report();
   EXPECT_EQ(ra, rb);
+}
+
+TEST(ServePricer, SecondSchedulerPricesFromTheMemo) {
+  graph::TimingMemo& memo = graph::TimingMemo::global();
+  memo.clear();
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ServeConfig fast = tiny_serve();
+  fast.timing_only = true;
+  serve::ServeConfig functional = fast;
+  functional.timing_only = false;
+
+  // One request: a 4-token prefill chunk, then a decode step over 4 rows —
+  // the same bucket in both phases.  They are different graphs, so each is
+  // its own memo entry: the first run reuses nothing, and still matches
+  // the functional run, which never reads the memo.
+  std::vector<serve::Request> one(1);
+  one[0].prompt_len = 4;
+  one[0].output_len = 2;
+  serve::ContinuousBatchScheduler first(rt, fast);
+  const serve::ServeReport r1 = first.run(one);
+  EXPECT_EQ(r1.prefill_chunks, 1);
+  EXPECT_EQ(r1.decode_steps, 1);
+  EXPECT_EQ(r1.compiled_decode_steps, 1u);
+  EXPECT_EQ(memo.hits(), 0u);
+  serve::ContinuousBatchScheduler reference(rt, functional);
+  EXPECT_EQ(r1.to_report(), reference.run(one).to_report());
+
+  // A second scheduler with the same config prices the whole stream from
+  // the entries the first one left behind.
+  const auto stream = serve::poisson_stream(tiny_stream());
+  serve::ContinuousBatchScheduler a(rt, fast);
+  const std::string ra = a.run(stream).to_report();
+  const std::uint64_t misses = memo.misses();
+  const std::uint64_t hits = memo.hits();
+  serve::ContinuousBatchScheduler b(rt, fast);
+  EXPECT_EQ(b.run(stream).to_report(), ra);
+  EXPECT_EQ(memo.misses(), misses);
+  EXPECT_GT(memo.hits(), hits);
 }
 
 TEST(CliServe, UsageMentionsServing) {
