@@ -8,39 +8,70 @@
 // compile options.  Two CompiledGraphs with equal fingerprints schedule
 // identically in timing mode; the digest is stored on the artifact by the
 // compiler's `fingerprint` pass and surfaced through CompileStats.
+//
+// The kernel cost cache keys single TPC launches through the same field
+// walkers, but as the encoded bytes themselves rather than a digest, so two
+// different kernels can never share an entry.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <string_view>
 
+#include "graph/graph.hpp"
 #include "sim/chip_config.hpp"
 
 namespace gaudi::graph {
 
-class Graph;
 struct CompileOptions;
+struct FusedChainSpec;
 
-/// Incremental FNV-1a (64-bit) accumulator.  Every ingest method folds a
-/// fixed-width encoding so digests are identical across platforms.
-class Fingerprint {
+/// Fixed-width field encoding over a byte sink: every ingest method folds a
+/// little-endian encoding into `Sink::bytes`, so keys and digests are
+/// identical across platforms.
+template <class Sink>
+class FieldEncoder : public Sink {
  public:
-  void bytes(const void* data, std::size_t n);
-  void u64(std::uint64_t v);
+  using Sink::bytes;
+  void u64(std::uint64_t v) {
+    unsigned char enc[8];
+    for (int i = 0; i < 8; ++i) enc[i] = static_cast<unsigned char>(v >> (8 * i));
+    bytes(enc, sizeof(enc));
+  }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void u8(std::uint8_t v) { bytes(&v, 1); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   /// Bit pattern of the float/double (exact, not value-rounded).
-  void f32(float v);
-  void f64(double v);
-  /// Length-prefixed, so ("ab","c") and ("a","bc") digest differently.
-  void str(std::string_view s);
+  void f32(float v) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  }
+  /// Length-prefixed, so ("ab","c") and ("a","bc") encode differently.
+  void str(std::string_view s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+};
 
+/// Incremental FNV-1a (64-bit) accumulator.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n);
   [[nodiscard]] std::uint64_t digest() const { return h_; }
 
  private:
   std::uint64_t h_ = 1469598103934665603ull;  // FNV offset basis
 };
+
+using Fingerprint = FieldEncoder<Fnv1a>;
 
 /// Digest of every timing-relevant chip parameter.
 [[nodiscard]] std::uint64_t chip_fingerprint(const sim::ChipConfig& cfg);
@@ -50,5 +81,21 @@ class Fingerprint {
 [[nodiscard]] std::uint64_t compile_fingerprint(const Graph& g,
                                                 const sim::ChipConfig& cfg,
                                                 const CompileOptions& opts);
+
+/// Exact timing-mode cost key of TPC node `n`'s kernel launch number
+/// `launch` (cross-entropy mean launches two kernels): the op kind, every
+/// OpAttrs field, each input's and output's shape and dtype, the TpcConfig
+/// fields and the HBM bandwidth.  Labels, value names and ids are left out,
+/// so identical layers share a key.
+[[nodiscard]] std::string kernel_cost_key(const Graph& g, NodeId n,
+                                          const sim::ChipConfig& cfg,
+                                          std::uint8_t launch);
+
+/// The same for a fused element-wise chain: its steps in order (kind,
+/// attrs, external operand shape and dtype, which side the chain value is
+/// on), the chain input and output, and the chip part.
+[[nodiscard]] std::string kernel_cost_key(const Graph& g,
+                                          const FusedChainSpec& spec,
+                                          const sim::ChipConfig& cfg);
 
 }  // namespace gaudi::graph

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "graph/fingerprint.hpp"
 #include "graph/fusion.hpp"
 #include "graph/timing_memo.hpp"
 #include "graph/validate.hpp"
@@ -30,6 +31,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
   const sim::FaultInjector* faults =
       opts.faults != nullptr ? opts.faults : sim::fault_injector_from_env();
   if (faults != nullptr && !faults->enabled()) faults = nullptr;
+  const bool validating = opts.validate || validation_requested_from_env();
 
   // Timing-only fast path: replay the memoized schedule when an artifact
   // with this fingerprint already ran under these options; otherwise take
@@ -115,7 +117,8 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
     }
   }
 
-  NodeExecutor executor(cg.config, sim::CounterRng{opts.seed});
+  NodeExecutor executor(cg.config, sim::CounterRng{opts.seed},
+                        /*cross_check=*/validating);
   std::vector<NodeExec> execs(g.num_nodes());
 
   auto is_internal = [&](ValueId v) {
@@ -389,7 +392,10 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
       tensors[static_cast<std::size_t>(spec.output)] = make_output_tensor(
           out_info, opts.mode, /*poison=*/guarded && functional);
       const FusedChainKernel kernel(spec, tensors);
-      const tpc::RunResult r = executor.cluster().run(kernel, opts.mode);
+      const tpc::RunResult r = executor.launch(
+          kernel, opts.mode,
+          functional ? std::string{} : kernel_cost_key(g, spec, cg.config), g,
+          nid);
       exec.engine = Engine::kTpc;
       exec.duration = r.duration;
       exec.flops = r.flops;
@@ -452,7 +458,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
   result.sdc_injections = std::move(sdc_injections);
   result.numerics = total_stats;
   result.trace = schedule(cg, execs, opts.policy, faults);
-  if (opts.validate || validation_requested_from_env()) {
+  if (validating) {
     validate_or_throw(g, execs, result.trace, opts.policy, cg.config);
     std::vector<Violation> violations = validate_memory_plan(cg);
     if (opts.account_memory && hbm.peak() != cg.stats.peak_bytes) {

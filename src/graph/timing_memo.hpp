@@ -16,6 +16,12 @@
 // a shape priced once costs later schedulers one mutex-guarded map probe,
 // without even building or compiling the graph.
 //
+// Below whole graphs, every timing-mode run (timing-only or not) memoizes
+// each TPC kernel launch's cost under its exact node key
+// (graph/fingerprint.hpp `kernel_cost_key`): layer 1 of a model replays
+// layer 0's kernels, and an overlap run replays its barrier run's.
+// Functional runs never consult these entries.
+//
 // The memo is deliberately process-global (guarded by a mutex, safe for the
 // batch runner's parallel replicas): the entries are pure functions of their
 // keys, so sharing across Runtime instances, threads, and schedulers can
@@ -29,6 +35,7 @@
 #include <unordered_map>
 
 #include "sim/time.hpp"
+#include "tpc/cluster.hpp"
 
 namespace gaudi::graph {
 
@@ -51,12 +58,16 @@ class TimingMemo {
   [[nodiscard]] bool find_time(const std::string& key, sim::SimTime* out);
   void insert_time(const std::string& key, sim::SimTime t);
 
+  /// Timing-mode TPC kernel costs, under exact `kernel_cost_key` keys. -----
+  [[nodiscard]] bool find_kernel(const std::string& key, tpc::RunResult* out);
+  void insert_kernel(const std::string& key, const tpc::RunResult& r);
+
   /// Cross-process persistence. --------------------------------------------
   /// The makespan entries are pure functions of their fingerprint keys, so
   /// they survive the process: a sweep can deposit its cost tables on disk
   /// and the next process warm-starts instead of re-simulating the first
-  /// cell.  Only `times_` persists — full ProfileResults are cheap to
-  /// rebuild and expensive to serialize.
+  /// cell.  Only `times_` persists — full ProfileResults and kernel costs
+  /// are cheap to rebuild and expensive to serialize.
   ///
   /// `save_times` writes a sorted, checksummed text file atomically
   /// (tmp + rename); returns the number of entries written.
@@ -68,21 +79,32 @@ class TimingMemo {
   /// garbled entries.  Returns the number of entries merged.
   std::size_t load_times(const std::string& path);
 
-  /// Lookup counters, over both entry kinds.  A hit proves the O(1) path
-  /// was taken; tests and bench_serving assert on the deltas.
+  /// Lookup counters over profile and makespan entries.  A hit proves the
+  /// O(1) path was taken; tests and bench_serving assert on the deltas.
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
   /// Resident entries (profiles + makespans).
   [[nodiscard]] std::size_t size() const;
-  /// Drops every entry and zeroes the counters (tests only).
+
+  /// The same three counters for kernel-cost entries, kept apart so the
+  /// ones above keep meaning whole runs and makespans.
+  [[nodiscard]] std::uint64_t kernel_hits() const;
+  [[nodiscard]] std::uint64_t kernel_misses() const;
+  [[nodiscard]] std::size_t kernel_entries() const;
+
+  /// Drops every entry of all three kinds and zeroes every counter.  Tests,
+  /// perfbench and bench_serving call it to make the next pass cold.
   void clear();
 
  private:
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<const ProfileResult>> profiles_;
   std::unordered_map<std::string, sim::SimTime> times_;
+  std::unordered_map<std::string, tpc::RunResult> kernels_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  std::uint64_t kernel_hits_ = 0;
+  std::uint64_t kernel_misses_ = 0;
 };
 
 /// True when GAUDI_TIMING_ONLY requests the fast path for timing-mode runs.

@@ -57,6 +57,7 @@ struct SlotCycles {
     store += o.store;
     return *this;
   }
+  friend bool operator==(const SlotCycles&, const SlotCycles&) = default;
 };
 
 /// Instruction cost table (cycles).  Simple ALU ops are single-issue; the

@@ -1,12 +1,15 @@
-// Timing-only fast path: fingerprinting, memoized replay, and functional
-// equivalence.
+// Timing-only fast path: fingerprinting, memoized replay, the kernel cost
+// cache, and functional equivalence.
 //
 // The contract under test is the tentpole invariant of the fast path: a
 // timing-only run must be *observationally identical* to the full pipeline
 // — byte-identical trace and engine summaries — while doing none of the
 // kernel math, buffer traffic, or guard sweeps, and replaying from the
-// process-wide memo on every run after the first.  The fuzz section checks
-// that over 50 seeded random DAGs against full functional execution.
+// process-wide memo on every run after the first.  The kernel cost cache
+// makes the same promise one level down: a timing-mode run that replays
+// memoized kernel costs reports exactly what a cold one does.  The fuzz
+// section checks both over 50 seeded random DAGs against full functional
+// execution.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,9 +21,12 @@
 
 #include "core/analysis.hpp"
 #include "graph/fingerprint.hpp"
+#include "graph/fusion.hpp"
 #include "graph/random_graph.hpp"
 #include "graph/runtime.hpp"
 #include "graph/timing_memo.hpp"
+#include "nn/models.hpp"
+#include "nn/optimizer.hpp"
 #include "sim/error.hpp"
 #include "sim/fault.hpp"
 #include "sim/thread_pool.hpp"
@@ -131,10 +137,12 @@ TEST(TimingOnly, FaultInjectionBypassesTheMemo) {
   opts.faults = &faults;
   const ProfileResult r = rt.run(cg, {}, opts);
   // The fault schedule is epoch-dependent, so the run takes the full path:
-  // nothing is deposited and nothing replayed.
+  // no profile is deposited and none replayed.  Kernel costs still are:
+  // faults act only in the scheduler, never on a kernel's cycles.
   EXPECT_FALSE(r.timing_only);
   EXPECT_FALSE(r.memo_hit);
   EXPECT_EQ(TimingMemo::global().size(), 0u);
+  EXPECT_EQ(TimingMemo::global().kernel_entries(), 1u);
 }
 
 TEST(TimingOnly, EnvOnlyAppliesToTimingModeRuns) {
@@ -163,11 +171,252 @@ TEST(TimingOnly, EnvOnlyAppliesToTimingModeRuns) {
   ASSERT_EQ(unsetenv("GAUDI_TIMING_ONLY"), 0);
 }
 
+// --- Kernel cost cache -----------------------------------------------------
+//
+// Timing-mode runs memoize each TPC launch's RunResult under an exact key of
+// what the kernel is built from.  These tests pin what the key covers: what
+// must share an entry, what must not, and the exactness cross-check that
+// validated runs apply to every hit.
+
+/// Plain timing mode, even under GAUDI_TIMING_ONLY.
+RunOptions timing_run() {
+  RunOptions opts;
+  opts.mode = tpc::ExecMode::kTiming;
+  opts.timing_only = false;
+  return opts;
+}
+
+/// Runs `g` in timing mode on `cfg` (unfused unless `fuse`).
+ProfileResult run_timing(const Graph& g, const sim::ChipConfig& cfg = chip(),
+                         bool fuse = false) {
+  RunOptions opts = timing_run();
+  opts.fuse_elementwise = fuse;
+  return Runtime(cfg).run(g, {}, opts);
+}
+
+/// One add -> relu -> softmax chain whose labels and value names all carry
+/// `prefix`.
+Graph labelled_graph(const std::string& prefix) {
+  Graph g;
+  const ValueId x = g.input(tensor::Shape{{64, 128}}, tensor::DType::F32,
+                            prefix + "x");
+  const ValueId w = g.param(tensor::Shape{{64, 128}}, prefix + "w");
+  const ValueId s = g.add(x, w, prefix + "add");
+  const ValueId r = g.unary(tpc::UnaryKind::kRelu, s, 1.0f, prefix + "relu");
+  g.mark_output(g.softmax(r, prefix + "softmax"));
+  return g;
+}
+
+TEST(KernelCostCache, LabelsAndValueNamesStayOutOfTheKey) {
+  TimingMemo& memo = TimingMemo::global();
+  memo.clear();
+  const ProfileResult a = run_timing(labelled_graph("first."));
+  const std::size_t entries = memo.kernel_entries();
+  const std::uint64_t hits = memo.kernel_hits();
+  EXPECT_EQ(entries, 3u);
+  EXPECT_EQ(hits, 0u);
+
+  const ProfileResult b = run_timing(labelled_graph("second."));
+  EXPECT_EQ(memo.kernel_entries(), entries);
+  EXPECT_EQ(memo.kernel_hits(), hits + 3);
+  EXPECT_EQ(a.makespan, b.makespan);
+  // Whole-run counters are not kernel counters.
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.hits(), 0u);
+}
+
+/// A graph of one TPC op over an input of `shape` and `dtype`.
+template <class Build>
+Graph one_op(Build build, tensor::Shape shape = tensor::Shape{{64, 128}},
+             tensor::DType dtype = tensor::DType::F32) {
+  Graph g;
+  const ValueId x = g.input(std::move(shape), dtype, "x");
+  g.mark_output(build(g, x));
+  return g;
+}
+
+TEST(KernelCostCache, EveryKernelInputAddsAnEntry) {
+  TimingMemo& memo = TimingMemo::global();
+  memo.clear();
+  auto leaky = [](float alpha) {
+    return [alpha](Graph& g, ValueId x) {
+      return g.unary(tpc::UnaryKind::kLeakyRelu, x, alpha);
+    };
+  };
+  auto dropout = [](float p) {
+    return [p](Graph& g, ValueId x) { return g.dropout(x, p, 7); };
+  };
+  auto slice = [](std::int64_t begin) {
+    return [begin](Graph& g, ValueId x) { return g.slice_rows(x, begin, 8); };
+  };
+  auto cast_to = [](tensor::DType to) {
+    return [to](Graph& g, ValueId x) { return g.cast(x, to); };
+  };
+  auto relu = [](Graph& g, ValueId x) { return g.relu(x); };
+  sim::ChipConfig slower_launch = chip();
+  slower_launch.tpc.launch_overhead_cycles += 1;
+  sim::ChipConfig narrower_hbm = chip();
+  narrower_hbm.memory.hbm_bandwidth_bytes_per_s /= 2;
+
+  // Each pair differs in exactly one thing the kernel is built from; the
+  // first of a pair warms its entry, the second must add one more.
+  struct Variant {
+    const char* what;
+    Graph base;
+    Graph changed;
+    sim::ChipConfig base_chip = chip();
+    sim::ChipConfig changed_chip = chip();
+  };
+  std::vector<Variant> variants;
+  variants.push_back({"alpha", one_op(leaky(0.1f)), one_op(leaky(0.2f))});
+  variants.push_back({"p", one_op(dropout(0.1f)), one_op(dropout(0.2f))});
+  variants.push_back({"slice begin", one_op(slice(0)), one_op(slice(1))});
+  // A cast's target must differ from its input dtype, so cast_to moves
+  // together with the operand dtypes.
+  variants.push_back(
+      {"cast_to", one_op(cast_to(tensor::DType::BF16)),
+       one_op(cast_to(tensor::DType::F32), tensor::Shape{{64, 128}},
+              tensor::DType::BF16)});
+  variants.push_back({"operand dtype", one_op(relu),
+                      one_op(relu, tensor::Shape{{64, 128}},
+                             tensor::DType::BF16)});
+  variants.push_back(
+      {"shape dim", one_op(relu), one_op(relu, tensor::Shape{{64, 256}})});
+  variants.push_back(
+      {"TpcConfig", one_op(relu), one_op(relu), chip(), slower_launch});
+  variants.push_back(
+      {"HBM bandwidth", one_op(relu), one_op(relu), chip(), narrower_hbm});
+
+  for (const Variant& v : variants) {
+    (void)run_timing(v.base, v.base_chip);
+    const std::size_t entries = memo.kernel_entries();
+    const std::uint64_t misses = memo.kernel_misses();
+    (void)run_timing(v.changed, v.changed_chip);
+    EXPECT_EQ(memo.kernel_entries(), entries + 1) << v.what;
+    EXPECT_EQ(memo.kernel_misses(), misses + 1) << v.what;
+  }
+}
+
+/// x -> +1 -> relu -> (- y), with the step order and the side of the final
+/// subtraction selectable.
+Graph chain_graph(bool relu_first, bool chain_is_rhs) {
+  Graph g;
+  const ValueId x = g.input(tensor::Shape{{32, 512}}, tensor::DType::F32, "x");
+  const ValueId y = g.input(tensor::Shape{{32, 512}}, tensor::DType::F32, "y");
+  ValueId v = x;
+  if (relu_first) {
+    v = g.add_scalar(g.relu(v), 1.0f);
+  } else {
+    v = g.relu(g.add_scalar(v, 1.0f));
+  }
+  g.mark_output(chain_is_rhs ? g.sub(y, v) : g.sub(v, y));
+  return g;
+}
+
+TEST(KernelCostCache, FusedChainKeyCoversStepOrderAndOperandSide) {
+  Runtime rt(chip());
+  CompileOptions fused;
+  fused.fuse_elementwise = true;
+  for (const bool rhs : {false, true}) {
+    ASSERT_EQ(rt.compile(chain_graph(false, rhs), fused).chains.size(), 1u);
+  }
+  TimingMemo& memo = TimingMemo::global();
+  memo.clear();
+  (void)run_timing(chain_graph(false, false), chip(), /*fuse=*/true);
+  ASSERT_EQ(memo.kernel_entries(), 1u);
+  (void)run_timing(chain_graph(false, false), chip(), /*fuse=*/true);
+  EXPECT_EQ(memo.kernel_hits(), 1u);
+
+  (void)run_timing(chain_graph(true, false), chip(), /*fuse=*/true);
+  EXPECT_EQ(memo.kernel_entries(), 2u) << "reordered steps must miss";
+  (void)run_timing(chain_graph(false, true), chip(), /*fuse=*/true);
+  EXPECT_EQ(memo.kernel_entries(), 3u) << "flipped chain_is_rhs must miss";
+  EXPECT_EQ(memo.kernel_hits(), 1u);
+}
+
+/// Every NodeExec field, one node per line.
+std::string execs_text(const ProfileResult& r) {
+  std::ostringstream os;
+  for (const NodeExec& e : r.node_execs) {
+    os << static_cast<int>(e.engine) << ' ' << e.duration.ps() << ' '
+       << e.flops << ' ' << e.bytes << ' ' << e.label << ' '
+       << e.guard_time.ps() << ' ' << e.has_stats << ' '
+       << e.stats.to_string() << '\n';
+  }
+  return os.str();
+}
+
+TEST(KernelCostCache, TimingModeCostsDoNotDependOnTheSeed) {
+  // The key leaves RunOptions::seed out: phantom-mode cycles must not read
+  // the RNG stream.  The tiny GPT training step covers the RNG-drawing
+  // dropout kernel plus embedding, cross-entropy, layernorm and Adam.
+  Graph g;
+  nn::LmConfig cfg = nn::LmConfig::tiny(nn::LmArch::kGpt2);
+  cfg.dropout_p = 0.1f;
+  const nn::LanguageModel model = nn::build_language_model(g, cfg);
+  nn::OptimizerConfig adam;
+  adam.kind = nn::OptimizerKind::kAdam;
+  (void)nn::append_optimizer(g, model, adam);
+  for (const OpKind kind :
+       {OpKind::kDropout, OpKind::kEmbedding, OpKind::kCrossEntropyMean,
+        OpKind::kLayerNorm, OpKind::kAdamUpdate}) {
+    bool found = false;
+    for (const Node& n : g.nodes()) found = found || n.kind == kind;
+    ASSERT_TRUE(found) << op_kind_name(kind);
+  }
+
+  Runtime rt(chip());
+  const CompiledGraph cg = rt.compile(g);
+  std::vector<ProfileResult> runs;
+  for (const std::uint64_t seed : {1ull, 0xDEADBEEFull}) {
+    TimingMemo::global().clear();
+    RunOptions opts = timing_run();
+    opts.seed = seed;
+    // Layer 1 replays layer 0's kernels; validation recomputes each hit.
+    opts.validate = true;
+    runs.push_back(rt.run(cg, {}, opts));
+    EXPECT_GT(TimingMemo::global().kernel_hits(), 0u);
+  }
+  EXPECT_EQ(execs_text(runs[0]), execs_text(runs[1]));
+  EXPECT_EQ(runs[0].trace.to_chrome_json(), runs[1].trace.to_chrome_json());
+}
+
+TEST(KernelCostCache, ValidatedRunCatchesAPlantedWrongEntry) {
+  Graph g;
+  const ValueId x = g.input(tensor::Shape{{64, 128}}, tensor::DType::F32, "x");
+  g.mark_output(g.unary(tpc::UnaryKind::kRelu, x, 1.0f, "planted_relu"));
+  Runtime rt(chip());
+  const CompiledGraph cg = rt.compile(g);
+  const NodeId relu = 0;
+  ASSERT_EQ(cg.graph.node(relu).kind, OpKind::kUnary);
+
+  TimingMemo& memo = TimingMemo::global();
+  memo.clear();
+  tpc::RunResult wrong;
+  wrong.duration = sim::SimTime::from_ps(1);
+  memo.insert_kernel(kernel_cost_key(cg.graph, relu, chip(), 0), wrong);
+
+  RunOptions opts = timing_run();
+  opts.validate = true;
+  try {
+    (void)rt.run(cg, {}, opts);
+    FAIL() << "a wrong cached kernel cost passed validation";
+  } catch (const sim::InternalError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'planted_relu' (node 0, op unary"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(memo.kernel_hits(), 1u);
+}
+
 // --- Fuzz: equivalence with full functional execution ----------------------
 
 TEST(TimingOnlyFuzz, MatchesFunctionalTraceAndSummariesOver50Seeds) {
   Runtime rt(chip());
   const sim::FaultInjector no_faults{};  // neutralizes GAUDI_FAULTS lanes
+  TimingMemo& memo = TimingMemo::global();
+  CompileOptions fused;
+  fused.fuse_elementwise = true;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const RandomDag dag = random_dag(seed);
     const CompiledGraph cg = rt.compile(dag.graph);
@@ -181,6 +430,27 @@ TEST(TimingOnlyFuzz, MatchesFunctionalTraceAndSummariesOver50Seeds) {
     functional.faults = &no_faults;
     const ProfileResult full =
         rt.run(cg, random_feeds(dag.graph, seed), functional);
+
+    // Plain timing mode, cold (memo cleared, every hit cross-checked) and
+    // then warm (every kernel cost replayed), unfused and fused.
+    const CompiledGraph fused_cg = rt.compile(dag.graph, fused);
+    for (const CompiledGraph* compiled : {&cg, &fused_cg}) {
+      memo.clear();
+      RunOptions cold = timing_run();
+      cold.guard = sim::NumericsPolicy::kOff;
+      cold.faults = &no_faults;
+      cold.validate = true;
+      const ProfileResult c = rt.run(*compiled, {}, cold);
+      const std::uint64_t misses = memo.kernel_misses();
+      RunOptions warm = cold;
+      warm.validate = false;
+      const ProfileResult w = rt.run(*compiled, {}, warm);
+      ASSERT_EQ(observable(c), observable(w)) << "seed " << seed;
+      ASSERT_EQ(memo.kernel_misses(), misses) << "seed " << seed;
+      if (compiled == &cg) {
+        ASSERT_EQ(observable(full), observable(c)) << "seed " << seed;
+      }
+    }
 
     RunOptions fast;
     fast.mode = tpc::ExecMode::kTiming;
