@@ -1,11 +1,13 @@
 // Serving throughput-latency curves — the multi-tenant regime the paper's
 // single-job profiles feed into — run twice: once with full cost
 // derivation (every scheduler builds, compiles, and event-schedules each
-// decode/prefill bucket graph itself) and once in timing-only mode (step
-// costs replayed from the process-wide timing memo).  The two passes must
-// agree on every reported number; the interesting output is the host
-// wall-clock ratio between them, which is what makes wide batch sweeps
-// cheap.
+// decode/prefill bucket graph itself) and once in timing-only mode (each
+// step makespan is priced once per sweep and then shared through the
+// process-wide timing memo).  Both passes price a missed shape with the
+// same timing-mode run, so they must agree on every reported number; the
+// interesting output is the host wall-clock ratio between them, which is
+// what makes wide batch sweeps cheap.  The memo line counts makespan
+// entries: one per priced shape, each a miss first and a hit after.
 //
 // Everything here is deterministic: the same (seed, rate, batch) cell
 // reproduces byte-identical metrics, which the final self-check asserts by

@@ -230,6 +230,7 @@ BatchConfig parse_batch_config(std::istream& in) {
   BatchConfig cfg;
   BatchExperiment* cur = nullptr;
   bool seeds_set = false;
+  int timing_only_line = 0;  // cur's timing-only directive, 0 if none
   std::string line;
   int line_no = 0;
   while (std::getline(in, line)) {
@@ -247,12 +248,20 @@ BatchConfig parse_batch_config(std::istream& in) {
       cur = &cfg.experiments.back();
       cur->name = t[1];
       seeds_set = false;
+      timing_only_line = 0;
       continue;
     }
     if (cur == nullptr) fail(line_no, "'" + d + "' outside an experiment");
     if (d == "end") {
       if (t.size() != 1) fail(line_no, "end takes nothing");
       if (cur->command.empty()) fail(line_no, "experiment has no command");
+      // Only serving cells price steps, so only they read the directive.
+      if (timing_only_line > 0 && cur->command != "serve" &&
+          cur->command != "serve-cluster") {
+        fail(timing_only_line,
+             "timing-only applies to serve and serve-cluster only, not '" +
+                 cur->command + "'");
+      }
       cur = nullptr;
     } else if (d == "command") {
       if (t.size() != 2) fail(line_no, "command expects exactly one word");
@@ -283,6 +292,7 @@ BatchConfig parse_batch_config(std::istream& in) {
       if (t.size() != 2 || (t[1] != "on" && t[1] != "off")) {
         fail(line_no, "timing-only expects on|off");
       }
+      timing_only_line = line_no;
       cur->timing_only = t[1] == "on";
     } else {
       fail(line_no, "unknown directive '" + d + "'");

@@ -15,22 +15,26 @@
 //     sweep <key> <v1> <v2> ...  # one grid axis; axes multiply
 //     seeds <s1> <s2> ...        # workload seeds (0x... accepted)
 //     repeats <n>                # replicas per seed: seed+0 .. seed+n-1
-//     timing-only <on|off>       # serve cells only; default defers to env
+//     timing-only <on|off>       # serve/serve-cluster only; default: env
 //   end
 //
 // A key is an option of the command without its dashes, parsed and checked
 // by the same function the CLI command calls (core/options.hpp), so a bad
 // value fails naming `--key`.  `seed` and `timing-only` are not keys: the
-// `seeds` and `timing-only` directives set them.  mme-vs-tpc takes one
-// `size` (and `batch`) per cell where the CLI takes a --sizes list.
+// `seeds` and `timing-only` directives set them.  `timing-only` chooses
+// whether serving cells share step makespans through the process-wide
+// graph::TimingMemo; an experiment of any other command that gives it is
+// rejected.  mme-vs-tpc takes one `size` (and `batch`) per cell where the
+// CLI takes a --sizes list.
 //
 // Each point of the sweep grid is one *cell*; each cell runs once per
 // (seed, repeat) pair with effective seed `seed + repeat`, and the cell's
 // replicas aggregate to n/mean/p50/p99 per metric.  Replicas execute on a
 // sim::ThreadPool and merge in replica order, so the report is identical
 // however many worker threads ran it.  Timing costs flow through the
-// process-wide graph::TimingMemo, so replicas of the same model pay for
-// graph construction and scheduling once.
+// process-wide graph::TimingMemo: serving replicas of the same model with
+// timing-only on build and schedule each step shape once, and every
+// timing-mode cell reuses the TPC kernel costs earlier cells measured.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +57,8 @@ struct BatchExperiment {
   std::vector<std::pair<std::string, std::vector<std::string>>> sweeps;
   std::vector<std::uint64_t> seeds{0x5E21E};
   std::int64_t repeats = 1;
-  /// serve cells only; unset defers to ServeConfig's GAUDI_TIMING_ONLY
-  /// fallback.
+  /// serve and serve-cluster cells only; unset defers to ServeConfig's
+  /// GAUDI_TIMING_ONLY fallback.
   std::optional<bool> timing_only{};
 };
 

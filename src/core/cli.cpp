@@ -116,7 +116,8 @@ commands:
                                  below N; 0 = off
       --retry-backoff-ms T       base re-queue delay after a chip failure (5)
       --retry-backoff-max-ms T   ceiling on the doubled backoff     (5000)
-      --timing-only on|off       memoized timing fast path (default:
+      --timing-only on|off       share step costs process-wide and via
+                                 GAUDI_MEMO_FILE (default:
                                  GAUDI_TIMING_ONLY; reports are identical)
   serve-cluster [options]        route one stream across N serving replicas:
                                  failover with KV re-prefill, hedged
@@ -158,7 +159,8 @@ commands:
       --csv FILE                 write the byte-deterministic CSV
       --threads N                replica worker threads; 0 = hardware, 1 =
                                  serial (same output either way)
-      --timing-only on|off       default for experiments that do not choose
+      --timing-only on|off       default for serve experiments that do not
+                                 choose
   help                           this text
 
 Setting GAUDI_VALIDATE=1 in the environment validates every scheduled

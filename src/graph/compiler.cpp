@@ -7,8 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "graph/fingerprint.hpp"
-
 namespace gaudi::graph {
 
 namespace {
@@ -182,9 +180,6 @@ std::string CompileStats::to_string() const {
     os << "  " << std::left << std::setw(20) << p.name << std::right
        << std::fixed << std::setprecision(1) << std::setw(9) << p.microseconds
        << " us";
-    if (p.name == "fingerprint") {
-      os << "   (0x" << std::hex << fingerprint << std::dec << ")";
-    }
     if (p.name == "elementwise-fusion" && fusion_groups > 0) {
       os << "   (" << fusion_groups << " groups, " << fused_nodes << " nodes)";
     }
@@ -217,10 +212,6 @@ CompiledGraph compile_graph(const Graph& g, const sim::ChipConfig& cfg,
         std::chrono::duration<double, std::micro>(t1 - t0).count()});
   };
 
-  timed("fingerprint", [](CompiledGraph& c) {
-    c.fingerprint = compile_fingerprint(c.graph, c.config, c.options);
-    c.stats.fingerprint = c.fingerprint;
-  });
   timed("engine-mapping", pass_engine_mapping);
   timed("elementwise-fusion", pass_fusion);
   timed("dma-insertion", pass_dma_insertion);

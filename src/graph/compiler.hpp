@@ -47,9 +47,6 @@ struct CompileStats {
   };
   std::vector<Pass> passes;  ///< pipeline order
 
-  /// Structural digest of the compilation input (graph + chip config +
-  /// options; see graph/fingerprint.hpp) — the timing-only memo key.
-  std::uint64_t fingerprint = 0;
   std::size_t fusion_groups = 0;
   std::size_t fused_nodes = 0;
   std::size_t planned_dmas = 0;
@@ -111,11 +108,6 @@ struct CompiledGraph {
   std::vector<PlannedDma> dmas;
   /// Per-value static memory plan (indexed by ValueId).
   std::vector<ValuePlacement> placements;
-
-  /// Structural digest of (graph, config, options): two artifacts with equal
-  /// fingerprints came from identical compilations and schedule identically
-  /// in timing mode.  Keys the timing-only memo (graph/timing_memo.hpp).
-  std::uint64_t fingerprint = 0;
 
   CompileStats stats;
 };

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "graph/compiler.hpp"
 #include "graph/fusion.hpp"
 #include "graph/graph.hpp"
 
@@ -105,36 +104,6 @@ std::uint64_t chip_fingerprint(const sim::ChipConfig& cfg) {
   fp.i64(cfg.memory.dma_setup.ps());
   fp.u64(cfg.memory.dma_channels);
   fp.i64(cfg.compiler.recompile_stall.ps());
-  return fp.digest();
-}
-
-std::uint64_t compile_fingerprint(const Graph& g, const sim::ChipConfig& cfg,
-                                  const CompileOptions& opts) {
-  Fingerprint fp;
-  fp.u64(chip_fingerprint(cfg));
-  fp.boolean(opts.fuse_elementwise);
-  fp.boolean(opts.enforce_capacity);
-
-  fp.u64(g.num_values());
-  for (ValueId v = 0; v < static_cast<ValueId>(g.num_values()); ++v) {
-    const ValueInfo& info = g.value(v);
-    ingest_shape(fp, info.shape);
-    fp.u8(static_cast<std::uint8_t>(info.dtype));
-    fp.u8(static_cast<std::uint8_t>(info.role));
-    fp.str(info.name);
-    fp.boolean(info.is_output);
-  }
-  fp.u64(g.num_nodes());
-  for (NodeId n = 0; n < static_cast<NodeId>(g.num_nodes()); ++n) {
-    const Node& node = g.node(n);
-    fp.u8(static_cast<std::uint8_t>(node.kind));
-    ingest_attrs(fp, node.attrs);
-    fp.str(node.label);
-    fp.u64(node.inputs.size());
-    for (ValueId v : node.inputs) fp.i64(v);
-    fp.u64(node.outputs.size());
-    for (ValueId v : node.outputs) fp.i64(v);
-  }
   return fp.digest();
 }
 

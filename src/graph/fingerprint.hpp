@@ -1,31 +1,25 @@
-// Structural fingerprinting of graphs and chip configurations.
+// Field encoders for timing-mode memo keys.
 //
-// The timing-only fast path (graph/timing_memo.hpp) replays memoized
-// schedules across *separately compiled* artifacts, so it needs a key that
-// identifies "the same compilation": the FNV-1a digest of everything the
-// pass pipeline consumes — every value's shape/dtype/role/name, every
-// node's kind/attrs/operands/label, the chip configuration, and the
-// compile options.  Two CompiledGraphs with equal fingerprints schedule
-// identically in timing mode; the digest is stored on the artifact by the
-// compiler's `fingerprint` pass and surfaced through CompileStats.
+// Timing-mode costs are pure functions of a few fields, so the TimingMemo
+// (graph/timing_memo.hpp) keys them by those fields' fixed-width encoding:
 //
-// The kernel cost cache keys single TPC launches through the same field
-// walkers, but as the encoded bytes themselves rather than a digest, so two
-// different kernels can never share an entry.
+//   - `kernel_cost_key` keeps the encoded bytes themselves, so two different
+//     TPC kernels can never share an entry;
+//   - `chip_fingerprint` folds every timing-relevant chip parameter into a
+//     64-bit FNV-1a digest, which the serving pricer's makespan keys
+//     (serve/scheduler.cpp) include.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <string_view>
 
 #include "graph/graph.hpp"
 #include "sim/chip_config.hpp"
 
 namespace gaudi::graph {
 
-struct CompileOptions;
 struct FusedChainSpec;
 
 /// Fixed-width field encoding over a byte sink: every ingest method folds a
@@ -54,11 +48,6 @@ class FieldEncoder : public Sink {
     std::memcpy(&bits, &v, sizeof(bits));
     u64(bits);
   }
-  /// Length-prefixed, so ("ab","c") and ("a","bc") encode differently.
-  void str(std::string_view s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
 };
 
 /// Incremental FNV-1a (64-bit) accumulator.
@@ -75,12 +64,6 @@ using Fingerprint = FieldEncoder<Fnv1a>;
 
 /// Digest of every timing-relevant chip parameter.
 [[nodiscard]] std::uint64_t chip_fingerprint(const sim::ChipConfig& cfg);
-
-/// Digest of the full compilation input: graph structure, chip config, and
-/// compile options.  This is what CompiledGraph::fingerprint stores.
-[[nodiscard]] std::uint64_t compile_fingerprint(const Graph& g,
-                                                const sim::ChipConfig& cfg,
-                                                const CompileOptions& opts);
 
 /// Exact timing-mode cost key of TPC node `n`'s kernel launch number
 /// `launch` (cross-entropy mean launches two kernels): the op kind, every

@@ -8,7 +8,6 @@
 
 #include "graph/fingerprint.hpp"
 #include "graph/fusion.hpp"
-#include "graph/timing_memo.hpp"
 #include "graph/validate.hpp"
 #include "memory/checksum.hpp"
 #include "tensor/ops.hpp"
@@ -32,34 +31,6 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
       opts.faults != nullptr ? opts.faults : sim::fault_injector_from_env();
   if (faults != nullptr && !faults->enabled()) faults = nullptr;
   const bool validating = opts.validate || validation_requested_from_env();
-
-  // Timing-only fast path: replay the memoized schedule when an artifact
-  // with this fingerprint already ran under these options; otherwise take
-  // the real pipeline exactly once — in timing mode, with the numerics
-  // machinery and allocator replay off — and deposit the result.  Fault
-  // injection and the corruption hook fall through to the full path: their
-  // schedules depend on epoch state the memo key does not carry.
-  if (timing_only_enabled(opts) && faults == nullptr &&
-      opts.corrupt_value == kInvalidValue) {
-    TimingMemo& memo = TimingMemo::global();
-    const std::string key = timing_memo_key(cg, opts);
-    if (std::shared_ptr<const ProfileResult> cached = memo.find_profile(key)) {
-      ProfileResult replay = *cached;
-      replay.memo_hit = true;
-      replay.memo_hits = memo.hits();
-      return replay;
-    }
-    RunOptions first = opts;
-    first.timing_only = false;  // run the real scheduler exactly once
-    first.mode = tpc::ExecMode::kTiming;
-    first.guard = sim::NumericsPolicy::kOff;
-    first.account_memory = false;
-    ProfileResult result = run(cg, {}, first);
-    result.timing_only = true;
-    result.memo_hits = memo.hits();
-    memo.insert_profile(key, std::make_shared<const ProfileResult>(result));
-    return result;
-  }
 
   std::vector<tensor::Tensor> tensors(g.num_values());
   // The static plan already fixed every buffer's offset; the dynamic

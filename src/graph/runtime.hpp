@@ -4,12 +4,15 @@
 // element-wise fusion, DMA insertion, liveness, static memory planning,
 // topological order — see graph/compiler.hpp) and returns an immutable
 // CompiledGraph.  `Runtime::run(const CompiledGraph&, feeds)` is the thin
-// run-many loop: it executes nodes in the compiled order (numerics or
-// timing-only), replays the dynamic HBM allocator as a debug cross-check of
-// the static memory plan, schedules the node durations onto engine
-// timelines under the selected policy, and returns the hardware trace plus
-// any requested outputs.  The single-graph `run(const Graph&, ...)`
-// overload compiles and runs in one call for one-shot callers.
+// run-many loop: it executes nodes in the compiled order (real numerics in
+// functional mode; phantom tensors in timing mode, where each TPC kernel's
+// cost comes from the process-wide TimingMemo after its first launch),
+// replays the dynamic HBM allocator as a debug cross-check of the static
+// memory plan, schedules the node durations onto engine timelines under the
+// selected policy, and returns the hardware trace plus any requested
+// outputs.  Both modes take this one path, with the same guard, fault and
+// memory accounting.  The single-graph `run(const Graph&, ...)` overload
+// compiles and runs in one call for one-shot callers.
 #pragma once
 
 #include <cstddef>
@@ -33,15 +36,6 @@ struct RunOptions {
   tpc::ExecMode mode = tpc::ExecMode::kFunctional;
   SchedulePolicy policy = SchedulePolicy::kBarrier;
   std::uint64_t seed = 0x6A0D1;
-  /// Timing-only fast path: skip kernel math, buffer traffic, checksums,
-  /// and guard sweeps, and replay the memoized schedule of this compiled
-  /// graph from the process-wide TimingMemo (first run of a fingerprint
-  /// executes the real scheduler once; see graph/timing_memo.hpp).  Unset
-  /// defers to GAUDI_TIMING_ONLY, which applies only to runs already in
-  /// timing mode — a functional run's outputs stay real unless the caller
-  /// explicitly opts in here.  Fault injection and corruption hooks bypass
-  /// the memo (their schedules are epoch-dependent).
-  std::optional<bool> timing_only{};
   /// Replay the dynamic HBM allocator alongside the static plan and enforce
   /// the capacity (throws sim::ResourceExhausted on overflow).  Via the
   /// compile-and-run overload this also gates compile-time capacity
@@ -133,15 +127,6 @@ struct ProfileResult {
   /// Merged numerics stats over every swept output (guarded functional
   /// runs; zero otherwise).
   sim::NumericsStats numerics{};
-  /// True when this result came from the timing-only fast path (first run
-  /// or replay; trace and summaries are byte-identical either way).
-  bool timing_only = false;
-  /// True when the result was replayed from the TimingMemo in O(1) instead
-  /// of re-executing the scheduler.
-  bool memo_hit = false;
-  /// Process-wide TimingMemo hit count observed when this run returned —
-  /// the counter that proves repeated decode steps are table lookups.
-  std::uint64_t memo_hits = 0;
 };
 
 class Runtime {

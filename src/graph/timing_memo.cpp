@@ -7,7 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "graph/runtime.hpp"
 #include "memory/checksum.hpp"
 #include "sim/env.hpp"
 #include "sim/error.hpp"
@@ -43,24 +42,6 @@ TimingMemo& TimingMemo::global() {
   }();
   (void)loaded;
   return memo;
-}
-
-std::shared_ptr<const ProfileResult> TimingMemo::find_profile(
-    const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = profiles_.find(key);
-  if (it == profiles_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void TimingMemo::insert_profile(const std::string& key,
-                                std::shared_ptr<const ProfileResult> result) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  profiles_.emplace(key, std::move(result));
 }
 
 bool TimingMemo::find_time(const std::string& key, sim::SimTime* out) {
@@ -230,7 +211,7 @@ std::uint64_t TimingMemo::misses() const {
 
 std::size_t TimingMemo::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return profiles_.size() + times_.size();
+  return times_.size();
 }
 
 std::uint64_t TimingMemo::kernel_hits() const {
@@ -250,7 +231,6 @@ std::size_t TimingMemo::kernel_entries() const {
 
 void TimingMemo::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
-  profiles_.clear();
   times_.clear();
   kernels_.clear();
   hits_ = 0;
@@ -270,22 +250,6 @@ std::size_t save_memo_to_env_file() {
   const std::string path = memo_file_from_env();
   if (path.empty()) return 0;
   return TimingMemo::global().save_times(path);
-}
-
-bool timing_only_enabled(const RunOptions& opts) {
-  if (opts.timing_only.has_value()) return *opts.timing_only;
-  return opts.mode == tpc::ExecMode::kTiming && timing_only_from_env();
-}
-
-std::string timing_memo_key(const CompiledGraph& cg, const RunOptions& opts) {
-  // The fingerprint covers graph + chip + compile options; of the run
-  // options only the scheduler policy changes a timing-mode trace (the seed
-  // feeds functional RNG, guards are forced off on this path, and faults
-  // bypass the memo entirely).
-  std::ostringstream os;
-  os << "run:" << cg.fingerprint << ':'
-     << static_cast<int>(opts.policy);
-  return os.str();
 }
 
 }  // namespace gaudi::graph

@@ -1,26 +1,22 @@
-// Process-wide memo for the timing-only fast path.
+// Process-wide memo for timing-mode costs.
 //
-// A timing-only run (`RunOptions::timing_only` / GAUDI_TIMING_ONLY) exists
-// to be repeated: serving sweeps execute the same compiled decode step for
-// millions of simulated tokens, and batch experiments re-simulate the same
-// cell across seeds and rates.  The first such run of a compiled graph pays
-// the real executor + scheduler once and deposits its ProfileResult here,
-// keyed by the artifact's structural fingerprint plus the RunOptions that
-// affect timing (scheduler policy; the execution seed does not — timing-mode
-// durations are analytic functions of shapes).  Every later run of an
-// equal-fingerprint artifact is a table lookup — no kernel math, no buffer
-// traffic, no re-scheduling.
+// Timing-mode results are analytic functions of shapes, and the callers that
+// produce them repeat themselves: serving sweeps price the same decode-step
+// and prefill-chunk shapes for every scheduler, and one model graph launches
+// the same TPC kernel once per layer.  The memo holds two kinds of entry:
 //
-// Higher layers key coarser entries through the same store: the serving
-// scheduler's pricer memoizes decode-step and prefill-chunk *makespans*, so
-// a shape priced once costs later schedulers one mutex-guarded map probe,
-// without even building or compiling the graph.
-//
-// Below whole graphs, every timing-mode run (timing-only or not) memoizes
-// each TPC kernel launch's cost under its exact node key
-// (graph/fingerprint.hpp `kernel_cost_key`): layer 1 of a model replays
-// layer 0's kernels, and an overlap run replays its barrier run's.
-// Functional runs never consult these entries.
+//   - Serving makespans.  When `ServeConfig::timing_only` (or its default,
+//     GAUDI_TIMING_ONLY) is on, the serving scheduler's pricer stores each
+//     decode-step and prefill-chunk makespan under a key of the model, chip,
+//     batch, phase and context bucket, so a shape priced once costs later
+//     schedulers one mutex-guarded map probe, without building or compiling
+//     the graph.  Only these entries persist across processes
+//     (GAUDI_MEMO_FILE).
+//   - Kernel costs.  Every timing-mode `Runtime::run` memoizes each TPC
+//     kernel launch's cost under its exact node key (graph/fingerprint.hpp
+//     `kernel_cost_key`): layer 1 of a model replays layer 0's kernels, and
+//     an overlap run replays its barrier run's.  Functional runs never
+//     consult these entries.
 //
 // The memo is deliberately process-global (guarded by a mutex, safe for the
 // batch runner's parallel replicas): the entries are pure functions of their
@@ -29,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -39,20 +34,10 @@
 
 namespace gaudi::graph {
 
-struct CompiledGraph;
-struct ProfileResult;
-struct RunOptions;
-
 class TimingMemo {
  public:
-  /// The process-wide instance every timing-only run shares.
+  /// The process-wide instance every timing-mode caller shares.
   [[nodiscard]] static TimingMemo& global();
-
-  /// Full-profile entries (Runtime::run fast path). ------------------------
-  [[nodiscard]] std::shared_ptr<const ProfileResult> find_profile(
-      const std::string& key);
-  void insert_profile(const std::string& key,
-                      std::shared_ptr<const ProfileResult> result);
 
   /// Makespan-only entries (decode-step / prefill-chunk cost tables). ------
   [[nodiscard]] bool find_time(const std::string& key, sim::SimTime* out);
@@ -63,11 +48,11 @@ class TimingMemo {
   void insert_kernel(const std::string& key, const tpc::RunResult& r);
 
   /// Cross-process persistence. --------------------------------------------
-  /// The makespan entries are pure functions of their fingerprint keys, so
-  /// they survive the process: a sweep can deposit its cost tables on disk
-  /// and the next process warm-starts instead of re-simulating the first
-  /// cell.  Only `times_` persists — full ProfileResults and kernel costs
-  /// are cheap to rebuild and expensive to serialize.
+  /// The makespan entries are pure functions of their keys, so they survive
+  /// the process: a sweep can deposit its cost tables on disk and the next
+  /// process warm-starts instead of re-simulating the first cell.  Only
+  /// `times_` persists — kernel costs are cheap to rebuild and expensive to
+  /// serialize.
   ///
   /// `save_times` writes a sorted, checksummed text file atomically
   /// (tmp + rename); returns the number of entries written.
@@ -79,26 +64,25 @@ class TimingMemo {
   /// garbled entries.  Returns the number of entries merged.
   std::size_t load_times(const std::string& path);
 
-  /// Lookup counters over profile and makespan entries.  A hit proves the
-  /// O(1) path was taken; tests and bench_serving assert on the deltas.
+  /// Lookup counters over makespan entries.  A hit proves the O(1) path was
+  /// taken; tests, perfbench and bench_serving assert on the deltas.
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
-  /// Resident entries (profiles + makespans).
+  /// Resident makespan entries.
   [[nodiscard]] std::size_t size() const;
 
   /// The same three counters for kernel-cost entries, kept apart so the
-  /// ones above keep meaning whole runs and makespans.
+  /// ones above keep meaning makespans.
   [[nodiscard]] std::uint64_t kernel_hits() const;
   [[nodiscard]] std::uint64_t kernel_misses() const;
   [[nodiscard]] std::size_t kernel_entries() const;
 
-  /// Drops every entry of all three kinds and zeroes every counter.  Tests,
+  /// Drops every entry of both kinds and zeroes every counter.  Tests,
   /// perfbench and bench_serving call it to make the next pass cold.
   void clear();
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const ProfileResult>> profiles_;
   std::unordered_map<std::string, sim::SimTime> times_;
   std::unordered_map<std::string, tpc::RunResult> kernels_;
   std::uint64_t hits_ = 0;
@@ -107,7 +91,8 @@ class TimingMemo {
   std::uint64_t kernel_misses_ = 0;
 };
 
-/// True when GAUDI_TIMING_ONLY requests the fast path for timing-mode runs.
+/// True when GAUDI_TIMING_ONLY asks the serving pricer to share makespans
+/// through the memo (the default of `ServeConfig::timing_only`).
 [[nodiscard]] bool timing_only_from_env();
 
 /// The GAUDI_MEMO_FILE path, or empty when unset.  When set, the global
@@ -119,15 +104,5 @@ class TimingMemo {
 /// Saves the global memo's makespan entries to GAUDI_MEMO_FILE if set.
 /// Returns the number of entries written (0 when unset or empty).
 std::size_t save_memo_to_env_file();
-
-/// Resolves RunOptions::timing_only: an explicit setting wins; unset defers
-/// to GAUDI_TIMING_ONLY, which only ever applies to runs already in timing
-/// mode (a functional run's outputs are its contract — the environment
-/// cannot silently turn them into phantoms).
-[[nodiscard]] bool timing_only_enabled(const RunOptions& opts);
-
-/// Memo key for a full Runtime::run profile of `cg` under `opts`.
-[[nodiscard]] std::string timing_memo_key(const CompiledGraph& cg,
-                                          const RunOptions& opts);
 
 }  // namespace gaudi::graph

@@ -1,6 +1,5 @@
 #include "nn/decode.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -239,33 +238,12 @@ DecodeStepGraph build_gpt_decode_step(Graph& g, const DecodeConfig& cfg,
 
 const DecodeStepCache::Entry& DecodeStepCache::step(std::int64_t context_len) {
   const auto it = entries_.find(context_len);
-  if (it != entries_.end()) {
-    if (max_entries_ > 0) {  // refresh recency on hit
-      const auto pos = std::find(recency_.begin(), recency_.end(), context_len);
-      GAUDI_ASSERT(pos != recency_.end(),
-                   "decode-step cache recency list lost a resident entry");
-      recency_.splice(recency_.begin(), recency_, pos);
-    }
-    return it->second;
-  }
+  if (it != entries_.end()) return it->second;
   Graph g;
   Entry fresh;
   fresh.step = build_gpt_decode_step(g, cfg_, context_len, seed_);
   fresh.compiled = rt_.compile(g, copts_);
-  const Entry& inserted =
-      entries_.emplace(context_len, std::move(fresh)).first->second;
-  if (max_entries_ > 0) {
-    recency_.push_front(context_len);
-    // Evict from the cold end until we are back under the cap; the entry we
-    // just inserted is at the hot end and always survives.
-    while (entries_.size() > max_entries_) {
-      const std::int64_t victim = recency_.back();
-      recency_.pop_back();
-      entries_.erase(victim);
-      ++evictions_;
-    }
-  }
-  return inserted;
+  return entries_.emplace(context_len, std::move(fresh)).first->second;
 }
 
 }  // namespace gaudi::nn

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <vector>
 
@@ -95,11 +94,6 @@ struct DecodeStepGraph {
 /// exactly once per distinct cache length and then just runs.  Serving does
 /// not use it: the continuous-batching scheduler keeps only each bucket's
 /// makespan (serve/scheduler.*).
-///
-/// Long, varied contexts would each pin a compiled artifact, so the cache
-/// takes an optional `max_entries` cap: when exceeded, the least-recently-
-/// used entry is discarded and counted in `evictions()`.  The default (0)
-/// keeps every entry.
 class DecodeStepCache {
  public:
   struct Entry {
@@ -109,39 +103,22 @@ class DecodeStepCache {
 
   DecodeStepCache(const graph::Runtime& rt, DecodeConfig cfg,
                   graph::CompileOptions copts = {},
-                  std::uint64_t seed = 0xDEC0DE, std::size_t max_entries = 0)
-      : rt_(rt),
-        cfg_(std::move(cfg)),
-        copts_(copts),
-        seed_(seed),
-        max_entries_(max_entries) {}
+                  std::uint64_t seed = 0xDEC0DE)
+      : rt_(rt), cfg_(std::move(cfg)), copts_(copts), seed_(seed) {}
 
   /// Returns the compiled step for `context_len`, compiling on first use.
-  /// The reference stays valid until `context_len` itself is evicted (it
-  /// survives the eviction its own insertion triggers).
+  /// The reference stays valid for the cache's lifetime.
   const Entry& step(std::int64_t context_len);
 
-  /// Distinct context lengths currently *resident* — with an entry cap this
-  /// is at most `max_entries`; add `evictions()` for the total number of
-  /// compilations performed minus cache hits.
+  /// Distinct context lengths compiled so far.
   [[nodiscard]] std::size_t compiled_steps() const { return entries_.size(); }
-
-  /// Entries discarded by the LRU cap (0 while uncapped).  An evicted
-  /// context length recompiles on its next use.
-  [[nodiscard]] std::size_t evictions() const { return evictions_; }
-
-  [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
 
  private:
   graph::Runtime rt_;  // cheap by-value copy: holds only the chip config
   DecodeConfig cfg_;
   graph::CompileOptions copts_;
   std::uint64_t seed_;
-  std::size_t max_entries_ = 0;  ///< 0 = unlimited
-  std::size_t evictions_ = 0;
   std::map<std::int64_t, Entry> entries_;
-  /// Recency order, most recent first (only maintained when capped).
-  std::list<std::int64_t> recency_;
 };
 
 }  // namespace gaudi::nn

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "sim/env.hpp"
+#include "graph/validate.hpp"
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
 
@@ -80,7 +80,7 @@ ClusterRouter::ClusterRouter(const graph::Runtime& rt, ClusterConfig cfg)
   GAUDI_CHECK(cfg_.health_window > sim::SimTime::zero(),
               "health_window must be positive");
   GAUDI_CHECK(cfg_.degraded_after >= 1, "degraded_after must be >= 1");
-  validate_ = sim::env_flag("GAUDI_VALIDATE", false);
+  validate_ = graph::validation_requested_from_env();
   const bool faults_on = cfg_.fault_profile.any_rate_positive();
   if (faults_on && cfg_.migration.enabled) {
     // The migration path's fabric link draws from its own decorrelated

@@ -5,7 +5,7 @@
 
 #include "graph/fingerprint.hpp"
 #include "graph/timing_memo.hpp"
-#include "sim/env.hpp"
+#include "graph/validate.hpp"
 #include "sim/error.hpp"
 
 namespace gaudi::serve {
@@ -76,7 +76,7 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(const graph::Runtime& rt,
       timing_only_(cfg_.timing_only.has_value()
                        ? *cfg_.timing_only
                        : graph::timing_only_from_env()),
-      validate_(sim::env_flag("GAUDI_VALIDATE", false)),
+      validate_(graph::validation_requested_from_env()),
       hbm_(rt_.config().memory),
       kv_(kv_config(cfg_), &hbm_) {
   GAUDI_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
@@ -143,10 +143,9 @@ sim::SimTime ContinuousBatchScheduler::price(Phase phase,
     }
     graph::RunOptions opts;
     opts.mode = tpc::ExecMode::kTiming;
-    opts.timing_only = timing_only_;
     // Cost tables are pure timing: guard sweeps (e.g. a process-wide
-    // GAUDI_GUARD) must not inflate serving costs in one mode and not the
-    // other, and env-level fault injection must not perturb them either.
+    // GAUDI_GUARD) must not inflate serving costs, and env-level fault
+    // injection must not perturb them either.
     opts.guard = sim::NumericsPolicy::kOff;
     opts.faults = &kNoFaults;
     cost = rt_.run(rt_.compile(g, cfg_.compile), {}, opts).makespan;

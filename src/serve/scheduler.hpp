@@ -81,12 +81,13 @@ struct ServeConfig {
   std::size_t kv_budget_bytes = 64ull * 1024 * 1024;
   graph::CompileOptions compile{};
   std::uint64_t param_seed = 0xDEC0DE;
-  /// Cost iterations through the timing-only fast path: decode-step and
-  /// prefill-chunk makespans answer from the process-wide graph::TimingMemo,
-  /// so a shape priced by any scheduler of the same model skips graph
-  /// construction, compilation, and scheduling entirely.  Reports are
-  /// byte-identical either way.  Unset defers to the GAUDI_TIMING_ONLY
-  /// environment variable.
+  /// Share decode-step and prefill-chunk makespans process-wide through
+  /// graph::TimingMemo (and GAUDI_MEMO_FILE), so a shape priced by any
+  /// scheduler of the same model skips graph construction, compilation, and
+  /// scheduling entirely.  Off, each scheduler prices its own shapes; a
+  /// missed shape runs the same timing-mode graph either way, so reports are
+  /// byte-identical.  Unset defers to the GAUDI_TIMING_ONLY environment
+  /// variable.
   std::optional<bool> timing_only{};
 
   // -- Fault tolerance (DESIGN.md §11) --------------------------------------

@@ -32,7 +32,7 @@ class Tensor {
   [[nodiscard]] static Tensor zeros(Shape shape, DType dtype = DType::F32) {
     return Tensor{std::move(shape), dtype};
   }
-  /// Shape/dtype carrier without storage — used by the timing-only execution
+  /// Shape/dtype carrier without storage — used by the timing execution
   /// mode, where kernels run with phantom memory and never touch data.
   [[nodiscard]] static Tensor phantom(Shape shape, DType dtype = DType::F32) {
     Tensor t;

@@ -84,6 +84,36 @@ TEST(BatchConfig, RejectsMalformedInput) {
       sim::InvalidArgument);
 }
 
+TEST(BatchConfig, TimingOnlyDirectiveOnlyOnServingCommands) {
+  for (const char* cmd : {"serve", "serve-cluster"}) {
+    const std::string text = std::string("experiment a\ncommand ") + cmd +
+                             "\ntiming-only on\nend\n";
+    EXPECT_NO_THROW((void)parse(text)) << cmd;
+  }
+  // Rejected naming the directive's line, before or after the command.
+  for (const char* cmd : {"profile-layer", "profile-model", "mme-vs-tpc"}) {
+    for (const bool directive_first : {false, true}) {
+      const std::string command = std::string("  command ") + cmd + "\n";
+      const std::string text =
+          "experiment a\n" +
+          (directive_first ? "  timing-only on\n" + command
+                           : command + "  timing-only on\n") +
+          "end\n";
+      const int directive_line = directive_first ? 2 : 3;
+      try {
+        (void)parse(text);
+        ADD_FAILURE() << cmd << " accepted timing-only";
+      } catch (const sim::InvalidArgument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line " + std::to_string(directive_line) + ":"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("timing-only"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 // --- StatsSink -------------------------------------------------------------
 
 TEST(StatsSinkTest, AggregatesPerCellWithDeterministicFormatting) {

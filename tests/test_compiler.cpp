@@ -47,12 +47,11 @@ TEST(Compiler, RunsAllPassesAndRecordsStats) {
   copts.fuse_elementwise = true;
   const CompiledGraph cg = Runtime(chip()).compile(g, copts);
 
-  ASSERT_EQ(cg.stats.passes.size(), 7u);
-  const char* expected[] = {"fingerprint",     "engine-mapping",
-                            "elementwise-fusion", "dma-insertion",
-                            "liveness",        "memory-planning",
-                            "topological-order"};
-  for (std::size_t i = 0; i < 7; ++i) {
+  ASSERT_EQ(cg.stats.passes.size(), 6u);
+  const char* expected[] = {"engine-mapping",  "elementwise-fusion",
+                            "dma-insertion",   "liveness",
+                            "memory-planning", "topological-order"};
+  for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(cg.stats.passes[i].name, expected[i]);
   }
   EXPECT_EQ(cg.order.size(), g.num_nodes());

@@ -305,35 +305,6 @@ TEST(DecodeValidation, DecodeStepNamesTheLimit) {
   }
 }
 
-TEST(DecodeStepCacheLru, UncappedNeverEvicts) {
-  const graph::Runtime rt(sim::ChipConfig::hls1());
-  nn::DecodeStepCache cache(rt, nn::DecodeConfig::tiny());
-  (void)cache.step(2);
-  (void)cache.step(4);
-  (void)cache.step(6);
-  EXPECT_EQ(cache.compiled_steps(), 3u);
-  EXPECT_EQ(cache.evictions(), 0u);
-}
-
-TEST(DecodeStepCacheLru, CapEvictsLeastRecentlyUsed) {
-  const graph::Runtime rt(sim::ChipConfig::hls1());
-  nn::DecodeStepCache cache(rt, nn::DecodeConfig::tiny(), {}, 0xDEC0DE,
-                            /*max_entries=*/2);
-  (void)cache.step(2);
-  (void)cache.step(4);
-  EXPECT_EQ(cache.compiled_steps(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  (void)cache.step(2);  // refresh: 4 is now the LRU entry
-  (void)cache.step(6);  // evicts 4
-  EXPECT_EQ(cache.compiled_steps(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  (void)cache.step(4);  // recompiles, evicting 2
-  EXPECT_EQ(cache.compiled_steps(), 2u);
-  EXPECT_EQ(cache.evictions(), 2u);
-  (void)cache.step(6);  // still resident: no further eviction
-  EXPECT_EQ(cache.evictions(), 2u);
-}
-
 // -------------------------------------------------- CLI bugfix regressions
 
 int run(std::initializer_list<const char*> args, std::string* out = nullptr) {

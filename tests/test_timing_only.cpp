@@ -1,15 +1,13 @@
-// Timing-only fast path: fingerprinting, memoized replay, the kernel cost
-// cache, and functional equivalence.
+// Timing mode's one path: the kernel cost cache, its equivalence with
+// functional execution, and what GAUDI_TIMING_ONLY does not change.
 //
-// The contract under test is the tentpole invariant of the fast path: a
-// timing-only run must be *observationally identical* to the full pipeline
-// — byte-identical trace and engine summaries — while doing none of the
-// kernel math, buffer traffic, or guard sweeps, and replaying from the
-// process-wide memo on every run after the first.  The kernel cost cache
-// makes the same promise one level down: a timing-mode run that replays
-// memoized kernel costs reports exactly what a cold one does.  The fuzz
-// section checks both over 50 seeded random DAGs against full functional
-// execution.
+// A timing-mode run memoizes each TPC kernel's cost in the process-wide
+// TimingMemo; the contract under test is that a run which replays memoized
+// kernel costs reports exactly what a cold one does — byte-identical trace
+// and engine summaries — and that the cold run matches full functional
+// execution.  The fuzz section checks both over 50 seeded random
+// DAGs.  GAUDI_TIMING_ONLY is a serving knob: it must leave a graph run,
+// guard spans included, byte-identical.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -37,41 +35,22 @@ namespace {
 
 sim::ChipConfig chip() { return sim::ChipConfig::hls1(); }
 
-Graph small_graph(std::int64_t n = 64) {
+Graph small_graph() {
   Graph g;
-  const ValueId a = g.input(tensor::Shape{{n, n}}, tensor::DType::F32, "a");
-  const ValueId b = g.param(tensor::Shape{{n, n}}, "b");
+  const ValueId a = g.input(tensor::Shape{{64, 64}}, tensor::DType::F32, "a");
+  const ValueId b = g.param(tensor::Shape{{64, 64}}, "b");
   g.mark_output(g.relu(g.matmul(a, b)));
   return g;
 }
 
-/// Everything the fast path promises to reproduce byte-for-byte.
+/// Everything a timing run promises to reproduce byte-for-byte.
 std::string observable(const ProfileResult& r) {
   return r.trace.to_chrome_json() + "\nmakespan_ps=" +
          std::to_string(r.makespan.ps()) + "\n" +
          core::to_report(core::summarize(r.trace), "observable");
 }
 
-// --- Fingerprints ----------------------------------------------------------
-
-TEST(Fingerprint, StableAcrossCompilesAndSensitiveToStructure) {
-  Runtime rt(chip());
-  const Graph g = small_graph();
-  const CompiledGraph c1 = rt.compile(g);
-  const CompiledGraph c2 = rt.compile(g);
-  EXPECT_NE(c1.fingerprint, 0u);
-  EXPECT_EQ(c1.fingerprint, c2.fingerprint);
-  EXPECT_EQ(c1.fingerprint, c1.stats.fingerprint);
-
-  const CompiledGraph other = rt.compile(small_graph(128));
-  EXPECT_NE(other.fingerprint, c1.fingerprint);
-
-  // Compile options are part of the key: a fused artifact schedules
-  // differently, so it must not collide with the unfused one.
-  CompileOptions copts;
-  copts.fuse_elementwise = true;
-  EXPECT_NE(rt.compile(g, copts).fingerprint, c1.fingerprint);
-}
+// --- Chip fingerprint ------------------------------------------------------
 
 TEST(Fingerprint, ChipConfigChangesTheKey) {
   sim::ChipConfig a = chip();
@@ -81,96 +60,6 @@ TEST(Fingerprint, ChipConfigChangesTheKey) {
   EXPECT_EQ(chip_fingerprint(a), chip_fingerprint(chip()));
 }
 
-// --- Memoized replay -------------------------------------------------------
-
-TEST(TimingOnly, SecondRunIsAMemoHitWithIdenticalBytes) {
-  TimingMemo::global().clear();
-  Runtime rt(chip());
-  const CompiledGraph cg = rt.compile(small_graph());
-  RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.timing_only = true;
-
-  const ProfileResult first = rt.run(cg, {}, opts);
-  EXPECT_TRUE(first.timing_only);
-  EXPECT_FALSE(first.memo_hit);
-
-  const ProfileResult second = rt.run(cg, {}, opts);
-  EXPECT_TRUE(second.timing_only);
-  EXPECT_TRUE(second.memo_hit);
-  EXPECT_GT(second.memo_hits, first.memo_hits);
-  EXPECT_EQ(observable(first), observable(second));
-
-  // A separately compiled artifact of the same graph replays the same memo
-  // entry — the fingerprint, not the object identity, is the key.
-  const CompiledGraph cg2 = rt.compile(small_graph());
-  const ProfileResult third = rt.run(cg2, {}, opts);
-  EXPECT_TRUE(third.memo_hit);
-  EXPECT_EQ(observable(first), observable(third));
-}
-
-TEST(TimingOnly, PolicyKeysSeparateEntries) {
-  TimingMemo::global().clear();
-  Runtime rt(chip());
-  const CompiledGraph cg = rt.compile(small_graph());
-  RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.timing_only = true;
-  opts.policy = SchedulePolicy::kBarrier;
-  const ProfileResult barrier = rt.run(cg, {}, opts);
-  opts.policy = SchedulePolicy::kOverlap;
-  const ProfileResult overlap = rt.run(cg, {}, opts);
-  // Overlap never schedules later than barrier; distinct entries mean the
-  // second run was a miss, not a replay of the barrier trace.
-  EXPECT_FALSE(overlap.memo_hit);
-  EXPECT_LE(overlap.makespan, barrier.makespan);
-}
-
-TEST(TimingOnly, FaultInjectionBypassesTheMemo) {
-  TimingMemo::global().clear();
-  Runtime rt(chip());
-  const CompiledGraph cg = rt.compile(small_graph());
-  const sim::FaultInjector faults{0xFA517, sim::FaultProfile::stress()};
-  RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.timing_only = true;
-  opts.faults = &faults;
-  const ProfileResult r = rt.run(cg, {}, opts);
-  // The fault schedule is epoch-dependent, so the run takes the full path:
-  // no profile is deposited and none replayed.  Kernel costs still are:
-  // faults act only in the scheduler, never on a kernel's cycles.
-  EXPECT_FALSE(r.timing_only);
-  EXPECT_FALSE(r.memo_hit);
-  EXPECT_EQ(TimingMemo::global().size(), 0u);
-  EXPECT_EQ(TimingMemo::global().kernel_entries(), 1u);
-}
-
-TEST(TimingOnly, EnvOnlyAppliesToTimingModeRuns) {
-  TimingMemo::global().clear();
-  ASSERT_EQ(setenv("GAUDI_TIMING_ONLY", "1", 1), 0);
-  Runtime rt(chip());
-  const Graph g = small_graph();
-  const CompiledGraph cg = rt.compile(g);
-
-  // A functional run keeps producing real outputs: the env var must never
-  // silently phantomize them.
-  RunOptions functional;
-  functional.mode = tpc::ExecMode::kFunctional;
-  functional.guard = sim::NumericsPolicy::kOff;
-  const ProfileResult f = rt.run(cg, random_feeds(g, 7), functional);
-  EXPECT_FALSE(f.timing_only);
-  EXPECT_FALSE(f.outputs.empty());
-
-  // A timing run opts in via the environment alone.
-  RunOptions timing;
-  timing.mode = tpc::ExecMode::kTiming;
-  const ProfileResult t1 = rt.run(cg, {}, timing);
-  const ProfileResult t2 = rt.run(cg, {}, timing);
-  EXPECT_TRUE(t1.timing_only);
-  EXPECT_TRUE(t2.memo_hit);
-  ASSERT_EQ(unsetenv("GAUDI_TIMING_ONLY"), 0);
-}
-
 // --- Kernel cost cache -----------------------------------------------------
 //
 // Timing-mode runs memoize each TPC launch's RunResult under an exact key of
@@ -178,11 +67,9 @@ TEST(TimingOnly, EnvOnlyAppliesToTimingModeRuns) {
 // must share an entry, what must not, and the exactness cross-check that
 // validated runs apply to every hit.
 
-/// Plain timing mode, even under GAUDI_TIMING_ONLY.
 RunOptions timing_run() {
   RunOptions opts;
   opts.mode = tpc::ExecMode::kTiming;
-  opts.timing_only = false;
   return opts;
 }
 
@@ -409,6 +296,46 @@ TEST(KernelCostCache, ValidatedRunCatchesAPlantedWrongEntry) {
   EXPECT_EQ(memo.kernel_hits(), 1u);
 }
 
+TEST(KernelCostCache, FaultInjectedRunStillCachesKernelCosts) {
+  TimingMemo::global().clear();
+  Runtime rt(chip());
+  const CompiledGraph cg = rt.compile(small_graph());
+  const sim::FaultInjector faults{0xFA517, sim::FaultProfile::stress()};
+  RunOptions opts = timing_run();
+  opts.faults = &faults;
+  (void)rt.run(cg, {}, opts);
+  // Faults act only in the scheduler, never on a kernel's cycles, so the
+  // relu's cost is cached; a graph run adds no makespan entry.
+  EXPECT_EQ(TimingMemo::global().size(), 0u);
+  EXPECT_EQ(TimingMemo::global().kernel_entries(), 1u);
+}
+
+// --- GAUDI_TIMING_ONLY -----------------------------------------------------
+//
+// The variable is the serving pricer's default (serve/scheduler.hpp).  A
+// graph run has one timing path, so it must not change one: not its guard
+// spans, and not the memo's makespan entries.
+
+TEST(TimingOnly, EnvLeavesAGuardedTimingRunByteIdentical) {
+  Runtime rt(chip());
+  const CompiledGraph cg = rt.compile(small_graph());
+  RunOptions opts = timing_run();
+  opts.guard = sim::NumericsPolicy::kWarn;
+  TimingMemo::global().clear();
+  ASSERT_EQ(::unsetenv("GAUDI_TIMING_ONLY"), 0);
+  const ProfileResult plain = rt.run(cg, {}, opts);
+  ASSERT_EQ(::setenv("GAUDI_TIMING_ONLY", "1", 1), 0);
+  const ProfileResult under_env = rt.run(cg, {}, opts);
+  ASSERT_EQ(::unsetenv("GAUDI_TIMING_ONLY"), 0);
+
+  sim::SimTime guard_time{};
+  for (const NodeExec& e : plain.node_execs) guard_time += e.guard_time;
+  ASSERT_GT(guard_time, sim::SimTime::zero()) << "the guard billed nothing";
+  EXPECT_EQ(observable(plain), observable(under_env));
+  EXPECT_EQ(execs_text(plain), execs_text(under_env));
+  EXPECT_EQ(TimingMemo::global().size(), 0u);
+}
+
 // --- Fuzz: equivalence with full functional execution ----------------------
 
 TEST(TimingOnlyFuzz, MatchesFunctionalTraceAndSummariesOver50Seeds) {
@@ -423,9 +350,9 @@ TEST(TimingOnlyFuzz, MatchesFunctionalTraceAndSummariesOver50Seeds) {
 
     RunOptions functional;
     functional.mode = tpc::ExecMode::kFunctional;
-    // Guard sweeps add kGuard spans to functional traces, which timing-only
-    // runs skip by contract; pin the guard off so the comparison is
-    // mode-to-mode even under a GAUDI_GUARD CI lane.
+    // Guard sweeps add kGuard spans; pin the guard off here and in the
+    // timing runs so the comparison is mode-to-mode even under a
+    // GAUDI_GUARD CI lane.
     functional.guard = sim::NumericsPolicy::kOff;
     functional.faults = &no_faults;
     const ProfileResult full =
@@ -449,21 +376,11 @@ TEST(TimingOnlyFuzz, MatchesFunctionalTraceAndSummariesOver50Seeds) {
       ASSERT_EQ(memo.kernel_misses(), misses) << "seed " << seed;
       if (compiled == &cg) {
         ASSERT_EQ(observable(full), observable(c)) << "seed " << seed;
+        ASSERT_EQ(c.node_execs.size(), full.node_execs.size())
+            << "seed " << seed;
       }
     }
 
-    RunOptions fast;
-    fast.mode = tpc::ExecMode::kTiming;
-    fast.timing_only = true;
-    fast.faults = &no_faults;
-    const ProfileResult t1 = rt.run(cg, {}, fast);
-    const ProfileResult t2 = rt.run(cg, {}, fast);
-
-    ASSERT_EQ(observable(full), observable(t1)) << "seed " << seed;
-    ASSERT_EQ(observable(t1), observable(t2)) << "seed " << seed;
-    ASSERT_TRUE(t1.timing_only) << "seed " << seed;
-    ASSERT_TRUE(t2.memo_hit) << "seed " << seed;
-    ASSERT_EQ(t1.node_execs.size(), full.node_execs.size()) << "seed " << seed;
   }
 }
 
@@ -476,22 +393,21 @@ TEST(TimingOnly, ParallelReplicasMatchSerialMerge) {
   const auto run_one = [](std::uint64_t seed) {
     Runtime rt(chip());
     const RandomDag dag = random_dag(seed);
-    RunOptions fast;
-    fast.mode = tpc::ExecMode::kTiming;
-    fast.timing_only = true;
-    return observable(rt.run(dag.graph, {}, fast));
+    return observable(rt.run(dag.graph, {}, timing_run()));
   };
 
-  TimingMemo::global().clear();
+  TimingMemo& memo = TimingMemo::global();
+  memo.clear();
   std::vector<std::string> serial(kReplicas);
   for (std::size_t i = 0; i < kReplicas; ++i) {
     serial[i] = run_one(kBase + i);
   }
+  const std::size_t serial_kernels = memo.kernel_entries();
 
-  // Fresh memo: the parallel pass races to populate it, yet every replica's
-  // entry is a pure function of its seed, so the in-order merge is
-  // byte-identical to the serial pass.
-  TimingMemo::global().clear();
+  // Fresh memo: the parallel pass races to fill its kernel entries, yet
+  // every entry is a pure function of its key, so the in-order merge is
+  // byte-identical to the serial pass and the same entries exist.
+  memo.clear();
   std::vector<std::string> parallel(kReplicas);
   sim::ThreadPool pool;
   pool.parallel_for(kReplicas,
@@ -499,11 +415,13 @@ TEST(TimingOnly, ParallelReplicasMatchSerialMerge) {
   for (std::size_t i = 0; i < kReplicas; ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "replica " << i;
   }
+  EXPECT_GT(serial_kernels, 0u);
+  EXPECT_EQ(memo.kernel_entries(), serial_kernels);
 }
 
 // --- Cross-process persistence ---------------------------------------------
 //
-// The makespan entries are pure functions of their fingerprint keys, so a
+// The makespan entries are pure functions of their keys, so a
 // sweep can deposit them on disk (GAUDI_MEMO_FILE) and the next process
 // warm-starts.  The file is checksummed and damage maps onto the checkpoint
 // error hierarchy, same discipline as scan_snapshots.
