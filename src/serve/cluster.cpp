@@ -17,6 +17,11 @@ namespace {
 /// collide with stream request ids (validated at run()).
 constexpr std::int64_t kHedgeIdBase = std::int64_t{1} << 40;
 
+/// The request a side copies: a hedge id sits kHedgeIdBase above it.
+std::int64_t request_of(std::int64_t sid) {
+  return sid >= kHedgeIdBase ? sid - kHedgeIdBase : sid;
+}
+
 std::string pct(double v) {
   if (!std::isfinite(v)) return "n/a";
   char buf[64];
@@ -125,13 +130,12 @@ bool ClusterRouter::breaker_allows(Replica& rep, sim::SimTime now) const {
   if (rep.breaker == BreakerState::kOpen && now >= rep.open_until) {
     // Cooldown expired: half-open, awaiting a single probe.
     rep.breaker = BreakerState::kHalfOpen;
-    rep.probe_live = false;
     rep.probe_id = -1;
   }
   switch (rep.breaker) {
     case BreakerState::kClosed: return true;
     case BreakerState::kOpen: return false;
-    case BreakerState::kHalfOpen: return !rep.probe_live;
+    case BreakerState::kHalfOpen: return rep.probe_id < 0;
   }
   return true;
 }
@@ -143,10 +147,9 @@ void ClusterRouter::breaker_record(std::int64_t r, bool ok, sim::SimTime now) {
     rep.breaker = BreakerState::kOpen;
     rep.open_until = now + cfg_.breaker_cooldown;
     rep.outcomes.clear();
-    rep.probe_live = false;
     rep.probe_id = -1;
     rep.stats.breaker_opens += 1;
-    ++breaker_opens_;
+    ++report_.breaker_opens;
   };
   switch (rep.breaker) {
     case BreakerState::kClosed: {
@@ -171,10 +174,9 @@ void ClusterRouter::breaker_record(std::int64_t r, bool ok, sim::SimTime now) {
       // request is equally disqualifying.
       if (!ok) {
         open_now();
-      } else if (rep.probe_live) {
+      } else if (rep.probe_id >= 0) {
         rep.breaker = BreakerState::kClosed;
         rep.outcomes.clear();
-        rep.probe_live = false;
         rep.probe_id = -1;
       }
       return;
@@ -182,6 +184,11 @@ void ClusterRouter::breaker_record(std::int64_t r, bool ok, sim::SimTime now) {
     case BreakerState::kOpen:
       return;  // outcomes of pre-open residue carry no new information
   }
+}
+
+void ClusterRouter::release_probe(Replica& rep, std::int64_t orig) {
+  // Only a half-open breaker ever holds a probe id.
+  if (rep.probe_id == orig) rep.probe_id = -1;
 }
 
 std::int64_t ClusterRouter::pick_replica(sim::SimTime now,
@@ -241,91 +248,69 @@ std::int64_t ClusterRouter::pick_replica(sim::SimTime now,
   return -1;
 }
 
-void ClusterRouter::place(const Routed& routed, std::int64_t r,
+void ClusterRouter::place(const RequestProgress& copy, std::int64_t r,
                           sim::SimTime now) {
   Replica& rep = replicas_[static_cast<std::size_t>(r)];
-  const std::int64_t sid = routed.req.id;
-  const std::int64_t orig = sid >= kHedgeIdBase ? sid - kHedgeIdBase : sid;
+  const std::int64_t sid = copy.req.id;
+  const std::int64_t orig = request_of(sid);
   Track& t = tracks_.at(orig);
   t.sides[sid] = r;
-  side_to_orig_[sid] = orig;
   rep.stats.dispatched += 1;
   if (cfg_.breaker_enabled && rep.breaker == BreakerState::kHalfOpen &&
-      !rep.probe_live) {
-    rep.probe_live = true;
+      rep.probe_id < 0) {
     rep.probe_id = orig;
   }
   if (!rep.up) {
     // The chip is dead and the router does not know yet: the request is
     // lost on the wire until the suspicion timeout fails it over.
-    rep.stranded.push_back(routed);
-  } else if (routed.generated >= 1) {
-    rep.sched->enqueue_resume(routed.req, routed.generated, routed.last_token,
+    rep.stranded.push_back(copy);
+  } else if (copy.generated >= 1) {
+    rep.sched->enqueue_resume(copy.req, copy.generated, copy.last_token, 0,
                               now);
   } else {
-    rep.sched->enqueue(routed.req);
+    rep.sched->enqueue(copy.req);
   }
   if (sid == orig) {
     t.dispatch_time = now;
     if (cfg_.hedge_budget > sim::SimTime::zero() && !t.hedged && !t.started &&
-        routed.generated == 0) {
+        copy.generated == 0) {
       hedges_.push_back({now + cfg_.hedge_budget, orig, now});
     }
   }
 }
 
-ClusterRouter::Track* ClusterRouter::drop_side(std::int64_t sid,
-                                               std::int64_t* orig_out) {
-  const auto sit = side_to_orig_.find(sid);
-  if (sit == side_to_orig_.end()) return nullptr;
-  const std::int64_t orig = sit->second;
-  side_to_orig_.erase(sit);
-  Track& t = tracks_.at(orig);
-  t.sides.erase(sid);
-  *orig_out = orig;
-  return &t;
+ClusterRouter::Track* ClusterRouter::track_of(std::int64_t sid) {
+  const auto it = tracks_.find(request_of(sid));
+  if (it == tracks_.end() || !it->second.sides.contains(sid)) return nullptr;
+  return &it->second;
+}
+
+ClusterRouter::Track* ClusterRouter::drop_side(std::int64_t sid) {
+  Track* t = track_of(sid);
+  if (t != nullptr) t->sides.erase(sid);
+  return t;
 }
 
 void ClusterRouter::cancel_side(std::int64_t sid, std::int64_t r) {
-  std::int64_t orig = 0;
-  if (drop_side(sid, &orig) == nullptr) return;
+  if (drop_side(sid) == nullptr) return;
   Replica& rep = replicas_[static_cast<std::size_t>(r)];
   const auto d = rep.sched->extract(sid);
   if (!d) {
     // Not in the machine: the side strands on a dead replica's wire.
-    rep.stranded.erase(
-        std::remove_if(rep.stranded.begin(), rep.stranded.end(),
-                       [&](const Routed& q) { return q.req.id == sid; }),
-        rep.stranded.end());
-  } else if (d->lost_rows > 0) {
-    sink_.on_wasted(d->lost_rows);
-    hedge_wasted_ += d->lost_rows;
+    std::erase_if(rep.stranded, [&](const RequestProgress& q) {
+      return q.req.id == sid;
+    });
+  } else if (d->rows > 0) {
+    sink_.on_wasted(d->rows);
+    report_.hedge_wasted_tokens += d->rows;
   }
-  // A cancelled probe proves nothing about the replica: allow a new probe.
-  if (cfg_.breaker_enabled && rep.breaker == BreakerState::kHalfOpen &&
-      rep.probe_live && rep.probe_id == orig) {
-    rep.probe_live = false;
-    rep.probe_id = -1;
-  }
+  release_probe(rep, request_of(sid));
 }
 
 void ClusterRouter::finish_track(std::int64_t orig) {
-  const auto it = tracks_.find(orig);
-  GAUDI_ASSERT(it != tracks_.end(), "finishing an unknown request");
-  for (const auto& [sid, r] : it->second.sides) {
-    (void)r;
-    side_to_orig_.erase(sid);
-  }
-  tracks_.erase(it);
-  // A probe that ends in a non-breaker outcome (shed, rejected, dropped)
-  // proves nothing: free the half-open slot or the replica wedges shut.
-  for (Replica& rep : replicas_) {
-    if (rep.breaker == BreakerState::kHalfOpen && rep.probe_live &&
-        rep.probe_id == orig) {
-      rep.probe_live = false;
-      rep.probe_id = -1;
-    }
-  }
+  const bool known = tracks_.erase(orig) == 1;
+  GAUDI_ASSERT(known, "finishing an unknown request");
+  for (Replica& rep : replicas_) release_probe(rep, orig);
 }
 
 void ClusterRouter::process_death(std::int64_t r, sim::SimTime now) {
@@ -338,24 +323,18 @@ void ClusterRouter::process_death(std::int64_t r, sim::SimTime now) {
   // announcing a new incarnation — whichever heartbeat tick comes first.
   rep.detect_time = heartbeat_ceil(
       now + std::min(cfg_.suspicion_timeout, cfg_.replica.chip_restart));
-  ++chip_failures_;
+  ++report_.chip_failures;
   rep.stats.chip_failures += 1;
   rep.stats.down_time += cfg_.replica.chip_restart;
-  if (!migrations_.empty()) {
-    // A migration interrupted by the chip loss aborts on either end.  A
-    // dead source drained the side into dead_work, so the existing
-    // re-prefill failover re-queues it exactly like today — no request
-    // lost, no tokens double-billed; a dead destination leaves the side
-    // running at the source, and evacuation retries toward a survivor.
-    migrations_.erase(
-        std::remove_if(migrations_.begin(), migrations_.end(),
-                       [&](const Migration& m) {
-                         if (m.src != r && m.dst != r) return false;
-                         ++migrations_aborted_;
-                         return true;
-                       }),
-        migrations_.end());
-  }
+  // A migration interrupted by the chip loss aborts on either end.  A dead
+  // source drained the side into dead_work, so the existing re-prefill
+  // failover re-queues it — no request lost, no tokens double-billed; a
+  // dead destination leaves the side running at the source, and evacuation
+  // retries toward a survivor.
+  report_.migrations_aborted += static_cast<std::int64_t>(
+      std::erase_if(migrations_, [&](const Migration& m) {
+        return m.src == r || m.dst == r;
+      }));
 }
 
 void ClusterRouter::process_detection(std::int64_t r, sim::SimTime now) {
@@ -363,19 +342,15 @@ void ClusterRouter::process_detection(std::int64_t r, sim::SimTime now) {
   rep.death_pending = false;
   if (!rep.up) rep.suspected = true;
 
-  std::vector<std::pair<Routed, std::int64_t>> lost;  // (side, wasted rows)
-  lost.reserve(rep.dead_work.size() + rep.stranded.size());
-  for (const ContinuousBatchScheduler::DrainedRequest& d : rep.dead_work) {
-    lost.push_back({Routed{d.req, d.generated, d.last_token}, d.lost_rows});
-  }
-  for (const Routed& q : rep.stranded) lost.push_back({q, 0});
+  std::vector<RequestProgress> lost = std::move(rep.dead_work);
+  lost.insert(lost.end(), rep.stranded.begin(), rep.stranded.end());
   rep.dead_work.clear();
   rep.stranded.clear();
 
-  for (const auto& [side, wasted] : lost) {
-    std::int64_t orig = 0;
-    Track* t = drop_side(side.req.id, &orig);
+  for (const RequestProgress& side : lost) {
+    Track* t = drop_side(side.req.id);
     if (t == nullptr) continue;  // cancelled before the chip died
+    const std::int64_t orig = t->req.id;
     breaker_record(r, false, now);
     rep.stats.failed_over += 1;
     const bool is_loser = t->started && side.req.id != t->winner;
@@ -383,9 +358,9 @@ void ClusterRouter::process_detection(std::int64_t r, sim::SimTime now) {
       // A twin survives on another replica (a cancelled-too-late hedge
       // loser, or an unstarted hedge pair losing one side): the surviving
       // side carries the request, only the computed rows are lost.
-      if (wasted > 0) {
-        sink_.on_wasted(wasted);
-        hedge_wasted_ += wasted;
+      if (side.rows > 0) {
+        sink_.on_wasted(side.rows);
+        report_.hedge_wasted_tokens += side.rows;
       }
       continue;
     }
@@ -393,24 +368,21 @@ void ClusterRouter::process_detection(std::int64_t r, sim::SimTime now) {
     // unit of the retry budget — or end kFailed when it is spent.
     t->attempts += 1;
     if (t->attempts > cfg_.replica.retry_max) {
-      sink_.on_fail(orig, now, wasted);
+      sink_.on_fail(orig, now, side.rows);
       finish_track(orig);
       continue;
     }
-    sink_.on_fault_retry(orig, wasted);
+    sink_.on_fault_retry(orig, side.rows);
     // The re-dispatched side (id = orig) carries the request from here on:
     // its token events must count, and a later chip loss must read it as
     // the last live side — not as a dead hedge winner's leftover twin.
     if (t->started) t->winner = orig;
-    ++failovers_;
-    Routed resume;
-    resume.req = t->req;
-    resume.generated = side.generated;
-    resume.last_token = side.last_token;
+    ++report_.failovers;
     queue_.push_back(
-        {resume, now + retry_backoff_delay(cfg_.replica.retry_backoff,
-                                           cfg_.replica.retry_backoff_max,
-                                           t->attempts)});
+        {{t->req, side.generated, side.last_token},
+         now + retry_backoff_delay(cfg_.replica.retry_backoff,
+                                   cfg_.replica.retry_backoff_max,
+                                   t->attempts)});
   }
 }
 
@@ -418,10 +390,10 @@ void ClusterRouter::apply_events(std::int64_t r,
                                  const std::vector<ReplicaEvent>& events) {
   Replica& rep = replicas_[static_cast<std::size_t>(r)];
   for (const ReplicaEvent& e : events) {
-    const auto sit = side_to_orig_.find(e.id);
-    if (sit == side_to_orig_.end()) continue;  // stale side (cancelled)
-    const std::int64_t orig = sit->second;
-    Track& t = tracks_.at(orig);
+    Track* live = track_of(e.id);
+    if (live == nullptr) continue;  // stale side (cancelled)
+    Track& t = *live;
+    const std::int64_t orig = t.req.id;
     switch (e.kind) {
       case ReplicaEventKind::kFirstToken: {
         if (t.started) {
@@ -433,7 +405,7 @@ void ClusterRouter::apply_events(std::int64_t r,
         t.started = true;
         t.winner = e.id;
         sink_.on_first_token(orig, e.at);
-        if (e.id != orig) ++hedge_wins_;
+        if (e.id != orig) ++report_.hedge_wins;
         std::vector<std::pair<std::int64_t, std::int64_t>> losers;
         for (const auto& [sid, sr] : t.sides) {
           if (sid != e.id) losers.push_back({sid, sr});
@@ -449,13 +421,11 @@ void ClusterRouter::apply_events(std::int64_t r,
       case ReplicaEventKind::kComplete: {
         sink_.on_complete(orig, e.at);
         rep.stats.completed += 1;
-        if (cfg_.breaker_enabled && rep.breaker == BreakerState::kHalfOpen &&
-            rep.probe_live && rep.probe_id != orig) {
-          // Pre-open residue completing is healthy but not the probe.
-          finish_track(orig);
-          break;
+        // Pre-open residue completing while another request holds the
+        // half-open probe is healthy, but it is not the probe.
+        if (rep.probe_id < 0 || rep.probe_id == orig) {
+          breaker_record(r, true, e.at);
         }
-        breaker_record(r, true, e.at);
         finish_track(orig);
         break;
       }
@@ -466,29 +436,27 @@ void ClusterRouter::apply_events(std::int64_t r,
       case ReplicaEventKind::kDrop:
       case ReplicaEventKind::kShed:
       case ReplicaEventKind::kReject: {
-        std::int64_t dropped_orig = 0;
-        Track* dt = drop_side(e.id, &dropped_orig);
-        GAUDI_ASSERT(dt != nullptr, "terminal event for an unmapped side");
+        t.sides.erase(e.id);
         if (e.kind == ReplicaEventKind::kTimeout) {
           breaker_record(r, false, e.at);
         }
-        if (!dt->sides.empty()) break;  // the twin carries the request on
+        if (!t.sides.empty()) break;  // the twin carries the request on
         switch (e.kind) {
           case ReplicaEventKind::kTimeout:
-            sink_.on_timeout(dropped_orig, e.at);
+            sink_.on_timeout(orig, e.at);
             break;
           case ReplicaEventKind::kDrop:
-            sink_.on_drop(dropped_orig, e.at);
-            ++deadline_drops_;
+            sink_.on_drop(orig, e.at);
+            ++report_.deadline_drops;
             break;
           case ReplicaEventKind::kShed:
-            sink_.on_shed(dropped_orig, e.at);
+            sink_.on_shed(orig, e.at);
             break;
           default:
-            sink_.on_reject(dropped_orig, e.at);
+            sink_.on_reject(orig, e.at);
             break;
         }
-        finish_track(dropped_orig);
+        finish_track(orig);
         break;
       }
     }
@@ -517,9 +485,10 @@ void ClusterRouter::process_hedges(sim::SimTime now) {
     if (t.started || t.hedged) continue;
     if (t.dispatch_time != timer.armed_at) continue;  // re-armed since
     if (t.sides.size() != 1) continue;  // back in the router queue
-    if (!migrations_.empty() &&
-        std::any_of(migrations_.begin(), migrations_.end(),
-                    [&](const Migration& m) { return m.orig == timer.orig; })) {
+    if (std::any_of(migrations_.begin(), migrations_.end(),
+                    [&](const Migration& m) {
+                      return request_of(m.sid) == timer.orig;
+                    })) {
       // A live migration already has a second copy of this request's state
       // in flight; adopt it as the hedge instead of launching a third copy
       // — exactly one duplicate ever exists, so no double completion and
@@ -531,55 +500,36 @@ void ClusterRouter::process_hedges(sim::SimTime now) {
     t.hedged = true;  // one duplicate per request, launched or not
     const std::int64_t r = pick_replica(now, primary);
     if (r < 0) continue;  // no second replica admits work right now
-    Routed copy;
-    copy.req = t.req;
-    copy.req.id = t.req.id + kHedgeIdBase;
-    ++hedges_launched_;
+    RequestProgress copy{t.req};
+    copy.req.id += kHedgeIdBase;
+    ++report_.hedges_launched;
     place(copy, r, now);
   }
 }
 
-void ClusterRouter::start_migration(std::int64_t sid, std::int64_t orig,
-                                    std::int64_t src, std::int64_t dst,
-                                    std::int64_t rows, sim::SimTime now) {
+sim::SimTime ClusterRouter::send_leg(std::int64_t rows) {
   const TransferPlan plan = plan_kv_transfer(
       cfg_.migration, link_faults_, migration_seq_++, rows,
       cfg_.replica.block_tokens, kv_bytes_per_token(cfg_.replica.model));
-  Migration m;
-  m.sid = sid;
-  m.orig = orig;
-  m.src = src;
-  m.dst = dst;
-  m.phase = 0;
-  m.for_drain = replicas_[static_cast<std::size_t>(src)].draining;
-  m.rows_synced = rows;
-  m.done_at = now + plan.duration;
-  migrations_.push_back(m);
-  ++migrations_started_;
-  migrated_blocks_ += plan.blocks;
-  migration_link_retries_ += plan.link_retries;
-  migration_time_ += plan.duration;
+  report_.migrated_blocks += plan.blocks;
+  report_.migration_link_retries += plan.link_retries;
+  report_.migration_time += plan.duration;
+  return plan.duration;
 }
 
 void ClusterRouter::process_migrations(sim::SimTime now) {
   for (std::size_t i = 0; i < migrations_.size();) {
     Migration& m = migrations_[i];
     const auto abort = [&] {
-      ++migrations_aborted_;
+      ++report_.migrations_aborted;
       migrations_.erase(migrations_.begin() +
                         static_cast<std::ptrdiff_t>(i));
     };
-    // Stale: the side completed, was cancelled, or was failed over (its
-    // mapping died with the track or moved replicas).  The re-prefill
-    // failover path already owns the request; nothing to cut over.
-    const auto sit = side_to_orig_.find(m.sid);
-    bool stale = sit == side_to_orig_.end();
-    if (!stale) {
-      const Track& t = tracks_.at(m.orig);
-      const auto side_it = t.sides.find(m.sid);
-      stale = side_it == t.sides.end() || side_it->second != m.src;
-    }
-    if (stale) {
+    // Stale: the side completed, was cancelled, or was failed over (it left
+    // its track or moved replicas).  The re-prefill failover path already
+    // owns the request; nothing to cut over.
+    Track* t = track_of(m.sid);
+    if (t == nullptr || t->sides.at(m.sid) != m.src) {
       abort();
       continue;
     }
@@ -591,7 +541,7 @@ void ClusterRouter::process_migrations(sim::SimTime now) {
     // The source keeps decoding while a leg flies; its scheduler state is
     // consistent only at iteration boundaries, so a leg that lands while
     // the source is mid-iteration settles when that iteration does.
-    if (src.busy) {
+    if (src.pending) {
       ++i;
       continue;
     }
@@ -607,15 +557,9 @@ void ClusterRouter::process_migrations(sim::SimTime now) {
       // Delta sync: one extra leg for the rows generated while the base
       // copy was on the wire.  Rows generated during *this* leg ride the
       // cutover message itself — the transfer converges in two legs.
-      const TransferPlan plan = plan_kv_transfer(
-          cfg_.migration, link_faults_, migration_seq_++, delta,
-          cfg_.replica.block_tokens, kv_bytes_per_token(cfg_.replica.model));
       m.phase = 1;
       m.rows_synced = prog->rows;
-      m.done_at = now + plan.duration;
-      migrated_blocks_ += plan.blocks;
-      migration_link_retries_ += plan.link_retries;
-      migration_time_ += plan.duration;
+      m.done_at = now + send_leg(delta);
       ++i;
       continue;
     }
@@ -630,23 +574,16 @@ void ClusterRouter::process_migrations(sim::SimTime now) {
     // --- Atomic cutover. ---
     const auto d = src.sched->extract(m.sid);
     GAUDI_ASSERT(d.has_value(), "cutover extract after running_progress");
-    Track& t = tracks_.at(m.orig);
-    t.sides[m.sid] = m.dst;
-    if (!m.for_drain) t.health_migrated = true;
-    dst.sched->enqueue_migrated(d->req, d->generated, d->last_token,
-                                d->lost_rows, now);
-    sink_.on_migrated(m.orig, d->lost_rows);
+    t->sides[m.sid] = m.dst;
+    if (!m.for_drain) t->health_migrated = true;
+    dst.sched->enqueue_resume(d->req, d->generated, d->last_token, d->rows,
+                              now);
+    sink_.on_migrated(t->req.id, d->rows);
     src.stats.migrated_out += 1;
     dst.stats.migrated_in += 1;
-    ++migrations_completed_;
-    migrated_rows_ += d->lost_rows;
-    // A migrated-away probe proves nothing about the source: free the
-    // half-open slot or the breaker wedges shut (mirrors cancel_side).
-    if (cfg_.breaker_enabled && src.breaker == BreakerState::kHalfOpen &&
-        src.probe_live && src.probe_id == m.orig) {
-      src.probe_live = false;
-      src.probe_id = -1;
-    }
+    ++report_.migrations_completed;
+    report_.migrated_rows += d->rows;
+    release_probe(src, t->req.id);
     if (validate_) {
       // Kill-and-migrate invariant: after cutover no KV block is owned by
       // two replicas — the source released the blocks before the
@@ -665,21 +602,21 @@ void ClusterRouter::evacuation_round(sim::SimTime now) {
     Replica& rep = replicas_[static_cast<std::size_t>(r)];
     if (!rep.up || rep.suspected) continue;
     if (!evacuating(rep, now)) continue;
-    // Snapshot this replica's sides in ascending side-id order (std::map)
-    // so evacuation decisions are deterministic; each entry is re-validated
-    // against the live maps because earlier moves mutate them.
-    std::vector<std::pair<std::int64_t, std::int64_t>> sides;  // (sid, orig)
-    for (const auto& [sid, orig] : side_to_orig_) {
-      const Track& t = tracks_.at(orig);
-      const auto it = t.sides.find(sid);
-      if (it != t.sides.end() && it->second == r) sides.push_back({sid, orig});
+    // Snapshot this replica's sides in ascending side-id order so
+    // evacuation decisions are deterministic; each entry is re-validated
+    // against the live tracks because earlier moves mutate them.
+    std::vector<std::int64_t> sides;
+    for (const auto& [orig, t] : tracks_) {
+      for (const auto& [sid, sr] : t.sides) {
+        if (sr == r) sides.push_back(sid);
+      }
     }
-    for (const auto& [sid, orig] : sides) {
-      const auto sit = side_to_orig_.find(sid);
-      if (sit == side_to_orig_.end()) continue;
-      Track& t = tracks_.at(orig);
-      const auto side_it = t.sides.find(sid);
-      if (side_it == t.sides.end() || side_it->second != r) continue;
+    std::sort(sides.begin(), sides.end());
+    for (const std::int64_t sid : sides) {
+      Track* live = track_of(sid);
+      if (live == nullptr || live->sides.at(sid) != r) continue;
+      Track& t = *live;
+      const std::int64_t orig = t.req.id;
       if (std::any_of(migrations_.begin(), migrations_.end(),
                       [&](const Migration& m) { return m.sid == sid; })) {
         continue;  // already on the wire
@@ -711,7 +648,13 @@ void ClusterRouter::evacuation_round(sim::SimTime now) {
         if (!rep.draining && t.health_migrated) continue;
         const std::int64_t dst = pick_replica(now, r);
         if (dst < 0) continue;  // no healthy target yet; retry next round
-        start_migration(sid, orig, r, dst, prog->rows, now);
+        migrations_.push_back({.sid = sid,
+                               .src = r,
+                               .dst = dst,
+                               .for_drain = rep.draining,
+                               .done_at = now + send_leg(prog->rows),
+                               .rows_synced = prog->rows});
+        ++report_.migrations_started;
         continue;
       }
       // Queued work (waiting / requeued / zero-row running / stranded)
@@ -726,28 +669,22 @@ void ClusterRouter::evacuation_round(sim::SimTime now) {
       if (const auto d = rep.sched->extract(sid)) {
         gen = d->generated;
         last = d->last_token;
-        if (d->lost_rows > 0) sink_.on_preempt(orig, d->lost_rows);
+        if (d->rows > 0) sink_.on_preempt(orig, d->rows);
       } else {
         const auto qit = std::find_if(
             rep.stranded.begin(), rep.stranded.end(),
-            [&](const Routed& q) { return q.req.id == sid; });
+            [&](const RequestProgress& q) { return q.req.id == sid; });
         if (qit == rep.stranded.end()) continue;
         gen = qit->generated;
         last = qit->last_token;
         rep.stranded.erase(qit);
       }
-      std::int64_t dropped_orig = 0;
-      Track* dt = drop_side(sid, &dropped_orig);
-      GAUDI_ASSERT(dt != nullptr, "evacuating an unmapped side");
+      t.sides.erase(sid);
       // The re-routed side re-dispatches under the original id; if this
       // side was the winner, the successor must inherit that role.
-      if (dt->started && dt->winner == sid) dt->winner = dropped_orig;
-      Routed resume;
-      resume.req = dt->req;
-      resume.generated = gen;
-      resume.last_token = last;
-      queue_.push_back({resume, now});
-      ++evac_requeues_;
+      if (t.started && t.winner == sid) t.winner = orig;
+      queue_.push_back({{t.req, gen, last}, now});
+      ++report_.evac_requeues;
     }
   }
 }
@@ -759,7 +696,7 @@ void ClusterRouter::process_drain(sim::SimTime now) {
   }
   for (Replica& rep : replicas_) {
     if (!rep.draining || rep.drain_done) continue;
-    if (rep.up && !rep.busy && !rep.sched->has_work() &&
+    if (rep.up && !rep.pending && !rep.sched->has_work() &&
         rep.stranded.empty()) {
       rep.drain_done = true;
       if (validate_) rep.sched->audit_kv();
@@ -775,7 +712,7 @@ void ClusterRouter::dispatch_round(sim::SimTime now) {
     }
     const std::int64_t r = pick_replica(now, -1);
     if (r < 0) break;  // nothing admits dispatches; retry at the next event
-    place(it->routed, r, now);
+    place(it->copy, r, now);
     it = queue_.erase(it);
   }
 }
@@ -825,15 +762,14 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
       Track t;
       t.req = q;
       tracks_.emplace(q.id, t);
-      queue_.push_back({Routed{q, 0, sim::SimTime::zero()}, q.arrival});
+      queue_.push_back({{q}, q.arrival});
       ++arr;
     }
     for (std::int64_t r = 0; r < n; ++r) {
       Replica& rep = replicas_[static_cast<std::size_t>(r)];
-      if (!rep.busy || rep.busy_until > now) continue;
-      rep.busy = false;
-      ContinuousBatchScheduler::StepResult result = std::move(rep.pending);
-      rep.pending = {};
+      if (!rep.pending || rep.pending->end > now) continue;
+      ContinuousBatchScheduler::StepResult result = std::move(*rep.pending);
+      rep.pending.reset();
       if (result.straggled || result.hbm_stalled) {
         // A fault-stretched iteration delays this replica's heartbeats —
         // the router-visible health signal (serve/migration.*).
@@ -852,7 +788,7 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
     bool replay = false;
     for (std::int64_t r = 0; r < n; ++r) {
       Replica& rep = replicas_[static_cast<std::size_t>(r)];
-      if (!rep.up || rep.busy || !rep.sched->has_work()) continue;
+      if (!rep.up || rep.pending || !rep.sched->has_work()) continue;
       ContinuousBatchScheduler::StepResult sr = rep.sched->step(now);
       if (!sr.worked) {
         // Only backed-off work was queued, but admission may still have
@@ -866,8 +802,6 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
         rep.sched->recycle(std::move(sr.events));
         continue;
       }
-      rep.busy = true;
-      rep.busy_until = sr.end;
       rep.pending = std::move(sr);
     }
     if (replay) continue;
@@ -887,13 +821,13 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
     if (arr < pending.size()) consider(pending[arr].arrival);
     for (std::int64_t r = 0; r < n; ++r) {
       Replica& rep = replicas_[static_cast<std::size_t>(r)];
-      if (rep.busy) consider(rep.busy_until);
+      if (rep.pending) consider(rep.pending->end);
       if (rep.death_pending) consider(rep.detect_time);
       if (!rep.up) consider(rep.rejoin_time);
       if (cfg_.breaker_enabled && rep.breaker == BreakerState::kOpen) {
         consider(rep.open_until);
       }
-      if (rep.up && !rep.busy && rep.sched->has_work()) {
+      if (rep.up && !rep.pending && rep.sched->has_work()) {
         if (const std::optional<sim::SimTime> wake = rep.sched->next_wake()) {
           consider(*wake);
         }
@@ -920,9 +854,10 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
       for (std::size_t r = 0; r < replicas_.size(); ++r) {
         const Replica& rep = replicas_[r];
         dump << " [r" << r << " up=" << rep.up << " susp=" << rep.suspected
-             << " busy=" << rep.busy << " dp=" << rep.death_pending
+             << " busy=" << rep.pending.has_value()
+             << " dp=" << rep.death_pending
              << " brk=" << static_cast<int>(rep.breaker)
-             << " probe=" << rep.probe_live
+             << " probe=" << rep.probe_id
              << " load=" << rep.sched->load()
              << " work=" << rep.sched->has_work()
              << " stranded=" << rep.stranded.size() << "]";
@@ -940,43 +875,27 @@ ClusterReport ClusterRouter::run(const std::vector<Request>& stream) {
     now = next;
   }
 
-  GAUDI_ASSERT(tracks_.empty() && side_to_orig_.empty(),
+  GAUDI_ASSERT(tracks_.empty(),
                "every offered request must end in exactly one typed outcome");
 
-  ClusterReport report;
-  report.summary = sink_.summary(now);
-  report.requests = sink_.requests();
-  report.replicas = n;
-  report.policy = cfg_.policy;
-  report.faults_enabled = cfg_.fault_profile.any_rate_positive();
-  report.hedging_enabled = cfg_.hedge_budget > sim::SimTime::zero();
-  report.chip_failures = chip_failures_;
-  report.failovers = failovers_;
-  report.hedges_launched = hedges_launched_;
-  report.hedge_wins = hedge_wins_;
-  report.hedge_wasted_tokens = hedge_wasted_;
-  report.breaker_opens = breaker_opens_;
-  report.deadline_drops = deadline_drops_;
-  report.migration_enabled = cfg_.migration.enabled;
-  report.drain_enabled = cfg_.drain_replica >= 0;
-  report.drain_replica = cfg_.drain_replica;
-  report.drain_completed =
-      report.drain_enabled &&
+  report_.summary = sink_.summary(now);
+  report_.requests = sink_.requests();
+  report_.replicas = n;
+  report_.policy = cfg_.policy;
+  report_.faults_enabled = cfg_.fault_profile.any_rate_positive();
+  report_.hedging_enabled = cfg_.hedge_budget > sim::SimTime::zero();
+  report_.migration_enabled = cfg_.migration.enabled;
+  report_.drain_enabled = cfg_.drain_replica >= 0;
+  report_.drain_replica = cfg_.drain_replica;
+  report_.drain_completed =
+      report_.drain_enabled &&
       replicas_[static_cast<std::size_t>(cfg_.drain_replica)].drain_done;
-  report.migrations_started = migrations_started_;
-  report.migrations_completed = migrations_completed_;
-  report.migrations_aborted = migrations_aborted_;
-  report.migrated_rows = migrated_rows_;
-  report.migrated_blocks = migrated_blocks_;
-  report.migration_link_retries = migration_link_retries_;
-  report.migration_time = migration_time_;
-  report.evac_requeues = evac_requeues_;
-  report.per_replica.reserve(replicas_.size());
+  report_.per_replica.reserve(replicas_.size());
   for (Replica& rep : replicas_) {
     rep.stats.iterations = rep.sched->iterations();
-    report.per_replica.push_back(rep.stats);
+    report_.per_replica.push_back(rep.stats);
   }
-  return report;
+  return std::move(report_);
 }
 
 std::string ClusterReport::to_report() const {

@@ -33,6 +33,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -189,16 +190,10 @@ class ClusterRouter {
  private:
   enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
-  /// A request (or hedge copy) on its way to a replica, with the progress
-  /// state a failover resume must carry.
-  struct Routed {
-    Request req;  ///< id is the side id (original, or original + hedge base)
-    std::int64_t generated = 0;
-    sim::SimTime last_token{};
-  };
-
+  /// A request copy waiting in the router queue (its `rows` are zero: a
+  /// queued copy holds no KV).
   struct QueueEntry {
-    Routed routed;
+    RequestProgress copy;
     sim::SimTime eligible_at{};
   };
 
@@ -206,20 +201,19 @@ class ClusterRouter {
     std::unique_ptr<ContinuousBatchScheduler> sched;
     bool up = true;         ///< actually serving (false death..rejoin)
     bool suspected = false; ///< router knows it is down (detection..rejoin)
-    bool busy = false;
-    sim::SimTime busy_until{};
-    ContinuousBatchScheduler::StepResult pending;  ///< valid while busy
+    /// The iteration in flight, engaged until its results land at `end`.
+    std::optional<ContinuousBatchScheduler::StepResult> pending;
     bool death_pending = false;  ///< drained, failover awaiting detection
     sim::SimTime detect_time{};
     sim::SimTime rejoin_time{};
-    std::vector<ContinuousBatchScheduler::DrainedRequest> dead_work;
+    std::vector<RequestProgress> dead_work;
     /// Dispatched between death and detection — lost on the dead chip, the
     /// router just does not know yet.  Failed over at detection.
-    std::vector<Routed> stranded;
+    std::vector<RequestProgress> stranded;
     BreakerState breaker = BreakerState::kClosed;
     std::deque<bool> outcomes;  ///< true = success, sliding breaker window
     sim::SimTime open_until{};
-    bool probe_live = false;
+    /// The half-open probe's request id; -1 while no probe is out.
     std::int64_t probe_id = -1;
     /// Administrative drain (sticky: survives a death/rejoin cycle).
     bool draining = false;
@@ -229,7 +223,9 @@ class ClusterRouter {
     ReplicaStats stats;
   };
 
-  /// Router-side state of one original request.
+  /// Router-side state of one original request.  Each copy ("side") keeps
+  /// the id it was placed under wherever it moves: the request's own id, or
+  /// that id plus the hedge base for its one duplicate.
   struct Track {
     Request req;
     std::int32_t attempts = 0;  ///< failovers consumed (vs retry_max)
@@ -241,7 +237,8 @@ class ClusterRouter {
     bool health_migrated = false;
     std::int64_t winner = -1;   ///< side id that produced the first token
     sim::SimTime dispatch_time{};  ///< latest primary dispatch (hedge base)
-    std::map<std::int64_t, std::int64_t> sides;  ///< side id -> replica
+    /// Live side id -> replica.  A side is live iff it is here.
+    std::map<std::int64_t, std::int64_t> sides;
   };
 
   struct HedgeTimer {
@@ -256,7 +253,6 @@ class ClusterRouter {
   /// tokens ride the cutover message itself.
   struct Migration {
     std::int64_t sid = 0;
-    std::int64_t orig = 0;
     std::int64_t src = 0;
     std::int64_t dst = 0;
     int phase = 0;                 ///< 0 = base copy, 1 = delta sync
@@ -268,18 +264,25 @@ class ClusterRouter {
   [[nodiscard]] sim::SimTime heartbeat_ceil(sim::SimTime t) const;
   [[nodiscard]] bool breaker_allows(Replica& rep, sim::SimTime now) const;
   void breaker_record(std::int64_t r, bool ok, sim::SimTime now);
+  /// A probe that ends without a verdict (cancelled, migrated away, or a
+  /// non-breaker outcome) proves nothing: free `rep`'s half-open slot if
+  /// request `orig` holds it, or the replica wedges shut.
+  static void release_probe(Replica& rep, std::int64_t orig);
   /// Picks the dispatch target among believed-up, breaker-admitting
   /// replicas (optionally excluding one); -1 when none qualifies.
   [[nodiscard]] std::int64_t pick_replica(sim::SimTime now,
                                           std::int64_t exclude);
-  void place(const Routed& routed, std::int64_t r, sim::SimTime now);
+  void place(const RequestProgress& copy, std::int64_t r, sim::SimTime now);
   void process_death(std::int64_t r, sim::SimTime now);
   void process_detection(std::int64_t r, sim::SimTime now);
   void apply_events(std::int64_t r,
                     const std::vector<ReplicaEvent>& events);
-  /// Removes side `sid` from its track and the side map; returns the track
-  /// or nullptr if the side is stale (already cancelled/finished).
-  Track* drop_side(std::int64_t sid, std::int64_t* orig_out);
+  /// The track of live side `sid`, or nullptr if the side is stale
+  /// (already cancelled, finished or moved back to the router queue).
+  [[nodiscard]] Track* track_of(std::int64_t sid);
+  /// Removes side `sid` from its track; returns the track or nullptr if
+  /// the side is stale.
+  Track* drop_side(std::int64_t sid);
   void cancel_side(std::int64_t sid, std::int64_t r);
   void finish_track(std::int64_t orig);
   void dispatch_round(sim::SimTime now);
@@ -288,9 +291,9 @@ class ClusterRouter {
   /// with migration enabled)?  Evacuating replicas take no new dispatches
   /// — in particular no half-open breaker probes.
   [[nodiscard]] bool evacuating(const Replica& rep, sim::SimTime now) const;
-  /// Launches the base-copy leg of a live migration for `rows` KV rows.
-  void start_migration(std::int64_t sid, std::int64_t orig, std::int64_t src,
-                       std::int64_t dst, std::int64_t rows, sim::SimTime now);
+  /// Prices one migration transfer leg of `rows` KV rows over the fabric,
+  /// bills it to the report, and returns its duration.
+  [[nodiscard]] sim::SimTime send_leg(std::int64_t rows);
   /// Advances in-flight migrations whose current leg has landed: delta-sync
   /// legs launch, finished transfers cut over, stale ones abort (the side
   /// completed, was cancelled, or lost its replica — the existing re-prefill
@@ -298,7 +301,7 @@ class ClusterRouter {
   void process_migrations(sim::SimTime now);
   /// Walks evacuating replicas and moves their work off: redundant hedge
   /// twins cancel, running requests migrate (or finish in place without
-  /// migration), queued requests re-route for free.
+  /// migration), queued requests re-route.
   void evacuation_round(sim::SimTime now);
   /// Fires the administrative drain and detects drain completion.
   void process_drain(sim::SimTime now);
@@ -309,7 +312,6 @@ class ClusterRouter {
   MetricsSink sink_;  ///< fleet-level; sees original request ids only
   std::deque<QueueEntry> queue_;
   std::map<std::int64_t, Track> tracks_;
-  std::map<std::int64_t, std::int64_t> side_to_orig_;
   std::vector<HedgeTimer> hedges_;
   std::vector<Migration> migrations_;
   /// Deterministic fault stream for the migration path's fabric link,
@@ -319,21 +321,9 @@ class ClusterRouter {
   bool drain_fired_ = false;
   bool validate_ = false;  ///< GAUDI_VALIDATE: audit allocators at cutover
   std::int64_t rr_cursor_ = 0;
-  std::int64_t chip_failures_ = 0;
-  std::int64_t failovers_ = 0;
-  std::int64_t hedges_launched_ = 0;
-  std::int64_t hedge_wins_ = 0;
-  std::int64_t hedge_wasted_ = 0;
-  std::int64_t breaker_opens_ = 0;
-  std::int64_t deadline_drops_ = 0;
-  std::int64_t migrations_started_ = 0;
-  std::int64_t migrations_completed_ = 0;
-  std::int64_t migrations_aborted_ = 0;
-  std::int64_t migrated_rows_ = 0;
-  std::int64_t migrated_blocks_ = 0;
-  std::int64_t migration_link_retries_ = 0;
-  sim::SimTime migration_time_{};
-  std::int64_t evac_requeues_ = 0;
+  /// The fleet counters accumulate here as they happen; run() adds the
+  /// summary, the per-request records and the per-replica breakdown.
+  ClusterReport report_;
   bool ran_ = false;
 };
 

@@ -202,7 +202,7 @@ void ContinuousBatchScheduler::admit(sim::SimTime now) {
     if (it->req.deadline > sim::SimTime::zero() &&
         now > it->req.arrival + it->req.deadline) {
       emit(ReplicaEventKind::kDrop, it->req.id, now);
-      ++deadline_drops_;
+      ++stats_.deadline_drops;
       it = requeued_.erase(it);
     } else {
       ++it;
@@ -254,7 +254,7 @@ void ContinuousBatchScheduler::admit(sim::SimTime now) {
     // blocks and iterations on work the front-end already abandoned.
     if (r.deadline > sim::SimTime::zero() && now > r.arrival + r.deadline) {
       emit(ReplicaEventKind::kDrop, r.id, now);
-      ++deadline_drops_;
+      ++stats_.deadline_drops;
       waiting_.pop_front();
       continue;
     }
@@ -331,7 +331,8 @@ void ContinuousBatchScheduler::on_chip_failure(sim::SimTime now,
 
 void ContinuousBatchScheduler::finish_iteration(sim::SimTime now) {
   run_watchdog(now);
-  kv_peak_frag_ = std::max(kv_peak_frag_, kv_.stats().fragmented_tokens);
+  stats_.kv_peak_fragmented_tokens =
+      std::max(stats_.kv_peak_fragmented_tokens, kv_.stats().fragmented_tokens);
   if (validate_) kv_.audit();
 }
 
@@ -368,51 +369,35 @@ void ContinuousBatchScheduler::enqueue(const Request& r) {
 void ContinuousBatchScheduler::enqueue_resume(const Request& r,
                                               std::int64_t generated,
                                               sim::SimTime last_token,
+                                              std::int64_t rows_ready,
                                               sim::SimTime now) {
-  GAUDI_ASSERT(generated >= 1, "resume carries at least the first token");
-  Active a;
-  a.req = r;
-  a.generated = generated;
-  a.last_token = last_token;
-  a.prefilled = 0;
-  a.prefill_needed = 0;  // recomputed (prompt + generated prefix) at admission
-  a.eligible_at = now;
-  requeued_.push_back(a);
-}
-
-void ContinuousBatchScheduler::enqueue_migrated(const Request& r,
-                                                std::int64_t generated,
-                                                sim::SimTime last_token,
-                                                std::int64_t rows_ready,
-                                                sim::SimTime now) {
   GAUDI_ASSERT(generated >= 0 && rows_ready >= 0,
-               "migrated progress cannot be negative");
+               "resumed progress cannot be negative");
   Active a;
   a.req = r;
   a.generated = generated;
   a.last_token = last_token;
-  a.prefilled = 0;
-  a.prefill_needed = 0;  // recomputed at admission; migrated rows skip it
+  // prefill_needed is recomputed (prompt + generated prefix) at admission,
+  // where the migrated rows skip it.
   a.migrated_rows = rows_ready;
   a.eligible_at = now;
   requeued_.push_back(a);
 }
 
-std::optional<ContinuousBatchScheduler::Progress>
-ContinuousBatchScheduler::running_progress(std::int64_t id) const {
+std::optional<RequestProgress> ContinuousBatchScheduler::running_progress(
+    std::int64_t id) const {
   for (const Active& a : running_) {
-    if (a.req.id != id) continue;
-    return Progress{a.generated, a.last_token, computed_rows(a)};
+    if (a.req.id == id) return progress(a, computed_rows(a));
   }
   return std::nullopt;
 }
 
-std::optional<ContinuousBatchScheduler::DrainedRequest>
-ContinuousBatchScheduler::extract(std::int64_t id) {
+std::optional<RequestProgress> ContinuousBatchScheduler::extract(
+    std::int64_t id) {
   for (std::size_t i = 0; i < running_.size(); ++i) {
-    Active& a = running_[i];
+    const Active& a = running_[i];
     if (a.req.id != id) continue;
-    DrainedRequest out{a.req, a.generated, a.last_token, computed_rows(a)};
+    const RequestProgress out = progress(a, computed_rows(a));
     kv_.release(id);
     running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
     return out;
@@ -421,13 +406,13 @@ ContinuousBatchScheduler::extract(std::int64_t id) {
   // preemption; waiting ones never reserved any), so they carry zero rows.
   for (auto it = requeued_.begin(); it != requeued_.end(); ++it) {
     if (it->req.id != id) continue;
-    DrainedRequest out{it->req, it->generated, it->last_token, 0};
+    const RequestProgress out = progress(*it, 0);
     requeued_.erase(it);
     return out;
   }
   for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
     if (it->id != id) continue;
-    DrainedRequest out{*it, 0, sim::SimTime::zero(), 0};
+    const RequestProgress out{*it};
     waiting_.erase(it);
     return out;
   }
@@ -446,24 +431,19 @@ std::optional<sim::SimTime> ContinuousBatchScheduler::next_wake() const {
   return wake;
 }
 
-std::vector<ContinuousBatchScheduler::DrainedRequest>
-ContinuousBatchScheduler::drain_all() {
-  std::vector<DrainedRequest> out;
+std::vector<RequestProgress> ContinuousBatchScheduler::drain_all() {
+  std::vector<RequestProgress> out;
   out.reserve(running_.size() + requeued_.size() + waiting_.size());
   for (const Active& a : running_) {
     kv_.release(a.req.id);
-    out.push_back({a.req, a.generated, a.last_token, computed_rows(a)});
+    out.push_back(progress(a, computed_rows(a)));
   }
   running_.clear();
   // Requeued/waiting requests hold no KV here: preempted entries already
   // surrendered theirs (and were billed), waiting ones never reserved any.
-  for (const Active& a : requeued_) {
-    out.push_back({a.req, a.generated, a.last_token, 0});
-  }
+  for (const Active& a : requeued_) out.push_back(progress(a, 0));
   requeued_.clear();
-  for (const Request& r : waiting_) {
-    out.push_back({r, 0, sim::SimTime::zero(), 0});
-  }
+  for (const Request& r : waiting_) out.push_back({r});
   waiting_.clear();
   GAUDI_ASSERT(kv_.free_blocks() == kv_.total_blocks(),
                "a drained replica must leave its KV pool empty");
@@ -497,7 +477,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
   }
 
   out.worked = true;
-  ++iterations_;
+  ++stats_.iterations;
 
   // --- KV growth for this iteration's decode appends (may preempt). ---
   // Snapshot decode-eligible ids; growth walks them in admission order so
@@ -558,7 +538,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
                        std::min(ctx_to_bucket(chunk), cfg_.model.max_seq));
     a.prefilled += chunk;
     prefill_id = a.req.id;
-    ++prefill_chunks_;
+    ++stats_.prefill_chunks;
     break;  // one prefill request per iteration
   }
 
@@ -568,7 +548,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
       max_ctx = std::max(max_ctx, slot.ctx_in);
     }
     iter_time += price(Phase::kDecode, ctx_to_bucket(max_ctx));
-    ++decode_steps_;
+    ++stats_.decode_steps;
   }
 
   GAUDI_ASSERT(iter_time > sim::SimTime::zero(),
@@ -581,17 +561,17 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
   bool chip_died = false;
   if (cfg_.faults.enabled()) {
     const std::uint64_t site = sim::FaultInjector::site(
-        static_cast<std::uint64_t>(iterations_ - 1), 0);
+        static_cast<std::uint64_t>(stats_.iterations - 1), 0);
     const sim::FaultProfile& prof = cfg_.faults.profile();
     if (cfg_.faults.fires(sim::FaultKind::kTpcStraggler, site)) {
-      ++tpc_stragglers_;
+      ++stats_.tpc_stragglers;
       out.straggled = true;
       iter_time = sim::SimTime::from_ps(static_cast<std::int64_t>(
           static_cast<double>(iter_time.ps()) * prof.straggler_slowdown +
           0.5));
     }
     if (cfg_.faults.fires(sim::FaultKind::kHbmPressure, site)) {
-      ++hbm_stalls_;
+      ++stats_.hbm_stalls;
       out.hbm_stalled = true;
       iter_time += prof.hbm_pressure_stall;
     }
@@ -604,7 +584,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
     // so no tokens emit this round.  The driver recovers — run() restarts
     // the chip and retries the batch, the router drains this replica and
     // fails its work over.
-    ++chip_failures_;
+    ++stats_.chip_failures;
     out.chip_failed = true;
   } else {
     // --- Token emission & completion. ---
@@ -650,7 +630,7 @@ void ContinuousBatchScheduler::recycle(std::vector<ReplicaEvent>&& events) {
 }
 
 ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
-  GAUDI_CHECK(iterations_ == 0 && !has_work(),
+  GAUDI_CHECK(stats_.iterations == 0 && !has_work(),
               "ContinuousBatchScheduler::run is one-shot; construct a fresh "
               "scheduler per stream");
 
@@ -710,24 +690,16 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
     now = sr.end;
   }
 
-  ServeReport report;
+  ServeReport report = stats_;
   report.summary = sink.summary(now);
   report.requests = sink.requests();
-  report.iterations = iterations_;
-  report.decode_steps = decode_steps_;
-  report.prefill_chunks = prefill_chunks_;
-  report.deadline_drops = deadline_drops_;
   report.faults_enabled = cfg_.faults.enabled();
-  report.chip_failures = chip_failures_;
-  report.hbm_stalls = hbm_stalls_;
-  report.tpc_stragglers = tpc_stragglers_;
   report.compiled_decode_steps = static_cast<std::size_t>(
       std::count_if(costs_.begin(), costs_.end(), [](const auto& entry) {
         return entry.first.first == Phase::kDecode;
       }));
   report.kv_total_blocks = kv_.total_blocks();
   report.kv_peak_blocks = kv_.peak_used_blocks();
-  report.kv_peak_fragmented_tokens = kv_peak_frag_;
   return report;
 }
 

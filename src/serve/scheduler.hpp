@@ -180,6 +180,19 @@ struct ReplicaEvent {
   std::int64_t aux = 0;
 };
 
+/// How far one request got: what a driver carries when it moves the request
+/// off a replica (extract, drain_all) and hands it to another
+/// (enqueue_resume).  The cluster router keeps one per request copy, under
+/// the copy's own id.
+struct RequestProgress {
+  Request req;
+  std::int64_t generated = 0;
+  sim::SimTime last_token{};
+  /// KV rows computed on the replica it came from (zero when it was queued):
+  /// what a failure wastes, what a migration moves.
+  std::int64_t rows = 0;
+};
+
 class ContinuousBatchScheduler {
  public:
   ContinuousBatchScheduler(const graph::Runtime& rt, ServeConfig cfg);
@@ -190,9 +203,9 @@ class ContinuousBatchScheduler {
   [[nodiscard]] ServeReport run(const std::vector<Request>& stream);
 
   // --- Driven interface (run() and the cluster router) ---------------------
-  // Requests arrive via enqueue()/enqueue_resume()/enqueue_migrated(); each
-  // step() returns the observable events, and a chip failure is surfaced
-  // (chip_failed) for the driver to handle.
+  // Requests arrive via enqueue()/enqueue_resume(); each step() returns the
+  // observable events, and a chip failure is surfaced (chip_failed) for the
+  // driver to handle.
 
   /// What one driven iteration produced.  `worked == false` means nothing
   /// was admissible at `now` (ask next_wake() for the earliest retry
@@ -211,48 +224,30 @@ class ContinuousBatchScheduler {
     std::vector<ReplicaEvent> events;
   };
 
-  /// A request stripped from a failed replica, with enough progress state
-  /// to resume (re-prefill prompt + generated prefix) on a survivor.
-  struct DrainedRequest {
-    Request req;
-    std::int64_t generated = 0;
-    sim::SimTime last_token{};
-    std::int64_t lost_rows = 0;  ///< computed KV rows the failure threw away
-  };
-
   /// Hands a fresh request to this replica; it joins the waiting queue and
   /// is admitted by the next step().
   void enqueue(const Request& r);
-  /// Re-admits a failed-over request: its full context (prompt + generated
-  /// prefix) re-prefills from scratch on this replica's cold KV pool.
+  /// Re-admits a request that already made progress elsewhere.  Admission
+  /// reserves its full context (prompt + generated prefix); the first
+  /// `rows_ready` rows arrived with it over the fabric (a live migration,
+  /// serve/migration.*) and skip re-prefill, the rest re-prefill on this
+  /// replica.  A failover passes 0 and re-prefills everything; a fully
+  /// synced decode-phase migration resumes with zero prefill chunks.
   void enqueue_resume(const Request& r, std::int64_t generated,
-                      sim::SimTime last_token, sim::SimTime now);
-  /// Admits a live-migrated request whose first `rows_ready` KV rows arrive
-  /// with it over the fabric (serve/migration.*): admission reserves the
-  /// full context as usual but skips re-prefilling the migrated rows — a
-  /// fully synced decode-phase request resumes decoding with zero prefill
-  /// chunks.  Unlike enqueue_resume, `generated == 0` (a request migrated
-  /// mid-prefill) is legal.
-  void enqueue_migrated(const Request& r, std::int64_t generated,
-                        sim::SimTime last_token, std::int64_t rows_ready,
-                        sim::SimTime now);
-  /// Migration progress snapshot of one *running* request.
-  struct Progress {
-    std::int64_t generated = 0;
-    sim::SimTime last_token{};
-    std::int64_t rows = 0;  ///< KV rows computed so far (the migratable state)
-  };
-  /// Snapshot of a running request's progress (nullopt when `id` is not
-  /// running here — waiting/requeued requests hold no KV worth streaming).
-  [[nodiscard]] std::optional<Progress> running_progress(std::int64_t id) const;
+                      sim::SimTime last_token, std::int64_t rows_ready,
+                      sim::SimTime now);
+  /// Progress of a *running* request (nullopt when `id` is not running
+  /// here — waiting/requeued requests hold no KV worth streaming).
+  [[nodiscard]] std::optional<RequestProgress> running_progress(
+      std::int64_t id) const;
   /// Removes one request wherever it sits (running, requeued, or waiting)
-  /// and returns its progress state, releasing any KV *without* billing the
-  /// rows as wasted.  Running extraction is the migration cutover (the
-  /// caller moved the rows over the fabric) or a cancelled hedge loser (the
-  /// caller bills `lost_rows`); queued extraction carries zero rows (no KV
-  /// held) and backs queue evacuation off a draining replica.  Returns
-  /// nullopt when `id` is not here (died / completed since).
-  [[nodiscard]] std::optional<DrainedRequest> extract(std::int64_t id);
+  /// and returns its progress, releasing any KV *without* billing the rows
+  /// as wasted.  Running extraction is the migration cutover (the caller
+  /// moved the rows over the fabric) or a cancelled hedge loser (the caller
+  /// bills `rows`); queued extraction carries zero rows (no KV held) and
+  /// backs queue evacuation off a draining replica.  Returns nullopt when
+  /// `id` is not here (died / completed since).
+  [[nodiscard]] std::optional<RequestProgress> extract(std::int64_t id);
   /// Runs one iteration at `now` (admission, overload control, prefill +
   /// decode, fault oracle, token emission, watchdog).
   [[nodiscard]] StepResult step(sim::SimTime now);
@@ -266,11 +261,11 @@ class ContinuousBatchScheduler {
   [[nodiscard]] std::optional<sim::SimTime> next_wake() const;
   /// Strips every request (running first, then requeued, then waiting) and
   /// releases their KV; the replica is left empty for its warm restart.
-  [[nodiscard]] std::vector<DrainedRequest> drain_all();
+  [[nodiscard]] std::vector<RequestProgress> drain_all();
   /// Queue pressure (running + requeued + waiting) for join-shortest-queue.
   [[nodiscard]] std::int64_t load() const;
   [[nodiscard]] std::int64_t free_kv_blocks() const;
-  [[nodiscard]] std::int64_t iterations() const { return iterations_; }
+  [[nodiscard]] std::int64_t iterations() const { return stats_.iterations; }
   /// Allocator ownership-invariant check (router-side GAUDI_VALIDATE after a
   /// migration cutover: no KV block owned by two replicas).
   void audit_kv() const { kv_.audit(); }
@@ -336,6 +331,11 @@ class ContinuousBatchScheduler {
   [[nodiscard]] static std::int64_t computed_rows(const Active& a) {
     return a.in_prefill() ? a.prefilled : a.kv_tokens();
   }
+  /// `a`'s progress, carrying `rows` computed KV rows.
+  [[nodiscard]] static RequestProgress progress(const Active& a,
+                                                std::int64_t rows) {
+    return {a.req, a.generated, a.last_token, rows};
+  }
   /// Appends an observable event to the current step's event list.
   void emit(ReplicaEventKind kind, std::int64_t id, sim::SimTime at,
             std::int64_t aux = 0) {
@@ -353,14 +353,9 @@ class ContinuousBatchScheduler {
   std::vector<Active> running_;
   std::deque<Active> requeued_;  ///< preempted/retrying, awaiting re-admission
   std::deque<Request> waiting_;  ///< arrived, not yet admitted or shed
-  std::int64_t iterations_ = 0;
-  std::int64_t decode_steps_ = 0;
-  std::int64_t prefill_chunks_ = 0;
-  std::int64_t deadline_drops_ = 0;
-  std::int64_t kv_peak_frag_ = 0;
-  std::int64_t chip_failures_ = 0;
-  std::int64_t hbm_stalls_ = 0;
-  std::int64_t tpc_stragglers_ = 0;
+  /// The counters accumulate here as they happen; run() adds the summary,
+  /// the per-request records and the pool totals.
+  ServeReport stats_;
 };
 
 }  // namespace gaudi::serve
