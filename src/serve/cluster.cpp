@@ -254,7 +254,11 @@ void ClusterRouter::place(const RequestProgress& copy, std::int64_t r,
   const std::int64_t sid = copy.req.id;
   const std::int64_t orig = request_of(sid);
   Track& t = tracks_.at(orig);
-  t.sides[sid] = r;
+  // A second live copy under one id would double-bill the request (and
+  // trip the KV allocator on a shared replica): fail where it is made.
+  const bool fresh = t.sides.emplace(sid, r).second;
+  GAUDI_ASSERT(fresh,
+               "request copy " + std::to_string(sid) + " is already live");
   rep.stats.dispatched += 1;
   if (cfg_.breaker_enabled && rep.breaker == BreakerState::kHalfOpen &&
       rep.probe_id < 0) {
@@ -263,7 +267,7 @@ void ClusterRouter::place(const RequestProgress& copy, std::int64_t r,
   if (!rep.up) {
     // The chip is dead and the router does not know yet: the request is
     // lost on the wire until the suspicion timeout fails it over.
-    rep.stranded.push_back(copy);
+    rep.stranded.push_back({copy.req, copy.generated, copy.last_token});
   } else if (copy.generated >= 1) {
     rep.sched->enqueue_resume(copy.req, copy.generated, copy.last_token, 0,
                               now);
@@ -600,7 +604,10 @@ void ClusterRouter::process_migrations(sim::SimTime now) {
 void ClusterRouter::evacuation_round(sim::SimTime now) {
   for (std::int64_t r = 0; r < cfg_.replicas; ++r) {
     Replica& rep = replicas_[static_cast<std::size_t>(r)];
-    if (!rep.up || rep.suspected) continue;
+    // Only between iterations of a live replica does its scheduler hold
+    // exactly the sides mapped to it (no stranded or dead work, no events
+    // still in flight).
+    if (!rep.up || rep.death_pending || rep.pending) continue;
     if (!evacuating(rep, now)) continue;
     // Snapshot this replica's sides in ascending side-id order so
     // evacuation decisions are deterministic; each entry is re-validated
@@ -641,13 +648,14 @@ void ClusterRouter::evacuation_round(sim::SimTime now) {
         }
       }
       const auto prog = rep.sched->running_progress(sid);
-      if (prog && prog->rows > 0 && cfg_.migration.enabled) {
-        // Damping: degraded-health evacuation moves a request at most once
-        // (drains always may) — without this, fleet-wide degradation would
-        // ping-pong the same KV across the fabric indefinitely.
-        if (!rep.draining && t.health_migrated) continue;
-        const std::int64_t dst = pick_replica(now, r);
-        if (dst < 0) continue;  // no healthy target yet; retry next round
+      const bool migrate = prog && prog->rows > 0 && cfg_.migration.enabled;
+      // Damping: degraded-health evacuation moves a request at most once
+      // (drains always may) — without this, fleet-wide degradation would
+      // ping-pong the same KV across the fabric indefinitely.
+      if (migrate && !rep.draining && t.health_migrated) continue;
+      const std::int64_t dst = pick_replica(now, r);
+      if (dst < 0) continue;  // no healthy target yet: it keeps running here
+      if (migrate) {
         migrations_.push_back({.sid = sid,
                                .src = r,
                                .dst = dst,
@@ -657,33 +665,20 @@ void ClusterRouter::evacuation_round(sim::SimTime now) {
         ++report_.migrations_started;
         continue;
       }
-      // Queued work (waiting / requeued / zero-row running / stranded)
-      // holds no KV worth streaming: re-route it for free — no retry
-      // budget consumed, no rows billed.  Running work evacuated without
-      // migration (a drain on the pre-migration path) is preempted
-      // instead: its KV releases here and the full context re-prefills on
-      // a peer — lossless, but the recomputed rows are the price live
-      // migration exists to avoid.
-      std::int64_t gen = 0;
-      sim::SimTime last{};
-      if (const auto d = rep.sched->extract(sid)) {
-        gen = d->generated;
-        last = d->last_token;
-        if (d->rows > 0) sink_.on_preempt(orig, d->rows);
-      } else {
-        const auto qit = std::find_if(
-            rep.stranded.begin(), rep.stranded.end(),
-            [&](const RequestProgress& q) { return q.req.id == sid; });
-        if (qit == rep.stranded.end()) continue;
-        gen = qit->generated;
-        last = qit->last_token;
-        rep.stranded.erase(qit);
-      }
+      // Work holding no KV worth streaming (waiting, requeued, or running
+      // with zero rows) re-routes for free — no retry budget consumed, no
+      // rows billed.  Running work evacuated without migration (a drain on
+      // the pre-migration path) is preempted instead: its KV releases here
+      // and the full context re-prefills on a peer — lossless, but the
+      // recomputed rows are the price live migration exists to avoid.
+      const std::optional<RequestProgress> copy = rep.sched->extract(sid);
+      GAUDI_ASSERT(copy.has_value(),
+                   "a side mapped here is not scheduled here");
+      if (copy->rows > 0) sink_.on_preempt(orig, copy->rows);
+      // The copy keeps its side id wherever it goes, and with it any winner
+      // role.
       t.sides.erase(sid);
-      // The re-routed side re-dispatches under the original id; if this
-      // side was the winner, the successor must inherit that role.
-      if (t.started && t.winner == sid) t.winner = orig;
-      queue_.push_back({{t.req, gen, last}, now});
+      place(*copy, dst, now);
       ++report_.evac_requeues;
     }
   }

@@ -190,8 +190,8 @@ class ClusterRouter {
  private:
   enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
-  /// A request copy waiting in the router queue (its `rows` are zero: a
-  /// queued copy holds no KV).
+  /// A request waiting in the router queue: a new arrival, or a failover
+  /// that carries its generated prefix.  It has no live copy meanwhile.
   struct QueueEntry {
     RequestProgress copy;
     sim::SimTime eligible_at{};
@@ -272,13 +272,15 @@ class ClusterRouter {
   /// replicas (optionally excluding one); -1 when none qualifies.
   [[nodiscard]] std::int64_t pick_replica(sim::SimTime now,
                                           std::int64_t exclude);
+  /// Dispatches `copy` to replica `r` under its own side id, which must not
+  /// be live already.  It arrives holding no KV.
   void place(const RequestProgress& copy, std::int64_t r, sim::SimTime now);
   void process_death(std::int64_t r, sim::SimTime now);
   void process_detection(std::int64_t r, sim::SimTime now);
   void apply_events(std::int64_t r,
                     const std::vector<ReplicaEvent>& events);
   /// The track of live side `sid`, or nullptr if the side is stale
-  /// (already cancelled, finished or moved back to the router queue).
+  /// (cancelled, finished, or lost with its replica).
   [[nodiscard]] Track* track_of(std::int64_t sid);
   /// Removes side `sid` from its track; returns the track or nullptr if
   /// the side is stale.
@@ -299,9 +301,11 @@ class ClusterRouter {
   /// completed, was cancelled, or lost its replica — the existing re-prefill
   /// failover owns those paths).
   void process_migrations(sim::SimTime now);
-  /// Walks evacuating replicas and moves their work off: redundant hedge
-  /// twins cancel, running requests migrate (or finish in place without
-  /// migration), queued requests re-route.
+  /// Walks evacuating replicas between their iterations and moves their
+  /// work off: redundant hedge twins cancel, running requests migrate, and
+  /// the rest re-route to a peer for free (running work without migration
+  /// is preempted and re-prefills there).  A copy keeps its side id, and
+  /// stays where it is while no peer admits it.
   void evacuation_round(sim::SimTime now);
   /// Fires the administrative drain and detects drain completion.
   void process_drain(sim::SimTime now);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,6 +61,19 @@ sim::FaultProfile chip_killer_profile(double rate) {
 std::int64_t outcome_total(const serve::ServeSummary& s) {
   return s.completed + s.rejected + s.dropped + s.shed + s.timed_out +
          s.failed;
+}
+
+/// Output length is an exact function of the request: every completed
+/// request must report exactly its `output_len` tokens.  A second copy of
+/// a request feeding the shared metrics sink would overshoot it.
+void expect_exact_outputs(const std::vector<serve::Request>& stream,
+                          const std::vector<serve::RequestMetrics>& records) {
+  std::map<std::int64_t, std::int64_t> output_len;
+  for (const serve::Request& q : stream) output_len[q.id] = q.output_len;
+  for (const serve::RequestMetrics& m : records) {
+    if (m.outcome != serve::RequestOutcome::kCompleted) continue;
+    EXPECT_EQ(m.tokens_out, output_len.at(m.id)) << "request " << m.id;
+  }
 }
 
 TEST(Cluster, SameSeedRunsAreByteIdentical) {
@@ -456,15 +470,108 @@ TEST(Migration, HedgeDuringMigrationKeepsExactlyOneCopy) {
     EXPECT_EQ(outcome_total(r.summary), r.summary.offered)
         << "hedge_ms " << hedge_ms;
     EXPECT_EQ(r.summary.failed, 0) << "hedge_ms " << hedge_ms;
-    for (const serve::RequestMetrics& m : r.requests) {
-      if (m.outcome == serve::RequestOutcome::kCompleted) {
-        // Output length is an exact function of the request: a double copy
-        // would overshoot it through the shared metrics sink.
-        EXPECT_GT(m.tokens_out, 0) << "request " << m.id;
-      }
-    }
+    expect_exact_outputs(stream, r.requests);
   }
   ::unsetenv("GAUDI_VALIDATE");
+}
+
+/// A Poisson stream of `n` requests at `rate` req/s, as `serve-cluster`
+/// generates it from the same flags.
+serve::StreamConfig paper_stream(std::int64_t n, double rate,
+                                 serve::LengthRange prompt,
+                                 serve::LengthRange output,
+                                 std::uint64_t seed) {
+  serve::StreamConfig cfg;
+  cfg.arrival_rate_rps = rate;
+  cfg.num_requests = n;
+  cfg.prompt = prompt;
+  cfg.output = output;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// A fleet of `gpt2_paper` replicas with live migration under seeded
+/// per-replica faults, as `serve-cluster --faults --mtbf M --migrate`
+/// builds it.
+serve::ClusterConfig paper_chaos_cluster(std::int64_t replicas, double mtbf,
+                                         std::uint64_t fault_seed) {
+  serve::ClusterConfig cfg;
+  cfg.replica.kv_budget_bytes = std::size_t{48} << 20;
+  cfg.replica.timing_only = true;
+  cfg.replicas = replicas;
+  cfg.fault_profile = sim::FaultProfile::from_mtbf_steps(mtbf, 1);
+  cfg.fault_seed = fault_seed;
+  cfg.migration.enabled = true;
+  return cfg;
+}
+
+TEST(Migration, EvacuatedHedgeCopyKeepsItsOwnId) {
+  // Regression: evacuating a hedge copy off a degraded replica re-queued it
+  // under the primary's id while the primary was still live, so two copies
+  // of one request met on one replica ("request 238 already holds a KV
+  // reservation") or left the router stalled.  Shrunk from fault seed 9 of
+  // the router-abort repro in perfbench/README.md.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::StreamConfig scfg =
+      paper_stream(300, 40.0, {64, 1024}, {16, 256}, 0x5E21E);
+  scfg.deadline = sim::SimTime::from_ms(3000.0);
+  const auto stream = serve::poisson_stream(scfg);
+  serve::ClusterConfig cfg = paper_chaos_cluster(4, 300, 9);
+  cfg.policy = serve::LoadBalancePolicy::kJoinShortestQueue;
+  cfg.replica.retry_max = 2;
+  cfg.replica.watchdog = sim::SimTime::from_ms(4000.0);
+  cfg.hedge_budget = sim::SimTime::from_ms(40.0);
+  serve::ClusterRouter router(rt, cfg);
+  const serve::ClusterReport r = router.run(stream);
+  EXPECT_EQ(outcome_total(r.summary), r.summary.offered);
+  EXPECT_GT(r.hedges_launched, 0);
+  EXPECT_GT(r.evac_requeues, 0);
+  expect_exact_outputs(stream, r.requests);
+}
+
+TEST(Migration, EvacuatedCopyNeverOutlivesItsRequest) {
+  // Regression: an evacuated copy used to wait in the router queue, outside
+  // its request's live copies.  When its twin finished the request first,
+  // the copy was still dispatched later, for a request the router had
+  // already closed (std::out_of_range from the track map).
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  const auto stream = serve::poisson_stream(
+      paper_stream(600, 20.0, {32, 1024}, {8, 256}, 316));
+  serve::ClusterConfig cfg = paper_chaos_cluster(5, 20, 819);
+  cfg.policy = serve::LoadBalancePolicy::kJoinShortestQueue;
+  cfg.replica.retry_max = 0;
+  cfg.replica.watchdog = sim::SimTime::from_ms(500.0);
+  cfg.hedge_budget = sim::SimTime::from_ms(5.0);
+  cfg.degraded_after = 1;
+  serve::ClusterRouter router(rt, cfg);
+  const serve::ClusterReport r = router.run(stream);
+  EXPECT_EQ(outcome_total(r.summary), r.summary.offered);
+  EXPECT_GT(r.evac_requeues, 0);
+  expect_exact_outputs(stream, r.requests);
+}
+
+TEST(Migration, DegradedPeerOfADrainDoesNotStallTheRouter) {
+  // Regression: replica 1 drains from the start and replica 0 degrades.
+  // Evacuation used to park replica 0's work in the router queue, its
+  // half-open probe included: once replica 0 recovered it waited for a
+  // probe that never came, and the router stalled with the whole queue
+  // unresolved.  A copy with nowhere to go now keeps running where it is.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::StreamConfig scfg = paper_stream(100, 80.0, {32, 256}, {8, 256}, 322);
+  scfg.deadline = sim::SimTime::from_ms(1000.0);
+  const auto stream = serve::poisson_stream(scfg);
+  serve::ClusterConfig cfg = paper_chaos_cluster(2, 300, 987);
+  cfg.replica.kv_budget_bytes = std::size_t{16} << 20;
+  cfg.replica.retry_max = 2;
+  cfg.replica.watchdog = sim::SimTime::from_ms(500.0);
+  cfg.hedge_budget = sim::SimTime::from_ms(10.0);
+  cfg.suspicion_timeout = sim::SimTime::from_ms(60.0);
+  cfg.drain_replica = 1;
+  serve::ClusterRouter router(rt, cfg);
+  const serve::ClusterReport r = router.run(stream);
+  EXPECT_EQ(outcome_total(r.summary), r.summary.offered);
+  EXPECT_TRUE(r.drain_completed);
+  expect_exact_outputs(stream, r.requests);
 }
 
 TEST(Migration, BreakerDoesNotProbeADrainingReplica) {
