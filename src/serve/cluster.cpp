@@ -606,19 +606,25 @@ void ClusterRouter::evacuation_round(sim::SimTime now) {
     Replica& rep = replicas_[static_cast<std::size_t>(r)];
     // Only between iterations of a live replica does its scheduler hold
     // exactly the sides mapped to it (no stranded or dead work, no events
-    // still in flight).
+    // still in flight), so its ids are this replica's sides.
     if (!rep.up || rep.death_pending || rep.pending) continue;
     if (!evacuating(rep, now)) continue;
     // Snapshot this replica's sides in ascending side-id order so
     // evacuation decisions are deterministic; each entry is re-validated
     // against the live tracks because earlier moves mutate them.
-    std::vector<std::int64_t> sides;
-    for (const auto& [orig, t] : tracks_) {
-      for (const auto& [sid, sr] : t.sides) {
-        if (sr == r) sides.push_back(sid);
+    const std::vector<std::int64_t> sides = rep.sched->ids();
+    if (validate_) {
+      std::vector<std::int64_t> mapped;
+      for (const auto& [orig, t] : tracks_) {
+        for (const auto& [sid, sr] : t.sides) {
+          if (sr == r) mapped.push_back(sid);
+        }
       }
+      std::sort(mapped.begin(), mapped.end());
+      GAUDI_ASSERT(mapped == sides, "replica " + std::to_string(r) +
+                                        " holds other sides than the "
+                                        "tracks map to it");
     }
-    std::sort(sides.begin(), sides.end());
     for (const std::int64_t sid : sides) {
       Track* live = track_of(sid);
       if (live == nullptr || live->sides.at(sid) != r) continue;

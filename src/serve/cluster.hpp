@@ -323,7 +323,9 @@ class ClusterRouter {
   sim::FaultInjector link_faults_{};
   std::uint64_t migration_seq_ = 0;  ///< transfer-leg counter (fault sites)
   bool drain_fired_ = false;
-  bool validate_ = false;  ///< GAUDI_VALIDATE: audit allocators at cutover
+  /// GAUDI_VALIDATE: audit allocators at cutover, and check each evacuation
+  /// snapshot against the tracks.
+  bool validate_ = false;
   std::int64_t rr_cursor_ = 0;
   /// The fleet counters accumulate here as they happen; run() adds the
   /// summary, the per-request records and the per-replica breakdown.

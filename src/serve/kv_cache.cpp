@@ -54,6 +54,7 @@ bool PagedKvAllocator::reserve(std::int64_t request_id, std::int64_t tokens) {
     r.blocks.push_back(b);
   }
   requests_.emplace(request_id, std::move(r));
+  used_tokens_ += tokens;
   peak_used_ = std::max(peak_used_, cfg_.num_blocks - free_blocks());
   return true;
 }
@@ -76,6 +77,7 @@ bool PagedKvAllocator::grow(std::int64_t request_id, std::int64_t tokens) {
     owner_[static_cast<std::size_t>(b)] = request_id;
     r.blocks.push_back(b);
   }
+  used_tokens_ += tokens - r.used_tokens;
   r.used_tokens = tokens;
   peak_used_ = std::max(peak_used_, cfg_.num_blocks - free_blocks());
   return true;
@@ -92,6 +94,7 @@ void PagedKvAllocator::release(std::int64_t request_id) {
     owner_[static_cast<std::size_t>(b)] = -1;
     free_.push_back(b);
   }
+  used_tokens_ -= it->second.used_tokens;
   requests_.erase(it);
 }
 
@@ -108,23 +111,24 @@ KvStats PagedKvAllocator::stats() const {
   s.free_blocks = free_blocks();
   s.used_blocks = cfg_.num_blocks - s.free_blocks;
   s.free_tokens = s.free_blocks * cfg_.block_tokens;
-  for (const auto& [id, r] : requests_) {
-    (void)id;
-    s.used_tokens += r.used_tokens;
-    s.fragmented_tokens +=
-        static_cast<std::int64_t>(r.blocks.size()) * cfg_.block_tokens -
-        r.used_tokens;
-  }
+  s.used_tokens = used_tokens_;
+  // Every held slot is either written or fragmented.
+  s.fragmented_tokens = s.used_blocks * cfg_.block_tokens - used_tokens_;
   return s;
 }
 
 void PagedKvAllocator::audit() const {
   std::vector<std::int64_t> seen(owner_.size(), -1);
   std::int64_t held = 0;
+  std::int64_t used = 0;
+  std::int64_t fragmented = 0;
   for (const auto& [id, r] : requests_) {
-    GAUDI_ASSERT(r.used_tokens <= static_cast<std::int64_t>(r.blocks.size()) *
-                                      cfg_.block_tokens,
+    const std::int64_t slots =
+        static_cast<std::int64_t>(r.blocks.size()) * cfg_.block_tokens;
+    GAUDI_ASSERT(r.used_tokens <= slots,
                  "reservation uses more tokens than its blocks hold");
+    used += r.used_tokens;
+    fragmented += slots - r.used_tokens;
     for (const std::int64_t b : r.blocks) {
       GAUDI_ASSERT(b >= 0 && b < cfg_.num_blocks, "block id out of range");
       GAUDI_ASSERT(seen[static_cast<std::size_t>(b)] == -1,
@@ -146,6 +150,8 @@ void PagedKvAllocator::audit() const {
   GAUDI_ASSERT(held + free_blocks() == cfg_.num_blocks,
                "blocks leaked: held + free != total");
   const KvStats s = stats();
+  GAUDI_ASSERT(s.used_tokens == used && s.fragmented_tokens == fragmented,
+               "token counters disagree with the reservations");
   GAUDI_ASSERT(
       s.used_tokens + s.fragmented_tokens + s.free_tokens == s.capacity_tokens,
       "token accounting does not sum to capacity");

@@ -19,7 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "memory/device_memory.hpp"
@@ -112,7 +112,10 @@ class PagedKvAllocator {
   memory::Allocation backing_{};
   std::vector<std::int64_t> free_;         ///< LIFO free list (deterministic)
   std::vector<std::int64_t> owner_;        ///< block -> request id, -1 if free
-  std::map<std::int64_t, Reservation> requests_;
+  std::unordered_map<std::int64_t, Reservation> requests_;
+  /// Rows written across all reservations; held slots minus this are the
+  /// fragmented ones, so stats() needs no walk.
+  std::int64_t used_tokens_ = 0;
   std::int64_t peak_used_ = 0;
 };
 

@@ -5,20 +5,47 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "sim/error.hpp"
 
 namespace gaudi::serve {
+
+namespace {
+
+/// 1-based nearest rank of the p-th percentile among `n` >= 1 samples.
+std::size_t nearest_rank(double p, std::size_t n) {
+  const auto rank =
+      static_cast<std::size_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
+  return std::clamp<std::size_t>(rank, 1, n);
+}
+
+/// The nearest-rank percentile, in ms, of a histogram {gap in ps, count}
+/// sorted by gap.  The ps -> ms conversion is monotone, so this is bit-equal
+/// to percentile() over the same gaps converted to ms.
+double histogram_percentile(
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& sorted,
+    double p) {
+  std::size_t n = 0;
+  for (const auto& [ps, count] : sorted) n += static_cast<std::size_t>(count);
+  if (n == 0) return std::numeric_limits<double>::quiet_NaN();
+  const std::size_t rank = nearest_rank(p, n);
+  std::size_t seen = 0;
+  for (const auto& [ps, count] : sorted) {
+    seen += static_cast<std::size_t>(count);
+    if (seen >= rank) return sim::SimTime::from_ps(ps).ms();
+  }
+  throw sim::InternalError("nearest rank beyond the histogram's samples");
+}
+
+}  // namespace
 
 double percentile(std::vector<double> samples, double p) {
   GAUDI_CHECK(p >= 0.0 && p <= 100.0 && std::isfinite(p),
               "percentile expects p in [0, 100]");
   if (samples.empty()) return std::numeric_limits<double>::quiet_NaN();
   std::sort(samples.begin(), samples.end());
-  const auto n = static_cast<double>(samples.size());
-  auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-  rank = std::min(std::max<std::size_t>(rank, 1), samples.size());
-  return samples[rank - 1];
+  return samples[nearest_rank(p, samples.size()) - 1];
 }
 
 namespace {
@@ -58,104 +85,111 @@ std::string ServeSummary::to_report() const {
 }
 
 void MetricsSink::on_offered(const Request& r) {
-  GAUDI_CHECK(index_.count(r.id) == 0,
-              "request id " + std::to_string(r.id) + " offered twice");
-  RequestMetrics m;
-  m.id = r.id;
-  m.arrival = r.arrival;
-  index_.emplace(r.id, records_.size());
-  records_.push_back(m);
-  deadlines_.push_back(r.deadline);
-  samples_.emplace_back();
+  const bool fresh = index_.emplace(r.id, entries_.size()).second;
+  GAUDI_CHECK(fresh, "request id " + std::to_string(r.id) + " offered twice");
+  Entry e;
+  e.record.id = r.id;
+  e.record.arrival = r.arrival;
+  e.deadline = r.deadline;
+  entries_.push_back(std::move(e));
+  ++open_;
 }
 
-RequestMetrics& MetricsSink::slot(std::int64_t id) {
+MetricsSink::Entry& MetricsSink::open(std::int64_t id) {
   const auto it = index_.find(id);
   if (it == index_.end()) {
     throw sim::InternalError("metrics for unknown request id " +
                              std::to_string(id));
   }
-  return records_[it->second];
+  Entry& e = entries_[it->second];
+  GAUDI_ASSERT(!e.closed, "request " + std::to_string(id) +
+                              " already reached its terminal outcome");
+  return e;
+}
+
+void MetricsSink::close(Entry& e, RequestOutcome outcome, sim::SimTime now) {
+  e.record.outcome = outcome;
+  e.record.finish = now;
+  e.closed = true;
+  --open_;
+  decltype(e.itl_runs)().swap(e.itl_runs);  // clear() would keep the capacity
 }
 
 void MetricsSink::on_first_token(std::int64_t id, sim::SimTime now) {
-  RequestMetrics& m = slot(id);
-  m.first_token = now;
-  m.tokens_out += 1;  // the first token is real output, it just has no gap
-  Samples& s = samples_[index_.at(id)];
-  s.ttft_ms = (now - m.arrival).ms();
-  s.has_ttft = true;
+  Entry& e = open(id);
+  e.record.first_token = now;
+  // The first token is real output; it just has no gap.
+  e.record.tokens_out += 1;
+  e.has_ttft = true;
 }
 
 void MetricsSink::on_token(std::int64_t id, sim::SimTime gap) {
-  slot(id).tokens_out += 1;
-  samples_[index_.at(id)].itl_ms.push_back(gap.ms());
+  Entry& e = open(id);
+  e.record.tokens_out += 1;
+  // Consecutive gaps of one request are mostly equal (the same iteration
+  // cost), so runs keep the buffer and the completion fold short.
+  if (!e.itl_runs.empty() && e.itl_runs.back().first == gap.ps()) {
+    e.itl_runs.back().second += 1;
+  } else {
+    e.itl_runs.emplace_back(gap.ps(), 1);
+  }
 }
 
 void MetricsSink::on_preempt(std::int64_t id, std::int64_t recomputed_tokens) {
-  slot(id).preemptions += 1;
+  open(id).record.preemptions += 1;
   preemptions_ += 1;
   recomputed_tokens_ += recomputed_tokens;
 }
 
 void MetricsSink::on_complete(std::int64_t id, sim::SimTime now) {
-  RequestMetrics& m = slot(id);
-  m.outcome = RequestOutcome::kCompleted;
-  m.finish = now;
-  const sim::SimTime deadline = deadlines_[index_.at(id)];
-  m.met_deadline =
-      deadline == sim::SimTime::zero() || now - m.arrival <= deadline;
+  Entry& e = open(id);
+  for (const auto& [ps, count] : e.itl_runs) itl_hist_[ps] += count;
+  e.record.met_deadline = e.deadline == sim::SimTime::zero() ||
+                          now - e.record.arrival <= e.deadline;
+  close(e, RequestOutcome::kCompleted, now);
 }
 
 void MetricsSink::on_reject(std::int64_t id, sim::SimTime now) {
-  RequestMetrics& m = slot(id);
-  m.outcome = RequestOutcome::kRejected;
-  m.finish = now;
+  close(open(id), RequestOutcome::kRejected, now);
 }
 
 void MetricsSink::on_drop(std::int64_t id, sim::SimTime now) {
-  RequestMetrics& m = slot(id);
-  m.outcome = RequestOutcome::kDropped;
-  m.finish = now;
+  close(open(id), RequestOutcome::kDropped, now);
 }
 
 void MetricsSink::on_shed(std::int64_t id, sim::SimTime now) {
-  RequestMetrics& m = slot(id);
-  m.outcome = RequestOutcome::kShed;
-  m.finish = now;
+  close(open(id), RequestOutcome::kShed, now);
 }
 
 void MetricsSink::on_timeout(std::int64_t id, sim::SimTime now) {
-  RequestMetrics& m = slot(id);
-  m.outcome = RequestOutcome::kTimedOut;
-  m.finish = now;
+  close(open(id), RequestOutcome::kTimedOut, now);
 }
 
 void MetricsSink::on_fault_retry(std::int64_t id, std::int64_t wasted_rows) {
-  slot(id).fault_retries += 1;
+  open(id).record.fault_retries += 1;
   fault_retries_ += 1;
   wasted_tokens_ += wasted_rows;
 }
 
 void MetricsSink::on_fail(std::int64_t id, sim::SimTime now,
                           std::int64_t wasted_rows) {
-  RequestMetrics& m = slot(id);
-  m.outcome = RequestOutcome::kFailed;
-  m.finish = now;
+  close(open(id), RequestOutcome::kFailed, now);
   wasted_tokens_ += wasted_rows;
 }
 
 void MetricsSink::on_wasted(std::int64_t rows) { wasted_tokens_ += rows; }
 
 void MetricsSink::on_migrated(std::int64_t id, std::int64_t rows) {
-  slot(id).migrations += 1;
+  open(id).record.migrations += 1;
   migrations_ += 1;
   migrated_rows_ += rows;
 }
 
 ServeSummary MetricsSink::summary(sim::SimTime makespan) const {
+  GAUDI_ASSERT(open_ == 0, std::to_string(open_) +
+                               " offered requests have no terminal outcome");
   ServeSummary s;
-  s.offered = static_cast<std::int64_t>(records_.size());
+  s.offered = static_cast<std::int64_t>(entries_.size());
   s.preemptions = preemptions_;
   s.recomputed_tokens = recomputed_tokens_;
   s.fault_retries = fault_retries_;
@@ -167,22 +201,18 @@ ServeSummary MetricsSink::summary(sim::SimTime makespan) const {
   // Percentiles reduce the samples of completed requests only: a request
   // the service gave up on must not shift the latency tails it reports.
   std::vector<double> ttft_ms;
-  std::vector<double> itl_ms;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const RequestMetrics& m = records_[i];
+  for (const Entry& e : entries_) {
+    const RequestMetrics& m = e.record;
     s.tokens_out += m.tokens_out;
     switch (m.outcome) {
-      case RequestOutcome::kCompleted: {
+      case RequestOutcome::kCompleted:
         s.completed += 1;
         if (m.met_deadline) {
           s.deadline_met += 1;
           good_tokens += m.tokens_out;
         }
-        const Samples& sam = samples_[i];
-        if (sam.has_ttft) ttft_ms.push_back(sam.ttft_ms);
-        itl_ms.insert(itl_ms.end(), sam.itl_ms.begin(), sam.itl_ms.end());
+        if (e.has_ttft) ttft_ms.push_back((m.first_token - m.arrival).ms());
         break;
-      }
       case RequestOutcome::kRejected: s.rejected += 1; break;
       case RequestOutcome::kDropped: s.dropped += 1; break;
       case RequestOutcome::kShed: s.shed += 1; break;
@@ -203,8 +233,11 @@ ServeSummary MetricsSink::summary(sim::SimTime makespan) const {
   } else {
     s.ttft_mean_ms = std::numeric_limits<double>::quiet_NaN();
   }
-  s.itl_p50_ms = percentile(itl_ms, 50.0);
-  s.itl_p99_ms = percentile(itl_ms, 99.0);
+  std::vector<std::pair<std::int64_t, std::int64_t>> itl(itl_hist_.begin(),
+                                                         itl_hist_.end());
+  std::sort(itl.begin(), itl.end());
+  s.itl_p50_ms = histogram_percentile(itl, 50.0);
+  s.itl_p99_ms = histogram_percentile(itl, 99.0);
   const double seconds = makespan.seconds();
   s.throughput_tok_s =
       seconds > 0.0 ? static_cast<double>(s.tokens_out) / seconds : 0.0;
@@ -214,7 +247,9 @@ ServeSummary MetricsSink::summary(sim::SimTime makespan) const {
 }
 
 std::vector<RequestMetrics> MetricsSink::requests() const {
-  std::vector<RequestMetrics> out = records_;
+  std::vector<RequestMetrics> out;
+  out.reserve(entries_.size());
+  for (const Entry& e : entries_) out.push_back(e.record);
   std::sort(out.begin(), out.end(),
             [](const RequestMetrics& a, const RequestMetrics& b) {
               return a.id < b.id;

@@ -9,8 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -80,11 +81,19 @@ struct ServeSummary {
 
 /// Collects per-request events during a simulation and reduces them.
 ///
-/// TTFT/ITL samples are kept per request and only the samples of *completed*
-/// requests enter the percentile reductions: a request aborted mid-stream
-/// (watchdog, exhausted retry budget, deadline drop after preemption) must
-/// not pollute the latency distribution the SLO is written against — its
-/// fate is counted in the per-outcome breakdown instead.
+/// Only *completed* requests enter the latency percentiles: a request
+/// aborted mid-stream (watchdog, exhausted retry budget, deadline drop after
+/// preemption) must not pollute the distribution the SLO is written against
+/// — its fate is counted in the per-outcome breakdown instead.  So a
+/// request's ITL gaps are held, as integer picoseconds, only while it is in
+/// flight.  Completion folds them into one exact histogram (gap → count),
+/// from which summary() reads the same nearest-rank p50/p99 as percentile()
+/// over the millisecond samples; any other terminal outcome drops them.
+///
+/// Every offered request reaches exactly one terminal outcome (complete,
+/// reject, drop, shed, timeout or fail), and no event for it follows that
+/// outcome; the handlers throw sim::InternalError otherwise, and summary()
+/// throws while any request is still open.
 class MetricsSink {
  public:
   void on_offered(const Request& r);
@@ -117,19 +126,28 @@ class MetricsSink {
   [[nodiscard]] std::vector<RequestMetrics> requests() const;
 
  private:
-  /// Per-request latency samples, excluded from the reductions unless the
-  /// request completes.
-  struct Samples {
-    double ttft_ms = 0.0;
+  /// One offered request: its record, plus what the reductions need while
+  /// it is in flight.
+  struct Entry {
+    RequestMetrics record;
+    sim::SimTime deadline{};
+    /// ITL gaps as runs of equal values {gap in ps, count}, in token
+    /// order; freed at the terminal outcome.
+    std::vector<std::pair<std::int64_t, std::int64_t>> itl_runs;
     bool has_ttft = false;
-    std::vector<double> itl_ms;
+    bool closed = false;  ///< the terminal outcome arrived
   };
 
-  RequestMetrics& slot(std::int64_t id);
-  std::vector<RequestMetrics> records_;  ///< indexed by offer order
-  std::map<std::int64_t, std::size_t> index_;
-  std::vector<sim::SimTime> deadlines_;
-  std::vector<Samples> samples_;  ///< parallel to records_
+  /// The entry of `id`, which must be offered and not yet closed.
+  Entry& open(std::int64_t id);
+  /// Records `e`'s terminal outcome and frees its ITL buffer.
+  void close(Entry& e, RequestOutcome outcome, sim::SimTime now);
+
+  std::vector<Entry> entries_;  ///< in offer order
+  std::unordered_map<std::int64_t, std::size_t> index_;  ///< id -> entry
+  /// ITL gaps of completed requests: gap in ps -> count.
+  std::unordered_map<std::int64_t, std::int64_t> itl_hist_;
+  std::int64_t open_ = 0;  ///< offered requests not yet closed
   std::int64_t preemptions_ = 0;
   std::int64_t recomputed_tokens_ = 0;
   std::int64_t fault_retries_ = 0;

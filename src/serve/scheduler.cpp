@@ -455,6 +455,16 @@ std::int64_t ContinuousBatchScheduler::load() const {
                                    waiting_.size());
 }
 
+std::vector<std::int64_t> ContinuousBatchScheduler::ids() const {
+  std::vector<std::int64_t> out;
+  out.reserve(static_cast<std::size_t>(load()));
+  for (const Active& a : running_) out.push_back(a.req.id);
+  for (const Active& a : requeued_) out.push_back(a.req.id);
+  for (const Request& r : waiting_) out.push_back(r.id);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::int64_t ContinuousBatchScheduler::free_kv_blocks() const {
   return kv_.free_blocks();
 }
@@ -482,18 +492,14 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
   // --- KV growth for this iteration's decode appends (may preempt). ---
   // Snapshot decode-eligible ids; growth walks them in admission order so
   // victim choices (and therefore metrics) are deterministic.
-  struct DecodeSlot {
-    std::int64_t id = 0;
-    std::int64_t ctx_in = 0;  ///< KV rows the step attends over
-  };
-  std::vector<DecodeSlot> decode_set;
+  decode_set_.clear();
   for (const Active& a : running_) {
     if (!a.in_prefill() && !a.done() && a.generated >= 1) {
-      decode_set.push_back({a.req.id, a.kv_tokens()});
+      decode_set_.push_back({a.req.id, a.kv_tokens()});
     }
   }
-  std::vector<DecodeSlot> survivors;
-  for (const DecodeSlot& slot : decode_set) {
+  survivors_.clear();
+  for (const DecodeSlot& slot : decode_set_) {
     const auto it = std::find_if(
         running_.begin(), running_.end(),
         [&](const Active& a) { return a.req.id == slot.id; });
@@ -512,20 +518,20 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
       const bool grown = kv_.grow(slot.id, rows_after);
       GAUDI_ASSERT(grown, "grow after make_room");
     }
-    survivors.push_back(slot);
+    survivors_.push_back(slot);
   }
   // A later grower may preempt an earlier survivor within the same
   // iteration; the victim's appended row went back with its blocks, so it
   // must not be billed or emit a token this round.
-  survivors.erase(
-      std::remove_if(survivors.begin(), survivors.end(),
+  survivors_.erase(
+      std::remove_if(survivors_.begin(), survivors_.end(),
                      [&](const DecodeSlot& slot) {
                        return std::none_of(running_.begin(), running_.end(),
                                            [&](const Active& a) {
                                              return a.req.id == slot.id;
                                            });
                      }),
-      survivors.end());
+      survivors_.end());
 
   // --- Select the prefill chunk (after preemption settled the set). ---
   sim::SimTime iter_time = sim::SimTime::zero();
@@ -542,9 +548,9 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
     break;  // one prefill request per iteration
   }
 
-  if (!survivors.empty()) {
+  if (!survivors_.empty()) {
     std::int64_t max_ctx = 1;
-    for (const DecodeSlot& slot : survivors) {
+    for (const DecodeSlot& slot : survivors_) {
       max_ctx = std::max(max_ctx, slot.ctx_in);
     }
     iter_time += price(Phase::kDecode, ctx_to_bucket(max_ctx));
@@ -588,7 +594,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
     out.chip_failed = true;
   } else {
     // --- Token emission & completion. ---
-    for (const DecodeSlot& slot : survivors) {
+    for (const DecodeSlot& slot : survivors_) {
       const auto it = std::find_if(
           running_.begin(), running_.end(),
           [&](const Active& a) { return a.req.id == slot.id; });

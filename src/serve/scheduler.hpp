@@ -264,6 +264,8 @@ class ContinuousBatchScheduler {
   [[nodiscard]] std::vector<RequestProgress> drain_all();
   /// Queue pressure (running + requeued + waiting) for join-shortest-queue.
   [[nodiscard]] std::int64_t load() const;
+  /// Ids of every request here (running, requeued, or waiting), ascending.
+  [[nodiscard]] std::vector<std::int64_t> ids() const;
   [[nodiscard]] std::int64_t free_kv_blocks() const;
   [[nodiscard]] std::int64_t iterations() const { return stats_.iterations; }
   /// Allocator ownership-invariant check (router-side GAUDI_VALIDATE after a
@@ -294,6 +296,12 @@ class ContinuousBatchScheduler {
     }
     [[nodiscard]] bool in_prefill() const { return prefilled < prefill_needed; }
     [[nodiscard]] bool done() const { return generated >= req.output_len; }
+  };
+
+  /// A request generating a token this iteration.
+  struct DecodeSlot {
+    std::int64_t id = 0;
+    std::int64_t ctx_in = 0;  ///< KV rows the step attends over
   };
 
   /// What the pricer costs: one decode step over the running batch, or one
@@ -351,6 +359,9 @@ class ContinuousBatchScheduler {
   PagedKvAllocator kv_;
   std::map<std::pair<Phase, std::int64_t>, sim::SimTime> costs_;  ///< price()
   std::vector<Active> running_;
+  /// step()'s decode set and its survivors of KV growth, kept so that an
+  /// iteration allocates nothing.
+  std::vector<DecodeSlot> decode_set_, survivors_;
   std::deque<Active> requeued_;  ///< preempted/retrying, awaiting re-admission
   std::deque<Request> waiting_;  ///< arrived, not yet admitted or shed
   /// The counters accumulate here as they happen; run() adds the summary,

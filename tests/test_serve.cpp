@@ -1,6 +1,7 @@
 // Serving simulator tests: workload determinism, paged-allocator
 // invariants, percentile edge cases, scheduler end-to-end runs, and
-// regression tests for the decode/CLI input-validation fixes.
+// regression tests for the decode/CLI input-validation fixes, and the pinned
+// report bytes of one serve and one serve-cluster run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,15 +11,18 @@
 #include <vector>
 
 #include "core/cli.hpp"
+#include "core/options.hpp"
 #include "graph/runtime.hpp"
 #include "graph/timing_memo.hpp"
 #include "nn/decode.hpp"
+#include "serve/cluster.hpp"
 #include "serve/kv_cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
 #include "sim/error.hpp"
 #include "sim/fault.hpp"
+#include "sim/rng.hpp"
 
 namespace gaudi {
 namespace {
@@ -64,6 +68,93 @@ TEST(MetricsSink, FirstTokenCountsAsOutput) {
   EXPECT_EQ(s.tokens_out, 3);
   EXPECT_EQ(s.completed, 1);
   EXPECT_EQ(s.deadline_met, 1);  // no deadline configured counts as met
+}
+
+TEST(MetricsSink, TokenAfterCompletionThrows) {
+  serve::MetricsSink sink;
+  serve::Request r;
+  r.id = 4;
+  sink.on_offered(r);
+  sink.on_first_token(4, sim::SimTime::from_ms(5.0));
+  sink.on_complete(4, sim::SimTime::from_ms(5.0));
+  EXPECT_THROW(sink.on_token(4, sim::SimTime::from_ms(1.0)),
+               sim::InternalError);
+}
+
+TEST(MetricsSink, CompletionAfterTimeoutThrows) {
+  serve::MetricsSink sink;
+  serve::Request r;
+  r.id = 5;
+  sink.on_offered(r);
+  sink.on_timeout(5, sim::SimTime::from_ms(9.0));
+  EXPECT_THROW(sink.on_complete(5, sim::SimTime::from_ms(10.0)),
+               sim::InternalError);
+  // Closed requests end the run; an open one makes summary() throw.
+  EXPECT_NO_THROW((void)sink.summary(sim::SimTime::from_ms(10.0)));
+  r.id = 6;
+  sink.on_offered(r);
+  EXPECT_THROW((void)sink.summary(sim::SimTime::from_ms(10.0)),
+               sim::InternalError);
+}
+
+TEST(MetricsSink, ItlTailsEqualPercentileOverCompletedSamples) {
+  // Seeded random sink histories.  Gaps come from a few values (many ties)
+  // or a wide range, and requests end in random outcomes.  The sink's ITL
+  // tails must equal percentile() over the ms samples of the completed
+  // requests.  Seed 0 offers nothing, seed 1 completes one request with one
+  // gap, and other seeds may complete none.
+  const std::int64_t tie_ps[] = {2'610'000'000, 2'630'000'000, 5'220'000'000};
+  const auto same = [](double a, double b) {
+    return (std::isnan(a) && std::isnan(b)) || a == b;
+  };
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const sim::CounterRng rng(seed);
+    std::uint64_t draw = 0;
+    const auto below = [&](std::uint64_t n) {
+      return static_cast<std::int64_t>(rng.below(draw++, n));
+    };
+    serve::MetricsSink sink;
+    std::vector<double> completed_ms;
+    const std::int64_t requests = seed < 2 ? static_cast<std::int64_t>(seed)
+                                           : below(12);
+    for (std::int64_t id = 0; id < requests; ++id) {
+      serve::Request r;
+      r.id = id;
+      sink.on_offered(r);
+    }
+    for (std::int64_t id = 0; id < requests; ++id) {
+      const std::int64_t outcome = seed == 1 ? 0 : below(4);
+      const std::int64_t gaps = seed == 1 ? 1 : below(30);
+      std::vector<double> ms;
+      sink.on_first_token(id, sim::SimTime::from_ms(1.0));
+      for (std::int64_t g = 0; g < gaps; ++g) {
+        const std::int64_t ps =
+            below(2) == 0 ? tie_ps[below(3)] : 1 + below(1'000'000'000'000);
+        sink.on_token(id, sim::SimTime::from_ps(ps));
+        ms.push_back(sim::SimTime::from_ps(ps).ms());
+      }
+      const sim::SimTime end = sim::SimTime::from_ms(2.0);
+      switch (outcome) {
+        case 0:
+        case 1:
+          sink.on_complete(id, end);
+          completed_ms.insert(completed_ms.end(), ms.begin(), ms.end());
+          break;
+        case 2: sink.on_timeout(id, end); break;
+        default: sink.on_fail(id, end, 0); break;
+      }
+    }
+    const serve::ServeSummary s = sink.summary(sim::SimTime::from_ms(2.0));
+    const double p50 = serve::percentile(completed_ms, 50.0);
+    const double p99 = serve::percentile(completed_ms, 99.0);
+    EXPECT_TRUE(same(s.itl_p50_ms, p50))
+        << "seed " << seed << ": " << s.itl_p50_ms << " vs " << p50;
+    EXPECT_TRUE(same(s.itl_p99_ms, p99))
+        << "seed " << seed << ": " << s.itl_p99_ms << " vs " << p99;
+    if (seed < 2) {
+      EXPECT_EQ(std::isnan(p50), seed == 0);
+    }
+  }
 }
 
 // ------------------------------------------------------------------ workload
@@ -747,6 +838,73 @@ TEST(FaultServe, WatchdogShedAndRetryComposeToOneTypedOutcome) {
   serve::ContinuousBatchScheduler again(rt, cfg);
   EXPECT_EQ(r.to_report(), again.run(stream).to_report());
   ::unsetenv("GAUDI_VALIDATE");
+}
+
+// ------------------------------------------------------------ golden bytes
+
+/// ITL samples behind a report's percentiles: every token of a completed
+/// request after its first.
+std::int64_t itl_samples(const std::vector<serve::RequestMetrics>& requests) {
+  std::int64_t n = 0;
+  for (const serve::RequestMetrics& m : requests) {
+    if (m.outcome == serve::RequestOutcome::kCompleted) n += m.tokens_out - 1;
+  }
+  return n;
+}
+
+TEST(GoldenReport, ServeWithFaultsPreemptionTimeoutsAndDrops) {
+  // Pinned bytes of a run with chip failures, preemption, watchdog timeouts
+  // and deadline drops, so a change to the metrics path cannot move a
+  // report unnoticed.  The options go through the CLI's parse site.
+  const core::ServeOptions o = core::parse_serve_options(core::ArgParser(
+      {"--requests", "120", "--rate", "40", "--kv-mb", "3", "--faults",
+       "--mtbf", "40", "--fault-seed", "5", "--retry-max", "2",
+       "--watchdog-ms", "250", "--deadline-ms", "450", "--prompt-min", "32",
+       "--prompt-max", "96", "--output-min", "8", "--output-max", "32",
+       "--block-tokens", "16", "--timing-only", "on"}));
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ContinuousBatchScheduler sched(rt, o.config);
+  const serve::ServeReport r = sched.run(o.requests());
+  EXPECT_GT(itl_samples(r.requests), 1000);
+  EXPECT_EQ(r.to_report(),
+    "requests: 120 offered, 99 completed, 30 preemptions, availability 82.5%\n"
+    "outcomes: 0 rejected, 9 dropped, 0 shed, 1 failed, 11 timed-out\n"
+    "tokens:   1989 generated, 1167 recomputed after preemption, 4764 wasted by faults (63 retries)\n"
+    "TTFT:     p50 188.88 ms, p99 269.04 ms, mean 162.75 ms\n"
+    "ITL:      p50 2.61 ms, p99 125.59 ms\n"
+    "rate:     644.8 tok/s throughput, 579.9 tok/s goodput (97 of 99 inside deadline) over 3.085 s\n"
+    "schedule: 553 iterations (534 decode steps, 185 prefill chunks), 2 compiled step graphs resident, 0 evicted\n"
+    "kv pool:  24 of 24 blocks at peak, 62 token slots fragmented at peak\n"
+    "faults:   17 chip failures, 21 hbm stalls, 48 tpc stragglers injected\n");
+}
+
+TEST(GoldenReport, ClusterWithHedgingMigrationAndDrain) {
+  const core::ServeClusterOptions o =
+      core::parse_serve_cluster_options(core::ArgParser(
+          {"--requests", "120", "--rate", "80", "--replicas", "3", "--lb",
+           "jsq", "--faults", "--mtbf", "80", "--fault-seed", "3",
+           "--hedge-ms", "15", "--migrate", "--drain-replica", "0",
+           "--drain-at-ms", "300", "--deadline-ms", "3000", "--output-min",
+           "8", "--output-max", "24", "--timing-only", "on"}));
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ClusterRouter router(rt, o.config);
+  const serve::ClusterReport r = router.run(o.requests());
+  EXPECT_GT(itl_samples(r.requests), 1000);
+  EXPECT_EQ(r.to_report(),
+    "requests: 120 offered, 113 completed, 0 preemptions, availability 94.2%\n"
+    "outcomes: 0 rejected, 0 dropped, 0 shed, 7 failed, 0 timed-out\n"
+    "tokens:   1879 generated, 0 recomputed after preemption, 4818 wasted by faults (89 retries)\n"
+    "TTFT:     p50 138.47 ms, p99 357.81 ms, mean 144.67 ms\n"
+    "ITL:      p50 5.22 ms, p99 107.14 ms\n"
+    "rate:     1054.0 tok/s throughput, 1022.6 tok/s goodput (113 of 113 inside deadline) over 1.783 s\n"
+    "cluster:  3 replicas (jsq), 89 failovers, 8 breaker opens\n"
+    "hedges:   31 launched, 7 won (22.6%), 384 rows wasted by losers\n"
+    "faults:   9 chip failures across the fleet\n"
+    "migrate:  39 started, 31 cut over, 8 aborted; 4295 rows kept (137 blocks, 30 link retries, 26.118 ms on the wire), 59 queue evacuations\n"
+    "drain:    replica 0 drained cleanly\n"
+    "replica 0: 7 dispatched, 6 completed, 1 chip failures, 2 failed over, availability 85.7%, 1 migrated in, 0 out\n"
+    "replica 1: 134 dispatched, 62 completed, 4 chip failures, 30 failed over, availability 46.3%, 17 migrated in, 13 out\n"
+    "replica 2: 158 dispatched, 45 completed, 4 chip failures, 65 failed over, availability 28.5%, 13 migrated in, 18 out\n");
 }
 
 }  // namespace
