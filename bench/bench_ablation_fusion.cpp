@@ -36,10 +36,11 @@ Row run_layer(nn::AttentionKind kind, const sim::ChipConfig& cfg) {
     g.mark_output(layer(g, params, x, 128, 2048));
 
     graph::Runtime rt(cfg);
+    graph::CompileOptions copts;
+    copts.fuse_elementwise = fuse;
     graph::RunOptions opts;
     opts.mode = tpc::ExecMode::kTiming;
-    opts.fuse_elementwise = fuse;
-    const auto result = rt.run(g, {}, opts);
+    const auto result = rt.run(rt.compile(g, copts), {}, opts);
     (fuse ? row.fused_ms : row.plain_ms) = result.makespan.ms();
     (fuse ? row.fused_peak : row.plain_peak) = result.hbm_peak_bytes;
   }
@@ -55,10 +56,11 @@ Row run_llm(nn::LmArch arch, const sim::ChipConfig& cfg) {
                                        : nn::LmConfig::bert_paper();
     (void)nn::build_language_model(g, model_cfg);
     graph::Runtime rt(cfg);
+    graph::CompileOptions copts;
+    copts.fuse_elementwise = fuse;
     graph::RunOptions opts;
     opts.mode = tpc::ExecMode::kTiming;
-    opts.fuse_elementwise = fuse;
-    const auto result = rt.run(g, {}, opts);
+    const auto result = rt.run(rt.compile(g, copts), {}, opts);
     (fuse ? row.fused_ms : row.plain_ms) = result.makespan.ms();
     (fuse ? row.fused_peak : row.plain_peak) = result.hbm_peak_bytes;
   }

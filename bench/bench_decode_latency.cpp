@@ -6,11 +6,11 @@
 //
 // The bench also exercises the compile/execute split the way a serving
 // loop would: each context length's step graph goes through the compiler
-// pipeline exactly once (DecodeStepCache), then the per-token loop replays
-// the immutable artifact — no per-token mapping, fusion, or memory
-// planning.
+// pipeline exactly once, then the per-token loop replays the immutable
+// artifact — no per-token mapping, fusion, or memory planning.
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #include "core/analysis.hpp"
 #include "core/table.hpp"
@@ -21,19 +21,21 @@ int main() {
   using namespace gaudi;
   const sim::ChipConfig cfg = sim::ChipConfig::hls1();
   constexpr int kTokensPerCtx = 8;
+  constexpr std::int64_t kContexts[] = {256, 512, 1024, 2048, 4096};
 
   nn::DecodeConfig model = nn::DecodeConfig::gpt2_paper();
   model.batch = 8;
 
   const graph::Runtime rt(cfg);
-  nn::DecodeStepCache cache(rt, model);
 
   core::TextTable table({"Context", "Step latency", "Tokens/s", "MME busy",
                          "TPC busy", "TPC share", "Compile", "Run/tok"});
-  for (const std::int64_t ctx : {256, 512, 1024, 2048, 4096}) {
+  for (const std::int64_t ctx : kContexts) {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
-    const nn::DecodeStepCache::Entry& entry = cache.step(ctx);
+    graph::Graph g;
+    (void)nn::build_gpt_decode_step(g, model, ctx);
+    const graph::CompiledGraph compiled = rt.compile(g);
     const auto t1 = clock::now();
 
     graph::RunOptions opts;
@@ -43,7 +45,7 @@ int main() {
     // reports the same trace; wall-clock per token is what varies).
     graph::ProfileResult result;
     for (int tok = 0; tok < kTokensPerCtx; ++tok) {
-      result = rt.run(entry.compiled, {}, opts);
+      result = rt.run(compiled, {}, opts);
     }
     const auto t2 = clock::now();
     const double compile_ms =
@@ -68,7 +70,7 @@ int main() {
   std::puts("GPT decode step (batch 8, 2 layers, 8 heads x 64, vocab 50257):");
   std::fputs(table.to_string().c_str(), stdout);
   std::printf("\n%zu step graphs compiled for %d tokens each; the per-token\n",
-              cache.compiled_steps(), kTokensPerCtx);
+              std::size(kContexts), kTokensPerCtx);
   std::puts("loop replays the compiled artifact without re-running any pass.");
   std::puts("\nTraining (Fig 8) runs the MME at 72% utilization; decode");
   std::puts("inverts the balance — single-row GEMMs bottom out at the MME's");

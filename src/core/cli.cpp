@@ -290,21 +290,8 @@ int cmd_profile_layer(ArgParser& args, std::ostream& out) {
   const ProfileRun run = parse_profile_run(args);
   args.check_unused();
 
-  // Rebuild the layer graph here so fusion can be applied.
   graph::Graph g;
-  nn::ParamStore params(0x1A1E);
-  nn::TransformerLayerConfig layer_cfg;
-  layer_cfg.d_model = exp.heads * exp.head_dim;
-  layer_cfg.heads = exp.heads;
-  layer_cfg.head_dim = exp.head_dim;
-  layer_cfg.attention = exp.attention;
-  layer_cfg.ffn_dim = exp.ffn_dim;
-  nn::TransformerLayer layer(g, params, layer_cfg, "layer");
-  const graph::ValueId x =
-      g.input(tensor::Shape{{exp.batch * exp.seq_len, layer_cfg.d_model}},
-              tensor::DType::F32, "x");
-  g.mark_output(layer(g, params, x, exp.batch, exp.seq_len));
-
+  build_layer_experiment(g, exp);
   profile_graph(out, g, exp.policy, run,
                 std::string("layer / ") +
                     nn::attention_kind_name(exp.attention.kind));
@@ -399,33 +386,12 @@ int cmd_train(ArgParser& args, std::ostream& out) {
 }
 
 int cmd_train_resilient(ArgParser& args, std::ostream& out) {
-  scaleout::TrainingRunConfig cfg;
-  cfg.steps = static_cast<std::uint64_t>(args.get_int("steps", 1000));
-  cfg.step_time = sim::SimTime::from_ms(
-      static_cast<double>(args.get_int("step-ms", 300)));
-  cfg.chips = static_cast<std::uint32_t>(args.get_int("chips", 8));
-  cfg.mtbf_steps = static_cast<double>(args.get_int("mtbf", 200));
-  const std::string recovery = args.get("recovery", "young-daly");
-  if (recovery == "none") {
-    cfg.policy = scaleout::RecoveryPolicy::kNone;
-  } else if (recovery == "fixed") {
-    cfg.policy = scaleout::RecoveryPolicy::kFixedInterval;
-    cfg.checkpoint_interval =
-        static_cast<std::uint64_t>(args.get_int("interval", 50));
-  } else if (recovery == "young-daly") {
-    cfg.policy = scaleout::RecoveryPolicy::kYoungDaly;
-  } else {
-    throw sim::InvalidArgument("unknown recovery policy: " + recovery);
-  }
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("fault-seed", 0xFA517));
+  const ResilientTrainingOptions o = parse_resilient_training(args);
   args.check_unused();
 
-  GAUDI_CHECK(cfg.mtbf_steps > 0.0, "--mtbf expects a positive step count");
-  const sim::FaultInjector faults{
-      seed, sim::FaultProfile::from_mtbf_steps(cfg.mtbf_steps, cfg.chips)};
+  const scaleout::TrainingRunConfig& cfg = o.config;
   const scaleout::TrainingRunReport rep =
-      scaleout::resilient_training_run(cfg, faults);
+      scaleout::resilient_training_run(cfg, o.faults);
 
   const sim::SimTime save = scaleout::checkpoint_save_time(cfg.checkpoint);
   out << "resilient training: " << cfg.steps << " steps x "

@@ -120,9 +120,7 @@ std::string format_mme_vs_tpc(const std::vector<MmeVsTpcRow>& rows) {
 // Figures 4-7
 // ---------------------------------------------------------------------------
 
-LayerProfile run_layer_profile(const LayerExperiment& exp,
-                               const sim::ChipConfig& cfg) {
-  Graph g;
+void build_layer_experiment(Graph& g, const LayerExperiment& exp) {
   nn::ParamStore params(0x1A1E);
   const std::int64_t d_model = exp.heads * exp.head_dim;
   const std::int64_t tokens = exp.batch * exp.seq_len;
@@ -137,8 +135,13 @@ LayerProfile run_layer_profile(const LayerExperiment& exp,
   layer_cfg.attention = exp.attention;
   layer_cfg.ffn_dim = exp.ffn_dim;
   nn::TransformerLayer layer(g, params, layer_cfg, "layer");
-  const ValueId y = layer(g, params, x, exp.batch, exp.seq_len);
-  g.mark_output(y);
+  g.mark_output(layer(g, params, x, exp.batch, exp.seq_len));
+}
+
+LayerProfile run_layer_profile(const LayerExperiment& exp,
+                               const sim::ChipConfig& cfg) {
+  Graph g;
+  build_layer_experiment(g, exp);
 
   graph::Runtime runtime(cfg);
   const graph::CompiledGraph compiled = runtime.compile(g);

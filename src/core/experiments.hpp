@@ -74,8 +74,12 @@ struct LayerProfile {
   std::size_t hbm_peak_bytes = 0;
 };
 
-/// Builds one Transformer layer at the experiment's scale and profiles it in
-/// timing mode under the given scheduler policy.
+/// Appends one Transformer layer at the experiment's scale to `g` and marks
+/// its output: the graph both run_layer_profile and `profile-layer` run.
+void build_layer_experiment(graph::Graph& g, const LayerExperiment& exp);
+
+/// Builds the experiment's layer and profiles it in timing mode under the
+/// experiment's scheduler policy.
 [[nodiscard]] LayerProfile run_layer_profile(const LayerExperiment& exp,
                                              const sim::ChipConfig& cfg);
 

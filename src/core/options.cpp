@@ -148,6 +148,40 @@ FaultOptions parse_fault_options(const ArgParser& args, std::uint32_t chips) {
   return f;
 }
 
+ResilientTrainingOptions parse_resilient_training(const ArgParser& args) {
+  using scaleout::RecoveryPolicy;
+  ResilientTrainingOptions o;
+  scaleout::TrainingRunConfig& c = o.config;
+  c.steps = static_cast<std::uint64_t>(
+      bounded(args, "steps", static_cast<std::int64_t>(c.steps), 1,
+              "step count"));
+  c.step_time = millis(args, "step-ms", c.step_time, 1);
+  c.chips = static_cast<std::uint32_t>(
+      bounded(args, "chips", c.chips, 1, "chip count",
+              std::numeric_limits<std::uint32_t>::max()));
+  c.mtbf_steps = static_cast<double>(bounded(
+      args, "mtbf", static_cast<std::int64_t>(c.mtbf_steps), 1, "step count"));
+  const std::string recovery = args.get("recovery", "young-daly");
+  if (recovery == "none") {
+    c.policy = RecoveryPolicy::kNone;
+  } else if (recovery == "fixed") {
+    c.policy = RecoveryPolicy::kFixedInterval;
+  } else if (recovery == "young-daly") {
+    c.policy = RecoveryPolicy::kYoungDaly;
+  } else {
+    throw sim::InvalidArgument("unknown recovery policy: " + recovery +
+                               " (--recovery expects none|fixed|young-daly)");
+  }
+  c.checkpoint_interval = static_cast<std::uint64_t>(bounded(
+      args, "interval", static_cast<std::int64_t>(c.checkpoint_interval), 1,
+      "step count"));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int("fault-seed", 0xFA517));
+  o.faults = sim::FaultInjector{
+      seed, sim::FaultProfile::from_mtbf_steps(c.mtbf_steps, c.chips)};
+  return o;
+}
+
 std::vector<serve::Request> StreamOptions::requests() const {
   return arrivals.empty() ? serve::poisson_stream(stream)
                           : serve::load_trace(arrivals);

@@ -2,11 +2,11 @@
 //
 // `gaudisim_cli serve ...` and a batch cell with `command serve` read their
 // options through the functions below, and so do serve-cluster,
-// profile-layer and profile-model.  Each option is parsed and checked in
-// exactly one place, so a setting means the same thing from argv and from a
-// cell's `set`/`sweep` line (wrapped by ArgParser::from_pairs), and a bad
-// value fails the same way, naming the option as `--name`.  Callers finish
-// with ArgParser::check_unused().
+// profile-layer, profile-model and train-resilient.  Each option is parsed
+// and checked in exactly one place, so a setting means the same thing from
+// argv and from a cell's `set`/`sweep` line (wrapped by
+// ArgParser::from_pairs), and a bad value fails the same way, naming the
+// option as `--name`.  Callers finish with ArgParser::check_unused().
 //
 // `seed` and `timing-only` are read here too, but a batch cell cannot set
 // them: the runner's `seeds` and `timing-only` directives own them and
@@ -19,6 +19,7 @@
 
 #include "core/cli.hpp"
 #include "core/experiments.hpp"
+#include "scaleout/checkpoint.hpp"
 #include "serve/cluster.hpp"
 #include "serve/workload.hpp"
 #include "sim/fault.hpp"
@@ -48,6 +49,17 @@ struct FaultOptions {
 /// replica, whose MTBF counts iterations.
 [[nodiscard]] FaultOptions parse_fault_options(const ArgParser& args,
                                                std::uint32_t chips);
+
+/// train-resilient: --steps --step-ms --chips --mtbf --recovery --interval
+/// --fault-seed.  Faults always fire at the --mtbf rate.  --interval is
+/// checked under every policy but takes effect only for `fixed` (the rule
+/// --mtbf and --fault-seed follow without --faults).
+struct ResilientTrainingOptions {
+  scaleout::TrainingRunConfig config;
+  sim::FaultInjector faults;
+};
+[[nodiscard]] ResilientTrainingOptions parse_resilient_training(
+    const ArgParser& args);
 
 /// The request stream of both serving commands: seeded Poisson arrivals,
 /// or the trace named by --arrivals.

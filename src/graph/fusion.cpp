@@ -141,10 +141,6 @@ FusedChainKernel::FusedChainKernel(const FusedChainSpec& spec,
   }
 }
 
-FusedChainKernel::FusedChainKernel(const Graph& g, const FusionGroup& group,
-                                   const std::vector<tensor::Tensor>& tensors)
-    : FusedChainKernel(build_chain_spec(g, group), tensors) {}
-
 std::string FusedChainKernel::name() const { return label_; }
 
 tpc::IndexSpace FusedChainKernel::index_space() const {

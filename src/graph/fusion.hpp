@@ -4,8 +4,8 @@
 // kernel so intermediates stay in registers instead of round-tripping
 // through global memory, and only one kernel launch is paid.  This pass
 // finds maximal single-consumer chains of flat element-wise ops and
-// provides a fused kernel that executes a whole chain per vector; the
-// runtime applies it when RunOptions::fuse_elementwise is set, and the
+// provides a fused kernel that executes a whole chain per vector; the graph
+// compiler applies it when CompileOptions::fuse_elementwise is set, and the
 // fusion ablation bench quantifies the win.
 #pragma once
 
@@ -84,9 +84,6 @@ class FusedChainKernel final : public tpc::Kernel {
  public:
   /// Binds a compile-time chain spec to this run's tensors.
   FusedChainKernel(const FusedChainSpec& spec,
-                   const std::vector<tensor::Tensor>& tensors);
-  /// Convenience: derives the spec on the fly (one-shot callers and tests).
-  FusedChainKernel(const Graph& g, const FusionGroup& group,
                    const std::vector<tensor::Tensor>& tensors);
 
   [[nodiscard]] std::string name() const override;

@@ -459,7 +459,6 @@ ProfileResult Runtime::run(const Graph& g,
                            const std::unordered_map<ValueId, tensor::Tensor>& feeds,
                            const RunOptions& opts) const {
   CompileOptions copts;
-  copts.fuse_elementwise = opts.fuse_elementwise;
   copts.enforce_capacity = opts.account_memory;
   return run(compile(g, copts), feeds, opts);
 }

@@ -41,12 +41,6 @@ struct RunOptions {
   /// compile-and-run overload this also gates compile-time capacity
   /// enforcement.
   bool account_memory = true;
-  /// Apply the element-wise fusion pass when compiling: single-consumer
-  /// chains of element-wise TPC ops execute as one fused kernel, their
-  /// intermediates never touching device memory (see graph/fusion.hpp).
-  /// Ignored by the CompiledGraph overload — fusion is decided at compile
-  /// time.
-  bool fuse_elementwise = false;
   /// Run TraceValidator on the scheduled trace (plus the memory-plan
   /// invariants on the compiled artifact) and throw sim::InternalError on
   /// any violation (see graph/validate.hpp); in timing mode, also recompute

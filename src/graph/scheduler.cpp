@@ -32,7 +32,7 @@ struct SchedState {
 /// Shared list-scheduling core.  When `static_sources` is non-null (the
 /// compiled path), per-value source-engine sets come precomputed from the
 /// DMA-insertion pass; otherwise they are derived on the fly while
-/// scheduling (the legacy path).  Both derivations agree: values are
+/// scheduling (the graph-only overload).  Both derivations agree: values are
 /// single-assignment, so a value's source set is fixed once its producer
 /// issues, and every consumer issues later in program order.
 Trace schedule_impl(const Graph& g, const std::vector<NodeExec>& execs,

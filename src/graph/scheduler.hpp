@@ -54,7 +54,8 @@ struct CompiledGraph;
 /// Plan-driven variant: per-value source-engine sets come from the compiled
 /// artifact's DMA-insertion pass instead of being re-derived, so the
 /// per-run loop makes no mapping decisions.  Produces the same trace as the
-/// legacy overload for the execs the compiled runtime emits.
+/// graph-only overload (the demotion fuzz's reference) for the execs the
+/// compiled runtime emits.
 [[nodiscard]] Trace schedule(const CompiledGraph& cg,
                              const std::vector<NodeExec>& execs,
                              SchedulePolicy policy,

@@ -86,9 +86,6 @@ class Trace {
   /// busy(e) / makespan(); 0 when the trace is empty.
   [[nodiscard]] double utilization(Engine e) const;
 
-  /// Idle fraction of the engine across the whole makespan.
-  [[nodiscard]] double idle_fraction(Engine e) const { return 1.0 - utilization(e); }
-
   /// Idle intervals on `e` between t=0 and the makespan, longest first
   /// omitted — returned in time order.  These are the "blank areas" of the
   /// paper's figures.

@@ -33,7 +33,6 @@ class ChecksumLedger {
   [[nodiscard]] bool verify(std::int64_t id, const std::byte* data,
                             std::size_t n) const;
 
-  void forget(std::int64_t id) { sums_.erase(id); }
   [[nodiscard]] std::size_t size() const { return sums_.size(); }
 
  private:

@@ -20,12 +20,6 @@ Allocation DeviceAllocator::allocate(std::size_t bytes, const std::string& tag) 
   return Allocation{id, bytes};
 }
 
-Allocation DeviceAllocator::try_allocate(std::size_t bytes,
-                                         const std::string& tag) {
-  if (in_use_ + bytes > capacity_) return Allocation{};
-  return allocate(bytes, tag);
-}
-
 void DeviceAllocator::release(const Allocation& a) {
   if (!a.valid()) {
     return;

@@ -35,11 +35,6 @@ class DeviceAllocator {
   /// Throws sim::ResourceExhausted when the allocation would exceed HBM.
   [[nodiscard]] Allocation allocate(std::size_t bytes, const std::string& tag = "");
 
-  /// Non-throwing variant for admission-control callers: returns an invalid
-  /// handle (and changes nothing) when the allocation would exceed HBM.
-  [[nodiscard]] Allocation try_allocate(std::size_t bytes,
-                                        const std::string& tag = "");
-
   void release(const Allocation& a);
 
   [[nodiscard]] std::size_t in_use() const { return in_use_; }

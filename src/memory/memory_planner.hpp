@@ -35,12 +35,6 @@ struct BufferInterval {
   std::int64_t free = kNeverFreed;
   std::size_t bytes = 0;
   std::string tag;  ///< names the buffer in ResourceExhausted messages
-
-  /// Inclusive-overlap test: a buffer allocated in the same step another is
-  /// freed coexists with it momentarily (allocations precede frees).
-  [[nodiscard]] bool overlaps_in_time(const BufferInterval& o) const {
-    return def <= o.free && o.def <= free;
-  }
 };
 
 /// One planned buffer: a fixed [offset, offset + bytes) address range.

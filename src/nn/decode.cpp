@@ -236,14 +236,4 @@ DecodeStepGraph build_gpt_decode_step(Graph& g, const DecodeConfig& cfg,
   return out;
 }
 
-const DecodeStepCache::Entry& DecodeStepCache::step(std::int64_t context_len) {
-  const auto it = entries_.find(context_len);
-  if (it != entries_.end()) return it->second;
-  Graph g;
-  Entry fresh;
-  fresh.step = build_gpt_decode_step(g, cfg_, context_len, seed_);
-  fresh.compiled = rt_.compile(g, copts_);
-  return entries_.emplace(context_len, std::move(fresh)).first->second;
-}
-
 }  // namespace gaudi::nn

@@ -16,11 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/runtime.hpp"
 #include "nn/module.hpp"
 
 namespace gaudi::nn {
@@ -84,41 +82,5 @@ struct DecodeStepGraph {
                                                     const DecodeConfig& cfg,
                                                     std::int64_t context_len,
                                                     std::uint64_t seed = 0xDEC0DE);
-
-/// Compile-once cache for decode-step graphs.
-///
-/// A generation loop executes one step graph per emitted token; the graph
-/// only changes shape when the KV cache grows.  This cache keys compiled
-/// artifacts by context length, so the per-token loop pays the full
-/// compiler pipeline (mapping, fusion, DMA insertion, memory planning)
-/// exactly once per distinct cache length and then just runs.  Serving does
-/// not use it: the continuous-batching scheduler keeps only each bucket's
-/// makespan (serve/scheduler.*).
-class DecodeStepCache {
- public:
-  struct Entry {
-    DecodeStepGraph step;          ///< value ids + params for binding feeds
-    graph::CompiledGraph compiled;  ///< owns its copy of the step graph
-  };
-
-  DecodeStepCache(const graph::Runtime& rt, DecodeConfig cfg,
-                  graph::CompileOptions copts = {},
-                  std::uint64_t seed = 0xDEC0DE)
-      : rt_(rt), cfg_(std::move(cfg)), copts_(copts), seed_(seed) {}
-
-  /// Returns the compiled step for `context_len`, compiling on first use.
-  /// The reference stays valid for the cache's lifetime.
-  const Entry& step(std::int64_t context_len);
-
-  /// Distinct context lengths compiled so far.
-  [[nodiscard]] std::size_t compiled_steps() const { return entries_.size(); }
-
- private:
-  graph::Runtime rt_;  // cheap by-value copy: holds only the chip config
-  DecodeConfig cfg_;
-  graph::CompileOptions copts_;
-  std::uint64_t seed_;
-  std::map<std::int64_t, Entry> entries_;
-};
 
 }  // namespace gaudi::nn

@@ -65,7 +65,6 @@ TrainResult train_language_model(const TrainOptions& opts,
 
   graph::Runtime rt(chip);
   graph::CompileOptions copts;
-  copts.fuse_elementwise = opts.run.fuse_elementwise;
   copts.enforce_capacity = opts.run.account_memory;
   const graph::CompiledGraph cg = rt.compile(g, copts);
   const graph::CompiledGraph cug = rt.compile(ug, copts);

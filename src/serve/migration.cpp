@@ -4,16 +4,6 @@
 
 namespace gaudi::serve {
 
-const char* replica_health_name(ReplicaHealth h) {
-  switch (h) {
-    case ReplicaHealth::kHealthy: return "healthy";
-    case ReplicaHealth::kDegraded: return "degraded";
-    case ReplicaHealth::kDraining: return "draining";
-    case ReplicaHealth::kDead: return "dead";
-  }
-  return "unknown";
-}
-
 TransferPlan plan_kv_transfer(const MigrationConfig& cfg,
                               const sim::FaultInjector& faults,
                               std::uint64_t transfer_seq, std::int64_t rows,

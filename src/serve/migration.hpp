@@ -14,9 +14,10 @@
 // heartbeats arrive late — and in this model an iteration runs long exactly
 // when the fault oracle stretched it (kTpcStraggler) or stalled it
 // (kHbmPressure).  Each stretched iteration is therefore one health event;
-// a replica whose events within a sliding window reach a threshold is
-// kDegraded and is proactively evacuated before the chip dies outright.
-// Administrative drains (planned maintenance) enter kDraining directly.
+// a replica whose events within a sliding window reach a threshold reads
+// degraded (HealthTracker) and is proactively evacuated before the chip dies
+// outright.  Administrative drains (planned maintenance) set the router's
+// `draining` flag directly.
 //
 // Everything here is a pure function of (seed, transfer sequence) through
 // the counter-based RNG: the same cluster run replays the same chunk-level
@@ -34,16 +35,6 @@
 #include "sim/time.hpp"
 
 namespace gaudi::serve {
-
-/// Router-side health of one replica (healthy → degraded → draining → dead).
-enum class ReplicaHealth : std::uint8_t {
-  kHealthy,   ///< in rotation
-  kDegraded,  ///< fault-stretched heartbeats crossed the window threshold
-  kDraining,  ///< administrative drain: evacuating, no new dispatches
-  kDead,      ///< down (or suspected down) awaiting restart
-};
-
-[[nodiscard]] const char* replica_health_name(ReplicaHealth h);
 
 /// Knobs of the live-migration path.  Disabled (the default) is inert: no
 /// draws, no report lines, byte-identical to the pre-migration cluster.
@@ -83,7 +74,7 @@ struct TransferPlan {
 
 /// Sliding-window health score: counts fault-stretched iterations (the
 /// heartbeat-latency proxy) within `window`; at or past `degraded_after`
-/// events the replica reads kDegraded until enough events age out.  The
+/// events the replica reads degraded until enough events age out.  The
 /// verdict is a pure function of (recorded events, now) — no hidden decay
 /// state — so the router can query it at any instant deterministically.
 class HealthTracker {

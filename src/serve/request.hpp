@@ -22,11 +22,6 @@ struct Request {
   std::int32_t priority = 0;
   /// Completion budget measured from arrival; zero means no deadline.
   sim::SimTime deadline{};
-
-  /// KV rows the request occupies once fully generated.
-  [[nodiscard]] std::int64_t total_tokens() const {
-    return prompt_len + output_len;
-  }
 };
 
 /// Terminal state of a request after the simulation.  Every offered request

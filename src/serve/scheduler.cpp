@@ -26,6 +26,14 @@ namespace {
 /// to a disabled injector as "faults off", overriding the env fallback.)
 const sim::FaultInjector kNoFaults{};
 
+/// Victim order of preemption and load shedding: true when `a` goes before
+/// `b` — lowest priority first, then latest arrival, then highest id.
+bool evict_before(const Request& a, const Request& b) {
+  if (a.priority != b.priority) return a.priority < b.priority;
+  if (a.arrival != b.arrival) return a.arrival > b.arrival;
+  return a.id > b.id;
+}
+
 /// run()'s half of the event stream: one scheduler event into its sink.
 void record_event(MetricsSink& sink, const ReplicaEvent& e) {
   switch (e.kind) {
@@ -170,23 +178,15 @@ void ContinuousBatchScheduler::preempt(std::size_t victim_index) {
 bool ContinuousBatchScheduler::make_room(std::int64_t tokens,
                                          std::int64_t self_id) {
   while (!kv_.can_reserve(tokens)) {
-    // Victim: lowest priority, then youngest arrival, then highest id —
-    // never the request asking for room.
+    // Victim: the first in evict_before order, never the request asking for
+    // room.
     std::size_t victim = running_.size();
     for (std::size_t i = 0; i < running_.size(); ++i) {
-      const Active& c = running_[i];
-      if (c.req.id == self_id) continue;
-      if (victim == running_.size()) {
+      const Request& c = running_[i].req;
+      if (c.id == self_id) continue;
+      if (victim == running_.size() || evict_before(c, running_[victim].req)) {
         victim = i;
-        continue;
       }
-      const Active& v = running_[victim];
-      const bool worse =
-          c.req.priority != v.req.priority
-              ? c.req.priority < v.req.priority
-              : (c.req.arrival != v.req.arrival ? c.req.arrival > v.req.arrival
-                                                : c.req.id > v.req.id);
-      if (worse) victim = i;
     }
     if (victim == running_.size()) return false;
     preempt(victim);
@@ -271,23 +271,14 @@ void ContinuousBatchScheduler::admit(sim::SimTime now) {
 
 void ContinuousBatchScheduler::shed_overload(sim::SimTime now) {
   if (cfg_.shed_queue_depth <= 0 && cfg_.shed_min_free_blocks <= 0) return;
-  // Victim choice mirrors preemption: lowest priority, then latest arrival,
-  // then highest id.  Only never-admitted arrivals shed — preempted or
-  // retrying requests already have compute invested in them.
+  // Victim choice is preemption's evict_before order.  Only never-admitted
+  // arrivals shed — preempted or retrying requests already have compute
+  // invested in them.
   const auto shed_one = [&] {
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < waiting_.size(); ++i) {
-      const Request& c = waiting_[i];
-      const Request& v = waiting_[victim];
-      const bool worse =
-          c.priority != v.priority
-              ? c.priority < v.priority
-              : (c.arrival != v.arrival ? c.arrival > v.arrival
-                                        : c.id > v.id);
-      if (worse) victim = i;
-    }
-    emit(ReplicaEventKind::kShed, waiting_[victim].id, now);
-    waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(victim));
+    const auto victim =
+        std::min_element(waiting_.begin(), waiting_.end(), evict_before);
+    emit(ReplicaEventKind::kShed, victim->id, now);
+    waiting_.erase(victim);
   };
   if (cfg_.shed_queue_depth > 0) {
     while (!waiting_.empty() &&

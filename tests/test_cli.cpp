@@ -175,6 +175,32 @@ TEST(Cli, TrainResilientRejectsBadFlags) {
   EXPECT_EQ(run({"train-resilient", "--nonsense", "1"}, &out), 1);
 }
 
+TEST(Cli, TrainResilientErrorsNameTheOption) {
+  // --interval is checked under every policy but only `fixed` uses it.
+  std::string with_interval;
+  EXPECT_EQ(run({"train-resilient", "--steps", "50", "--interval", "10",
+                 "--recovery", "young-daly"},
+                &with_interval),
+            0)
+      << with_interval;
+  std::string plain;
+  EXPECT_EQ(run({"train-resilient", "--steps", "50", "--recovery",
+                 "young-daly"},
+                &plain),
+            0);
+  EXPECT_EQ(with_interval, plain);
+
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"--chips", "0"}, {"--steps", "0"},   {"--step-ms", "-5"},
+      {"--mtbf", "0"},  {"--interval", "0"}};
+  for (const auto& [flag, value] : bad) {
+    std::string out;
+    EXPECT_EQ(run({"train-resilient", flag, value}, &out), 1) << flag;
+    EXPECT_NE(out.find(flag), std::string::npos) << out;
+    EXPECT_EQ(out.find("check failed"), std::string::npos) << out;
+  }
+}
+
 TEST(Cli, UsageMentionsFaultTooling) {
   std::string out;
   run({"help"}, &out);

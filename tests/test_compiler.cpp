@@ -199,22 +199,16 @@ TEST(CompiledRun, FusionBitIdenticalThroughCompiledPath) {
   EXPECT_EQ(ops::max_abs_diff(plain.outputs.at(y), fused.outputs.at(y)), 0.0);
 }
 
-TEST(CompiledRun, DecodeStepCacheCompilesOncePerContextLength) {
+TEST(CompiledRun, DecodeStepRunsValidatedInTimingMode) {
   const Runtime rt(chip());
-  nn::DecodeStepCache cache(rt, nn::DecodeConfig::tiny());
-  const auto* first = &cache.step(8);
-  EXPECT_EQ(cache.compiled_steps(), 1u);
-  // Same context length: the cached artifact, not a recompile.
-  EXPECT_EQ(&cache.step(8), first);
-  EXPECT_EQ(cache.compiled_steps(), 1u);
-  (void)cache.step(9);
-  EXPECT_EQ(cache.compiled_steps(), 2u);
+  Graph g;
+  (void)nn::build_gpt_decode_step(g, nn::DecodeConfig::tiny(), 8);
+  const CompiledGraph cg = rt.compile(g);
 
-  // The cached artifact actually runs (timing mode, validated).
   RunOptions opts;
   opts.mode = tpc::ExecMode::kTiming;
   opts.validate = true;
-  const auto result = rt.run(first->compiled, {}, opts);
+  const auto result = rt.run(cg, {}, opts);
   EXPECT_GT(result.makespan, sim::SimTime::zero());
 }
 

@@ -20,10 +20,11 @@ using tensor::Tensor;
 ProfileResult run(const Graph& g, const std::unordered_map<ValueId, Tensor>& feeds,
                   bool fuse, tpc::ExecMode mode = tpc::ExecMode::kFunctional) {
   Runtime rt;
+  CompileOptions copts;
+  copts.fuse_elementwise = fuse;
   RunOptions opts;
   opts.mode = mode;
-  opts.fuse_elementwise = fuse;
-  return rt.run(g, feeds, opts);
+  return rt.run(rt.compile(g, copts), feeds, opts);
 }
 
 TEST(FusionPlan, FindsLinearChain) {
@@ -119,7 +120,7 @@ TEST(FusedKernel, MatchesComposedNumerics) {
       tensors[static_cast<std::size_t>(v)] = Tensor::zeros(g.value(v).shape);
     }
   }
-  const FusedChainKernel kernel(g, plan.groups[0], tensors);
+  const FusedChainKernel kernel(build_chain_spec(g, plan.groups[0]), tensors);
   const tpc::TpcCluster cluster(sim::ChipConfig::hls1().tpc);
   cluster.run(kernel, tpc::ExecMode::kFunctional);
 

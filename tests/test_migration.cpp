@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 
 #include "scaleout/roce.hpp"
 #include "serve/migration.hpp"
@@ -145,21 +144,6 @@ TEST(HealthTracker, DefaultConstructedNeverDegrades) {
   serve::HealthTracker h;
   h.record(SimTime::from_ms(1.0));
   EXPECT_FALSE(h.degraded(SimTime::from_ms(1.0)));
-}
-
-TEST(ReplicaHealth, NamesRoundTrip) {
-  EXPECT_EQ(std::string(serve::replica_health_name(
-                serve::ReplicaHealth::kHealthy)),
-            "healthy");
-  EXPECT_EQ(std::string(serve::replica_health_name(
-                serve::ReplicaHealth::kDegraded)),
-            "degraded");
-  EXPECT_EQ(std::string(serve::replica_health_name(
-                serve::ReplicaHealth::kDraining)),
-            "draining");
-  EXPECT_EQ(
-      std::string(serve::replica_health_name(serve::ReplicaHealth::kDead)),
-      "dead");
 }
 
 }  // namespace

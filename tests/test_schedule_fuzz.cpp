@@ -200,8 +200,10 @@ TEST(ScheduleFuzz, FusionPreservesFunctionalOutputs) {
     RunOptions opts;
     opts.mode = tpc::ExecMode::kFunctional;
     const ProfileResult plain = rt.run(dag.graph, feeds, opts);
-    opts.fuse_elementwise = true;
-    const ProfileResult fused = rt.run(dag.graph, feeds, opts);
+    CompileOptions fuse;
+    fuse.fuse_elementwise = true;
+    const ProfileResult fused =
+        rt.run(rt.compile(dag.graph, fuse), feeds, opts);
 
     ASSERT_EQ(plain.outputs.size(), fused.outputs.size()) << "seed " << seed;
     for (const auto& [v, t] : plain.outputs) {
@@ -258,8 +260,10 @@ TEST(ScheduleFuzz, FusionPreservesFunctionalOutputsUnderFaults) {
     opts.mode = tpc::ExecMode::kFunctional;
     opts.faults = &faults;
     const ProfileResult plain = rt.run(dag.graph, feeds, opts);
-    opts.fuse_elementwise = true;
-    const ProfileResult fused = rt.run(dag.graph, feeds, opts);
+    CompileOptions fuse;
+    fuse.fuse_elementwise = true;
+    const ProfileResult fused =
+        rt.run(rt.compile(dag.graph, fuse), feeds, opts);
 
     ASSERT_EQ(plain.outputs.size(), fused.outputs.size()) << "seed " << seed;
     for (const auto& [v, t] : plain.outputs) {

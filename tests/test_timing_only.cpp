@@ -76,9 +76,10 @@ RunOptions timing_run() {
 /// Runs `g` in timing mode on `cfg` (unfused unless `fuse`).
 ProfileResult run_timing(const Graph& g, const sim::ChipConfig& cfg = chip(),
                          bool fuse = false) {
-  RunOptions opts = timing_run();
-  opts.fuse_elementwise = fuse;
-  return Runtime(cfg).run(g, {}, opts);
+  const Runtime rt(cfg);
+  CompileOptions copts;
+  copts.fuse_elementwise = fuse;
+  return rt.run(rt.compile(g, copts), {}, timing_run());
 }
 
 /// One add -> relu -> softmax chain whose labels and value names all carry
