@@ -191,14 +191,6 @@ sim::FaultInjector parse_fault_injector(const ArgParser& args) {
   return sim::FaultInjector{f.seed, f.profile};
 }
 
-nn::OptimizerKind parse_optimizer(const ArgParser& args) {
-  using nn::OptimizerKind;
-  return args.get_enum("optimizer",
-                       {OptimizerKind::kSgd, OptimizerKind::kSgdMomentum,
-                        OptimizerKind::kAdam},
-                       nn::optimizer_kind_name);
-}
-
 /// How both profile commands compile, run and report their graph.  These
 /// options are CLI-only: a batch cell keeps summary metrics.
 struct ProfileRun {
@@ -329,34 +321,16 @@ int cmd_profile_model(ArgParser& args, std::ostream& out) {
 }
 
 int cmd_train(ArgParser& args, std::ostream& out) {
-  nn::TrainOptions topts;
-  const nn::LmArch arch = args.get_enum(
-      "arch", {nn::LmArch::kGpt2, nn::LmArch::kBert}, nn::lm_arch_name);
-  topts.model = nn::LmConfig::tiny(arch);
-  topts.steps = static_cast<std::int32_t>(args.get_int("steps", 8));
-  topts.optimizer.kind = parse_optimizer(args);
-  topts.loss_scaling = !args.get_bool("no-loss-scaling", false);
-  topts.bf16_grads = !args.get_bool("no-bf16-grads", false);
-  topts.scaler.init_scale =
-      static_cast<float>(args.get_int("init-scale", 65536));
-  topts.scaler.growth_interval =
-      static_cast<std::int32_t>(args.get_int("growth-interval", 50));
-  topts.corrupt_grad_step =
-      static_cast<std::int32_t>(args.get_int("corrupt-step", -1));
-  topts.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x7A11));
-  topts.checkpoint_dir = args.get("checkpoint-dir", "");
-  topts.checkpoint_every =
-      static_cast<std::int32_t>(args.get_int("checkpoint-every", 1));
-  topts.resume = args.get_bool("resume", false);
-  topts.resample_data = args.get_bool("resample-data", false);
+  nn::TrainOptions topts = parse_train_options(args);
   topts.run.guard = parse_guard(args);
   const sim::FaultInjector faults = parse_fault_injector(args);
   args.check_unused();
   if (faults.enabled()) topts.run.faults = &faults;
 
   const nn::TrainResult r = nn::train_language_model(topts);
-  out << "train: " << nn::lm_arch_name(arch) << " (tiny), " << topts.steps
-      << " steps, " << nn::optimizer_kind_name(topts.optimizer.kind)
+  out << "train: " << nn::lm_arch_name(topts.model.arch) << " (tiny), "
+      << topts.steps << " steps, "
+      << nn::optimizer_kind_name(topts.optimizer.kind)
       << ", loss scaling " << (topts.loss_scaling ? "on" : "off")
       << ", bf16 grads " << (topts.bf16_grads ? "on" : "off") << "\n";
   // Resume/checkpoint bookkeeping prints before the step lines so the tail

@@ -113,11 +113,17 @@ LayerExperiment parse_layer_experiment(const ArgParser& args) {
       {Activation::kElu, Activation::kRelu, Activation::kLeakyRelu,
        Activation::kGelu, Activation::kGlu},
       nn::activation_name);
-  exp.seq_len = args.get_int("seq", exp.seq_len);
-  exp.batch = args.get_int("batch", exp.batch);
-  exp.heads = args.get_int("heads", exp.heads);
-  exp.head_dim = args.get_int("head-dim", exp.head_dim);
-  exp.ffn_dim = args.get_int("ffn", exp.ffn_dim);
+  exp.seq_len = bounded(args, "seq", exp.seq_len, 1, "token count");
+  exp.batch = bounded(args, "batch", exp.batch, 1, "count");
+  exp.heads = bounded(args, "heads", exp.heads, 1, "count");
+  exp.head_dim = bounded(args, "head-dim", exp.head_dim, 1, "size");
+  exp.ffn_dim = bounded(args, "ffn", exp.ffn_dim, 0, "size");
+  const std::int64_t window = exp.attention.local_window;
+  require(exp.attention.kind != AttentionKind::kLocal ||
+              exp.seq_len % window == 0,
+          "--seq expects a multiple of the " + std::to_string(window) +
+              "-token local window under --attention local, got " +
+              std::to_string(exp.seq_len));
   exp.policy = parse_policy(args);
   return exp;
 }
@@ -128,11 +134,47 @@ ModelExperiment parse_model_experiment(const ArgParser& args) {
                           nn::lm_arch_name) == nn::LmArch::kBert
                 ? nn::LmConfig::bert_paper()
                 : nn::LmConfig::gpt2_paper();
-  m.model.seq_len = args.get_int("seq", m.model.seq_len);
-  m.model.batch = args.get_int("batch", m.model.batch);
-  m.model.n_layers = args.get_int("layers", m.model.n_layers);
+  m.model.seq_len = bounded(args, "seq", m.model.seq_len, 1, "token count");
+  m.model.batch = bounded(args, "batch", m.model.batch, 1, "count");
+  m.model.n_layers = bounded(args, "layers", m.model.n_layers, 1, "count");
   m.policy = parse_policy(args);
   return m;
+}
+
+nn::OptimizerKind parse_optimizer(const ArgParser& args) {
+  using nn::OptimizerKind;
+  return args.get_enum("optimizer",
+                       {OptimizerKind::kSgd, OptimizerKind::kSgdMomentum,
+                        OptimizerKind::kAdam},
+                       nn::optimizer_kind_name);
+}
+
+nn::TrainOptions parse_train_options(const ArgParser& args) {
+  constexpr std::int64_t kMaxSteps = std::numeric_limits<std::int32_t>::max();
+  nn::TrainOptions t;
+  t.model = nn::LmConfig::tiny(args.get_enum(
+      "arch", {nn::LmArch::kGpt2, nn::LmArch::kBert}, nn::lm_arch_name));
+  t.steps = static_cast<std::int32_t>(
+      bounded(args, "steps", 8, 1, "step count", kMaxSteps));
+  t.optimizer.kind = parse_optimizer(args);
+  t.loss_scaling = !args.get_bool("no-loss-scaling", false);
+  t.bf16_grads = !args.get_bool("no-bf16-grads", false);
+  t.scaler.init_scale =
+      static_cast<float>(bounded(args, "init-scale", 65536, 1, "scale"));
+  t.scaler.growth_interval = static_cast<std::int32_t>(
+      bounded(args, "growth-interval", 50, 1, "step count", kMaxSteps));
+  const std::int64_t corrupt = args.get_int("corrupt-step", -1);
+  require(corrupt >= -1 && corrupt <= kMaxSteps,
+          "--corrupt-step expects a step index, or -1 for none, got " +
+              std::to_string(corrupt));
+  t.corrupt_grad_step = static_cast<std::int32_t>(corrupt);
+  t.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x7A11));
+  t.checkpoint_dir = args.get("checkpoint-dir", "");
+  t.checkpoint_every = static_cast<std::int32_t>(
+      bounded(args, "checkpoint-every", 1, 1, "step count", kMaxSteps));
+  t.resume = args.get_bool("resume", false);
+  t.resample_data = args.get_bool("resample-data", false);
+  return t;
 }
 
 FaultOptions parse_fault_options(const ArgParser& args, std::uint32_t chips) {

@@ -2,9 +2,9 @@
 //
 // `gaudisim_cli serve ...` and a batch cell with `command serve` read their
 // options through the functions below, and so do serve-cluster,
-// profile-layer, profile-model and train-resilient.  Each option is parsed
-// and checked in exactly one place, so a setting means the same thing from
-// argv and from a cell's `set`/`sweep` line (wrapped by
+// profile-layer, profile-model, train and train-resilient.  Each option is
+// parsed and checked in exactly one place, so a setting means the same thing
+// from argv and from a cell's `set`/`sweep` line (wrapped by
 // ArgParser::from_pairs), and a bad value fails the same way, naming the
 // option as `--name`.  Callers finish with ArgParser::check_unused().
 //
@@ -19,6 +19,7 @@
 
 #include "core/cli.hpp"
 #include "core/experiments.hpp"
+#include "nn/train.hpp"
 #include "scaleout/checkpoint.hpp"
 #include "serve/cluster.hpp"
 #include "serve/workload.hpp"
@@ -36,6 +37,15 @@ struct ModelExperiment {
   graph::SchedulePolicy policy = graph::SchedulePolicy::kBarrier;
 };
 [[nodiscard]] ModelExperiment parse_model_experiment(const ArgParser& args);
+
+/// --optimizer sgd|sgd_momentum|adam (default sgd).
+[[nodiscard]] nn::OptimizerKind parse_optimizer(const ArgParser& args);
+
+/// train: --arch --steps --optimizer --no-loss-scaling --no-bf16-grads
+/// --init-scale --growth-interval --corrupt-step --seed --checkpoint-dir
+/// --checkpoint-every --resume --resample-data.  The CLI adds the guard and
+/// fault options the profile commands share.
+[[nodiscard]] nn::TrainOptions parse_train_options(const ArgParser& args);
 
 /// --faults on|off, --fault-seed N, --mtbf N.  The switch alone turns
 /// injection on; --mtbf only sets the rate (absent or 0: the stress

@@ -7,14 +7,6 @@
 
 namespace gaudi::graph {
 
-void Fnv1a::bytes(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h_ ^= p[i];
-    h_ *= 1099511628211ull;  // FNV prime
-  }
-}
-
 namespace {
 
 /// Keeps every encoded byte: the string itself is the key.

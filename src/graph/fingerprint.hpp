@@ -16,6 +16,7 @@
 #include <string>
 
 #include "graph/graph.hpp"
+#include "memory/checksum.hpp"
 #include "sim/chip_config.hpp"
 
 namespace gaudi::graph {
@@ -50,17 +51,7 @@ class FieldEncoder : public Sink {
   }
 };
 
-/// Incremental FNV-1a (64-bit) accumulator.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t n);
-  [[nodiscard]] std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ull;  // FNV offset basis
-};
-
-using Fingerprint = FieldEncoder<Fnv1a>;
+using Fingerprint = FieldEncoder<memory::Fnv1a>;
 
 /// Digest of every timing-relevant chip parameter.
 [[nodiscard]] std::uint64_t chip_fingerprint(const sim::ChipConfig& cfg);

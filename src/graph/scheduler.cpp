@@ -170,8 +170,9 @@ Trace schedule_impl(const Graph& g, const std::vector<NodeExec>& execs,
                         std::move(ev));
             if (a + 1 < attempts) {
               attempt_ready =
-                  end + faults->profile().dma_retry_backoff *
-                            static_cast<std::int64_t>(1u << a);
+                  end + sim::backoff_delay(faults->profile().dma_retry_backoff,
+                                           sim::SimTime::max(),
+                                           static_cast<std::int32_t>(a) + 1);
             }
           }
           it = dma_done.emplace(key, end).first;
@@ -190,10 +191,8 @@ Trace schedule_impl(const Graph& g, const std::vector<NodeExec>& execs,
     if (faults != nullptr && ex.engine == Engine::kTpc &&
         faults->fires(sim::FaultKind::kTpcStraggler,
                       static_cast<std::uint64_t>(nid))) {
-      const sim::SimTime stretched = sim::SimTime::from_ps(
-          static_cast<std::int64_t>(static_cast<double>(dur.ps()) *
-                                        faults->profile().straggler_slowdown +
-                                    0.5));
+      const sim::SimTime stretched =
+          dur.stretched(faults->profile().straggler_slowdown);
       straggle = stretched - dur;
       dur = stretched;
     }

@@ -15,9 +15,20 @@
 
 namespace gaudi::memory {
 
-/// 64-bit FNV-1a over a raw byte range.  Not cryptographic — a fast
-/// order-sensitive hash with good single-bit diffusion, which is exactly the
-/// corruption model the SDC fault class injects.
+/// Incremental 64-bit FNV-1a.  Not cryptographic — a fast order-sensitive
+/// hash with good single-bit diffusion, which is exactly the corruption
+/// model the SDC fault class injects.  Feeding a range in pieces gives the
+/// digest of feeding it whole.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n);
+  [[nodiscard]] std::uint64_t digest() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;  // FNV-1a offset basis
+};
+
+/// FNV-1a digest of one raw byte range.
 [[nodiscard]] std::uint64_t fnv1a64(const std::byte* data, std::size_t n);
 
 /// Checksums of live buffers, keyed by the owning value id.

@@ -97,12 +97,7 @@ TrainingRunReport resilient_training_run(const TrainingRunConfig& cfg,
     const std::uint64_t site_step = attempt++;
 
     // Failure check: any chip dying kills the synchronous step.
-    bool failed = false;
-    for (std::uint32_t c = 0; c < cfg.chips && !failed; ++c) {
-      failed = faults.fires(sim::FaultKind::kChipFailure,
-                            sim::FaultInjector::site(site_step, c));
-    }
-    if (failed) {
+    if (!faults.chips_lost(site_step, cfg.chips).empty()) {
       ++rep.failures;
       ++rep.restores;
       // The failing step's partial work is lost, detected at step granularity.
@@ -120,20 +115,9 @@ TrainingRunReport resilient_training_run(const TrainingRunConfig& cfg,
     }
 
     // Step executes; stragglers and HBM pressure stretch it.
-    sim::SimTime dur = cfg.step_time;
-    double slow = 1.0;
-    for (std::uint32_t c = 0; c < cfg.chips; ++c) {
-      if (faults.fires(sim::FaultKind::kTpcStraggler,
-                       sim::FaultInjector::site(site_step, c))) {
-        slow = std::max(slow, faults.profile().straggler_slowdown);
-      }
-    }
-    if (slow > 1.0) {
-      const sim::SimTime stretched = sim::SimTime::from_ps(
-          static_cast<std::int64_t>(static_cast<double>(dur.ps()) * slow + 0.5));
-      rep.stall_time += stretched - dur;
-      dur = stretched;
-    }
+    sim::SimTime dur = cfg.step_time.stretched(
+        faults.slowest_straggler(site_step, cfg.chips));
+    rep.stall_time += dur - cfg.step_time;
     if (faults.fires(sim::FaultKind::kHbmPressure,
                      sim::FaultInjector::site(site_step, 0))) {
       rep.stall_time += faults.profile().hbm_pressure_stall;

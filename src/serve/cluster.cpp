@@ -384,9 +384,9 @@ void ClusterRouter::process_detection(std::int64_t r, sim::SimTime now) {
     ++report_.failovers;
     queue_.push_back(
         {{t->req, side.generated, side.last_token},
-         now + retry_backoff_delay(cfg_.replica.retry_backoff,
-                                   cfg_.replica.retry_backoff_max,
-                                   t->attempts)});
+         now + sim::backoff_delay(cfg_.replica.retry_backoff,
+                                  cfg_.replica.retry_backoff_max,
+                                  t->attempts)});
   }
 }
 

@@ -15,7 +15,8 @@ TransferPlan plan_kv_transfer(const MigrationConfig& cfg,
   const std::int64_t per_chunk = std::max<std::int64_t>(cfg.chunk_blocks, 1);
   plan.blocks = (rows + bt - 1) / bt;
   plan.chunks = (plan.blocks + per_chunk - 1) / per_chunk;
-  const std::uint32_t attempts = std::max<std::uint32_t>(cfg.retry.max_attempts, 1u);
+  const scaleout::RetryPolicy& retry = cfg.roce.retry;
+  const std::uint32_t attempts = std::max<std::uint32_t>(retry.max_attempts, 1u);
 
   std::int64_t blocks_left = plan.blocks;
   for (std::int64_t c = 0; c < plan.chunks; ++c) {
@@ -36,16 +37,16 @@ TransferPlan plan_kv_transfer(const MigrationConfig& cfg,
       plan.degraded_chunks += 1;
     }
 
-    // Transient drops retry under the scaleout backoff discipline; the last
-    // attempt is forced through (transient means transient — the stream
-    // never fails terminally, the cost is the point).
+    // Transient drops retry under the fabric's policy; the last attempt is
+    // forced through (transient means transient — the stream never fails
+    // terminally, the cost is the point).
     for (std::uint32_t a = 0; a < attempts; ++a) {
       const bool last = a + 1 == attempts;
       if (!last &&
           faults.fires(sim::FaultKind::kTransientLink,
                        sim::FaultInjector::site(
                            transfer_seq, chunk_u * attempts + a))) {
-        plan.duration += cfg.retry.detection_timeout + backoff_delay(cfg.retry, a);
+        plan.duration += retry.failed_attempt(a);
         plan.link_retries += 1;
         continue;
       }

@@ -5,7 +5,7 @@
 // was detected early.  This subsystem moves the paged KV blocks instead —
 // chunked streaming over the scaleout RoCE fabric (scaleout/roce.*), with
 // link faults (sim/fault.* kTransientLink / kLinkDegradation) retried under
-// the scaleout backoff discipline (scaleout/resilience.*), a delta-sync pass
+// the fabric's RetryPolicy (scaleout/roce.hpp), a delta-sync pass
 // for the tokens the source generated while the base copy was in flight, and
 // an atomic cutover after which the destination decodes from the migrated
 // blocks with zero re-prefill.
@@ -29,7 +29,6 @@
 #include <deque>
 #include <optional>
 
-#include "scaleout/resilience.hpp"
 #include "scaleout/roce.hpp"
 #include "sim/fault.hpp"
 #include "sim/time.hpp"
@@ -42,12 +41,10 @@ struct MigrationConfig {
   bool enabled = false;
   /// Paged KV blocks streamed per fabric chunk (one p2p transfer each).
   std::int64_t chunk_blocks = 4;
-  /// Link model the KV stream rides (paper §2.1 RoCE ports).
+  /// Link model the KV stream rides (paper §2.1 RoCE ports).  Its retry
+  /// policy is the collectives': a dropped chunk pays detection + backoff
+  /// and retries; the last attempt is forced through.
   scaleout::RoceConfig roce{};
-  /// Transient-fault backoff discipline, shared with the resilient
-  /// collectives: a dropped chunk pays detection + backoff and retries; the
-  /// last attempt is forced through (transient means transient).
-  scaleout::RetryPolicy retry{};
 };
 
 /// Deterministic cost of one KV transfer leg (base copy or delta sync).

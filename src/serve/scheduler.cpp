@@ -67,16 +67,6 @@ PagedKvConfig kv_config(const ServeConfig& cfg) {
 
 }  // namespace
 
-sim::SimTime retry_backoff_delay(sim::SimTime base, sim::SimTime cap,
-                                 std::int32_t attempt) {
-  GAUDI_ASSERT(attempt >= 1, "backoff attempts count from 1");
-  const std::int32_t shift = std::min<std::int32_t>(attempt - 1, 62);
-  // base * 2^shift > cap  <=>  base > cap / 2^shift: compare before
-  // multiplying so that a huge base saturates instead of overflowing.
-  if (base.ps() > (cap.ps() >> shift)) return cap;
-  return base * (std::int64_t{1} << shift);
-}
-
 ContinuousBatchScheduler::ContinuousBatchScheduler(const graph::Runtime& rt,
                                                    ServeConfig cfg)
     : rt_(rt),
@@ -310,9 +300,9 @@ void ContinuousBatchScheduler::on_chip_failure(sim::SimTime now,
     sink.on_fault_retry(a.req.id, wasted);
     a.prefilled = 0;
     a.prefill_needed = 0;  // recomputed at re-admission
-    a.eligible_at = now + retry_backoff_delay(cfg_.retry_backoff,
-                                              cfg_.retry_backoff_max,
-                                              a.fault_retries);
+    a.eligible_at = now + sim::backoff_delay(cfg_.retry_backoff,
+                                             cfg_.retry_backoff_max,
+                                             a.fault_retries);
     requeued_.push_back(a);
   }
   running_.clear();
@@ -563,9 +553,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
     if (cfg_.faults.fires(sim::FaultKind::kTpcStraggler, site)) {
       ++stats_.tpc_stragglers;
       out.straggled = true;
-      iter_time = sim::SimTime::from_ps(static_cast<std::int64_t>(
-          static_cast<double>(iter_time.ps()) * prof.straggler_slowdown +
-          0.5));
+      iter_time = iter_time.stretched(prof.straggler_slowdown);
     }
     if (cfg_.faults.fires(sim::FaultKind::kHbmPressure, site)) {
       ++stats_.hbm_stalls;

@@ -150,14 +150,6 @@ struct ServeReport {
   [[nodiscard]] std::string to_report() const;
 };
 
-/// Exponential backoff with a cap: `base * 2^(attempt-1)` clamped to `cap`.
-/// `attempt` counts from 1 (the first retry); the delay saturates at `cap`
-/// before the doubling can overflow.  Shared by the single-replica retry
-/// path and the cluster router's failover/hedge backoff.
-[[nodiscard]] sim::SimTime retry_backoff_delay(sim::SimTime base,
-                                               sim::SimTime cap,
-                                               std::int32_t attempt);
-
 /// One observable scheduler event, returned by step().  run() feeds them to
 /// its MetricsSink; the cluster router (serve/cluster.*) owns request
 /// identity (hedged copies map back to their original id) and fleet-level

@@ -71,6 +71,27 @@ FaultProfile FaultProfile::stress() {
   return p;
 }
 
+std::vector<std::uint32_t> FaultInjector::chips_lost(
+    std::uint64_t step, std::uint32_t chips) const {
+  std::vector<std::uint32_t> lost;
+  for (std::uint32_t c = 0; c < chips; ++c) {
+    if (fires(FaultKind::kChipFailure, site(step, c))) lost.push_back(c);
+  }
+  return lost;
+}
+
+double FaultInjector::slowest_straggler(std::uint64_t step, std::uint32_t n,
+                                        std::uint32_t* count) const {
+  double slow = 1.0;
+  for (std::uint32_t c = 0; c < n; ++c) {
+    if (fires(FaultKind::kTpcStraggler, site(step, c))) {
+      if (count != nullptr) ++*count;
+      slow = std::max(slow, profile_.straggler_slowdown);
+    }
+  }
+  return slow;
+}
+
 std::vector<FaultEvent> fault_schedule(const FaultInjector& inj,
                                        std::uint64_t steps,
                                        std::uint32_t chips) {

@@ -127,6 +127,16 @@ class FaultInjector {
     return splitmix64(step) + unit;
   }
 
+  /// The fault draw of one synchronous step, unit c at site(step, c): the
+  /// chips among [0, chips) that die (kChipFailure), ascending ...
+  [[nodiscard]] std::vector<std::uint32_t> chips_lost(
+      std::uint64_t step, std::uint32_t chips) const;
+  /// ... and the slowdown of the slowest straggler (kTpcStraggler) among
+  /// chips [0, n), 1 when none straggles.  Adds the stragglers to
+  /// `*count` when given.
+  [[nodiscard]] double slowest_straggler(std::uint64_t step, std::uint32_t n,
+                                         std::uint32_t* count = nullptr) const;
+
   /// Deterministic coordinates of a fired kSdcBitFlip: which element of the
   /// corrupted buffer flips, and which bit within the element.  Bits are
   /// drawn from the high-mantissa/exponent range ([20, 30] for 32-bit

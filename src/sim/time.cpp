@@ -1,7 +1,10 @@
 #include "sim/time.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+
+#include "sim/error.hpp"
 
 namespace gaudi::sim {
 
@@ -21,6 +24,15 @@ std::string to_string(SimTime t) {
     std::snprintf(buf, sizeof(buf), "%lld ps", static_cast<long long>(t.ps()));
   }
   return buf;
+}
+
+SimTime backoff_delay(SimTime base, SimTime cap, std::int32_t attempt) {
+  GAUDI_ASSERT(attempt >= 1, "backoff attempts count from 1");
+  const std::int32_t shift = std::min<std::int32_t>(attempt - 1, 62);
+  // base * 2^shift > cap  <=>  base > cap / 2^shift: compare before
+  // multiplying so that a huge base saturates instead of overflowing.
+  if (base.ps() > (cap.ps() >> shift)) return cap;
+  return base * (std::int64_t{1} << shift);
 }
 
 }  // namespace gaudi::sim

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <compare>
+#include <limits>
 #include <string>
 
 namespace gaudi::sim {
@@ -36,6 +37,17 @@ class SimTime {
   }
   [[nodiscard]] static constexpr SimTime from_seconds(double s) {
     return SimTime{static_cast<std::int64_t>(s * 1e12 + 0.5)};
+  }
+  [[nodiscard]] static constexpr SimTime max() {
+    return SimTime{std::numeric_limits<std::int64_t>::max()};
+  }
+
+  /// This time slowed down by `factor` >= 1, to the nearest picosecond; a
+  /// factor of 1 or less leaves it unchanged.
+  [[nodiscard]] constexpr SimTime stretched(double factor) const {
+    return factor <= 1.0 ? *this
+                         : SimTime{static_cast<std::int64_t>(
+                               static_cast<double>(ps_) * factor + 0.5)};
   }
 
   [[nodiscard]] constexpr std::int64_t ps() const { return ps_; }
@@ -87,5 +99,14 @@ class Clock {
 
 /// Human-readable rendering ("12.34 ms", "987.00 us", ...).
 [[nodiscard]] std::string to_string(SimTime t);
+
+/// Exponential backoff with a cap: `base * 2^(attempt-1)` clamped to `cap`.
+/// `attempt` counts from 1 (the first retry); the delay saturates at `cap`
+/// before the doubling can overflow.  Every retry path (the RoCE fabric's
+/// collectives and KV migration, DMA re-issue, serving re-queue and the
+/// router's failover) waits this long; callers with no ceiling pass
+/// SimTime::max().
+[[nodiscard]] SimTime backoff_delay(SimTime base, SimTime cap,
+                                    std::int32_t attempt);
 
 }  // namespace gaudi::sim

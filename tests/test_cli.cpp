@@ -201,6 +201,19 @@ TEST(Cli, TrainResilientErrorsNameTheOption) {
   }
 }
 
+TEST(Cli, TrainErrorsNameTheOption) {
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"--steps", "0"},           {"--steps", "-3"},
+      {"--checkpoint-every", "0"}, {"--growth-interval", "0"},
+      {"--init-scale", "0"},      {"--corrupt-step", "-2"}};
+  for (const auto& [flag, value] : bad) {
+    std::string out;
+    EXPECT_EQ(run({"train", flag, value}, &out), 1) << flag;
+    EXPECT_NE(out.find(flag), std::string::npos) << out;
+    EXPECT_EQ(out.find("check failed"), std::string::npos) << out;
+  }
+}
+
 TEST(Cli, UsageMentionsFaultTooling) {
   std::string out;
   run({"help"}, &out);
@@ -318,11 +331,12 @@ std::string via_cli(const std::string& command, const Options& options) {
   return out.str();
 }
 
-/// Runs `command` as a one-cell batch grid; returns its CSV, or
-/// "error: ..." as the CLI would print it.
+/// Runs `command` as a one-cell batch grid (timing-only when it serves);
+/// returns its CSV, or "error: ..." as the CLI would print it.
 std::string via_batch(const std::string& command, const Options& options) {
   std::ostringstream cfg;
-  cfg << "experiment cell\n  command " << command << "\n  timing-only on\n";
+  cfg << "experiment cell\n  command " << command << '\n';
+  if (command.starts_with("serve")) cfg << "  timing-only on\n";
   for (const auto& [key, value] : options) {
     cfg << "  set " << key << ' ' << value << '\n';
   }
@@ -421,6 +435,44 @@ TEST(FrontEnds, RejectBadValuesNamingTheOption) {
       EXPECT_EQ(cli, via_cli(row.command, tiny_stream()));
       EXPECT_EQ(batch, via_batch(row.command, tiny_stream()));
     }
+  }
+}
+
+TEST(FrontEnds, ProfileShapeErrorsNameTheOption) {
+  struct Row {
+    const char* command;
+    Options options;
+    const char* error;
+  };
+  const std::vector<Row> rows = {
+      {"profile-layer", {{"seq", "0"}}, "--seq"},
+      {"profile-layer", {{"batch", "-1"}}, "--batch"},
+      {"profile-layer", {{"heads", "0"}}, "--heads"},
+      {"profile-layer", {{"head-dim", "0"}}, "--head-dim"},
+      {"profile-layer", {{"ffn", "-1"}}, "--ffn"},
+      // The local window is 256 tokens wide.
+      {"profile-layer", {{"attention", "local"}, {"seq", "100"}}, "--seq"},
+      {"profile-model", {{"seq", "0"}}, "--seq"},
+      {"profile-model", {{"batch", "0"}}, "--batch"},
+      {"profile-model", {{"layers", "0"}}, "--layers"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.command) + " --" + row.options.back().first +
+                 " " + row.options.back().second);
+    std::vector<std::string> argv{"gaudisim_cli", row.command};
+    for (const auto& [key, value] : row.options) {
+      argv.push_back("--" + key);
+      argv.push_back(value);
+    }
+    std::ostringstream out;
+    EXPECT_EQ(run_cli(argv, out), 1);
+    const std::string cli = out.str();
+    EXPECT_EQ(cli.rfind("error: ", 0), 0u) << cli;
+    EXPECT_NE(cli.find(row.error), std::string::npos) << cli;
+    EXPECT_EQ(cli.find("check failed"), std::string::npos) << cli;
+    const std::string batch = via_batch(row.command, row.options);
+    EXPECT_EQ(batch.rfind("error: ", 0), 0u) << batch;
+    EXPECT_NE(batch.find(row.error), std::string::npos) << batch;
   }
 }
 

@@ -713,25 +713,6 @@ TEST(ServeDrivers, OneReplicaRouterMatchesRun) {
   expect_same_records(fleet.requests, alone.requests);
 }
 
-TEST(RetryBackoff, DoublesPerAttemptAndSaturatesAtTheCap) {
-  const sim::SimTime base = sim::SimTime::from_ms(5.0);
-  const sim::SimTime cap = sim::SimTime::from_ms(40.0);
-  EXPECT_EQ(serve::retry_backoff_delay(base, cap, 1), base);
-  EXPECT_EQ(serve::retry_backoff_delay(base, cap, 2), base * 2);
-  EXPECT_EQ(serve::retry_backoff_delay(base, cap, 3), base * 4);
-  EXPECT_EQ(serve::retry_backoff_delay(base, cap, 4), cap);  // 40 caps 40
-  EXPECT_EQ(serve::retry_backoff_delay(base, cap, 5), cap);
-  // Attempt counts far past the shift width must not overflow: still cap.
-  EXPECT_EQ(serve::retry_backoff_delay(base, cap, 63), cap);
-  // Nor may a huge base: 10^7 ms doubled ten times overflows int64 ps.
-  const sim::SimTime huge = sim::SimTime::from_ms(10'000'000.0);
-  const sim::SimTime five_s = sim::SimTime::from_ms(5000.0);
-  EXPECT_EQ(serve::retry_backoff_delay(huge, five_s, 1), five_s);
-  EXPECT_EQ(serve::retry_backoff_delay(huge, five_s, 11), five_s);
-  EXPECT_THROW((void)serve::retry_backoff_delay(base, cap, 0),
-               sim::InternalError);
-}
-
 // ------------------------------------------------------------- CLI surface
 
 int run(std::initializer_list<const char*> args, std::string* out = nullptr) {

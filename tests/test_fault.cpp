@@ -11,7 +11,8 @@
 #include "graph/runtime.hpp"
 #include "graph/validate.hpp"
 #include "scaleout/checkpoint.hpp"
-#include "scaleout/resilience.hpp"
+#include "scaleout/data_parallel.hpp"
+#include "scaleout/pipeline.hpp"
 #include "sim/env.hpp"
 #include "tensor/ops.hpp"
 
@@ -119,92 +120,172 @@ TEST(FaultInjector, MtbfProfileRatesAreOrderedAndPositive) {
 }
 
 // ---------------------------------------------------------------------------
-// Resilient ring all-reduce
+// Fault-aware scale-out models (scaleout/allreduce, data_parallel, pipeline)
 // ---------------------------------------------------------------------------
 
-TEST(ResilientAllReduce, DisabledInjectorMatchesBaselineExactly) {
-  const ResilienceConfig cfg;
+TEST(FaultFreeScaleout, ResultsArePinnedToThePicosecond) {
+  // With a disabled injector (the default) every model is its fault-free
+  // arithmetic, whatever the step index.  The healthy-box values are pinned
+  // to the picosecond so that no change to a fault path can move them.
+  const RoceConfig roce;
   const sim::FaultInjector off;
+  struct Ring {
+    std::uint32_t chips;
+    std::size_t bytes;
+    std::int64_t ps;
+    std::uint64_t steps;
+    std::size_t moved;
+  };
+  const std::vector<Ring> rings = {
+      {1, 1 << 26, 0, 0, 0},
+      {2, 0, 0, 0, 0},
+      {2, 4096, 4372364, 2, 4096},
+      {2, 1 << 26, 6104805818, 2, 67108864},
+      {5, 4096, 16596360, 8, 6560},
+      {5, 1 << 26, 9777289456, 8, 107374184},
+      {8, 4096, 28651630, 14, 7168},
+      {8, 1 << 26, 10704410178, 14, 117440512},
+  };
+  for (const Ring& c : rings) {
+    const AllReduceResult r =
+        ring_all_reduce_time(roce, c.bytes, c.chips, off, /*step=*/3);
+    EXPECT_EQ(r.duration.ps(), c.ps) << c.chips << " chips, " << c.bytes;
+    EXPECT_EQ(r.steps, c.steps);
+    EXPECT_EQ(r.bytes_moved_per_chip, c.moved);
+    EXPECT_EQ(r.surviving_chips, c.chips);
+    EXPECT_TRUE(r.lost_chips.empty());
+    EXPECT_EQ(r.faults.retries, 0u);
+    EXPECT_EQ(r.faults.overhead(), sim::SimTime::zero());
+  }
+
+  DataParallelConfig dp;
+  dp.chips = 8;
+  dp.overlap_comm = true;  // a 50 ms step hides 30 ms of the 42.7 ms sync
+  const DataParallelStep d = data_parallel_step(
+      dp, sim::SimTime::from_ms(50.0), 1ull << 28, 4096);
+  EXPECT_EQ(d.compute.ps(), 50000000000);
+  EXPECT_EQ(d.comm.ps(), 42733640726);
+  EXPECT_EQ(d.exposed_comm.ps(), 12733640726);
+  EXPECT_EQ(d.total.ps(), 62733640726);
+  EXPECT_DOUBLE_EQ(d.tokens_per_second, 522335.37892563723);
+  EXPECT_DOUBLE_EQ(d.scaling_efficiency, 0.79702053669073059);
+  EXPECT_EQ(d.chips_used, dp.chips);
+  EXPECT_EQ(d.straggler_stall, sim::SimTime::zero());
+  EXPECT_EQ(d.hbm_stall, sim::SimTime::zero());
+  dp.overlap_comm = false;
+  const DataParallelStep serial = data_parallel_step(
+      dp, sim::SimTime::from_ms(250.0), 1ull << 28, 4096);
+  EXPECT_EQ(serial.exposed_comm.ps(), 42733640726);
+  EXPECT_EQ(serial.total.ps(), 292733640726);
+  EXPECT_DOUBLE_EQ(serial.tokens_per_second, 111937.93756922866);
+  EXPECT_DOUBLE_EQ(serial.scaling_efficiency, 0.85401868873007702);
+
+  PipelineConfig pp;
+  pp.stages = 8;
+  pp.microbatches = 16;
+  const PipelineStep p =
+      pipeline_step(pp, sim::SimTime::from_ms(400.0), 1 << 22, 2048);
+  EXPECT_EQ(p.stage_time.ps(), 50000000000);
+  EXPECT_EQ(p.boundary_comm.ps(), 383300364);
+  EXPECT_EQ(p.slot_time.ps(), 50383300364);
+  EXPECT_EQ(p.total.ps(), 1158815908372);
+  EXPECT_DOUBLE_EQ(p.bubble_fraction, 0.30434782608695654);
+  EXPECT_DOUBLE_EQ(p.utilization, 0.69565217391304346);
+  EXPECT_DOUBLE_EQ(p.tokens_per_second, 28277.140280232419);
+  EXPECT_DOUBLE_EQ(p.speedup_vs_single_chip, 5.5228789609828937);
+  EXPECT_EQ(p.stages_used, pp.stages);
+  EXPECT_EQ(p.faults.overhead(), sim::SimTime::zero());
+}
+
+TEST(ResilientAllReduce, DisabledInjectorMatchesBaselineExactly) {
+  // A seeded injector whose rates are all zero draws nothing at any step:
+  // the exchange is the default call's, field by field.
+  const RoceConfig roce;
+  const sim::FaultInjector off{42, sim::FaultProfile::disabled()};
   for (const std::uint32_t chips : {1u, 2u, 5u, 8u}) {
     for (const std::size_t bytes : {std::size_t{0}, std::size_t{4096},
                                     std::size_t{1} << 26}) {
-      const auto r =
-          resilient_ring_all_reduce_time(cfg, off, /*step=*/3, bytes, chips);
-      const auto base = ring_all_reduce_time(cfg.roce, bytes, chips);
-      EXPECT_EQ(r.duration, base.duration) << chips << " chips, " << bytes;
-      EXPECT_EQ(r.exchange.duration, base.duration);
-      EXPECT_EQ(r.surviving_chips, chips);
-      EXPECT_TRUE(r.lost_chips.empty());
-      EXPECT_EQ(r.faults.retries, 0u);
+      const auto base = ring_all_reduce_time(roce, bytes, chips);
+      for (const std::uint64_t step : {0u, 3u, 1000u}) {
+        const auto r = ring_all_reduce_time(roce, bytes, chips, off, step);
+        EXPECT_EQ(r.duration, base.duration) << chips << " chips, " << bytes;
+        EXPECT_EQ(r.steps, base.steps);
+        EXPECT_EQ(r.bytes_moved_per_chip, base.bytes_moved_per_chip);
+        EXPECT_EQ(r.surviving_chips, chips);
+        EXPECT_TRUE(r.lost_chips.empty());
+        EXPECT_EQ(r.faults.retries, 0u);
+        EXPECT_EQ(r.faults.overhead(), sim::SimTime::zero());
+      }
     }
   }
 }
 
+TEST(ResilientAllReduce, BackoffDelayGrowsExponentially) {
+  // A failed fabric attempt costs the ack timeout plus a backoff that starts
+  // at base_backoff and doubles per attempt, with no ceiling.
+  const RetryPolicy p;
+  for (std::uint32_t a = 0; a < 31; ++a) {
+    EXPECT_EQ(p.failed_attempt(a) - p.detection_timeout,
+              p.base_backoff * (std::int64_t{1} << a))
+        << "attempt " << a;
+  }
+}
+
 TEST(ResilientAllReduce, TransientFaultsRetryWithExponentialBackoff) {
-  ResilienceConfig cfg;
+  const RoceConfig cfg;
   sim::FaultProfile profile;  // only transient errors, firing every attempt
   profile.transient_link_rate = 1.0;
   const sim::FaultInjector inj{1, profile};
 
   const std::uint32_t chips = 4;
-  const auto r =
-      resilient_ring_all_reduce_time(cfg, inj, /*step=*/0, 1 << 20, chips);
+  const auto r = ring_all_reduce_time(cfg, 1 << 20, chips, inj, /*step=*/0);
+  const auto clean = ring_all_reduce_time(cfg, 1 << 20, chips);
   // Every link burns max_attempts-1 failed attempts before the forced
   // success; links retry in parallel, so one worst-case chain is exposed.
   const std::uint32_t per_link = cfg.retry.max_attempts - 1;
   EXPECT_EQ(r.faults.retries, per_link * chips);
   EXPECT_EQ(r.faults.transient_faults, per_link * chips);
+  // Each failed attempt pays the ack timeout plus a doubling backoff.
   sim::SimTime chain = sim::SimTime::zero();
   for (std::uint32_t a = 0; a < per_link; ++a) {
-    chain += cfg.retry.detection_timeout + backoff_delay(cfg.retry, a);
+    chain += cfg.retry.failed_attempt(a);
   }
+  EXPECT_EQ(chain, sim::SimTime::from_us(3 * 500.0 + 100.0 + 200.0 + 400.0));
   EXPECT_EQ(r.faults.retry_overhead, chain);
-  EXPECT_EQ(r.duration, r.exchange.duration + chain);
+  EXPECT_EQ(r.duration, clean.duration + chain);
   EXPECT_EQ(r.surviving_chips, chips);
 }
 
-TEST(ResilientAllReduce, BackoffDelayGrowsExponentially) {
-  const RetryPolicy p;
-  EXPECT_EQ(backoff_delay(p, 0), p.base_backoff);
-  EXPECT_EQ(backoff_delay(p, 1), p.base_backoff * 2);
-  EXPECT_EQ(backoff_delay(p, 2), p.base_backoff * 4);
-}
-
 TEST(ResilientAllReduce, DegradedLinkPacesTheWholeExchange) {
-  ResilienceConfig cfg;
+  const RoceConfig cfg;
   sim::FaultProfile profile;
   profile.link_degradation_rate = 1.0;  // every link degraded
   profile.degraded_bandwidth_factor = 0.5;
   const sim::FaultInjector inj{1, profile};
 
-  const auto r =
-      resilient_ring_all_reduce_time(cfg, inj, /*step=*/0, 1 << 24, 8);
+  const auto r = ring_all_reduce_time(cfg, 1 << 24, 8, inj, /*step=*/0);
+  const auto clean = ring_all_reduce_time(cfg, 1 << 24, 8);
   EXPECT_EQ(r.faults.degraded_links, 8u);
-  EXPECT_GT(r.duration, r.exchange.duration);
-  EXPECT_EQ(r.duration, r.exchange.duration + r.faults.degradation_overhead);
+  EXPECT_GT(r.duration, clean.duration);
+  EXPECT_EQ(r.duration, clean.duration + r.faults.degradation_overhead);
   // Half bandwidth ~ doubled per-step time (latency is unchanged, so the
   // stretch is slightly above 2x of the bandwidth term alone).
   EXPECT_GE(r.faults.degradation_overhead.ps(),
-            static_cast<std::int64_t>(0.9 * r.exchange.duration.ps()));
+            static_cast<std::int64_t>(0.9 * clean.duration.ps()));
 }
 
 /// Finds a (seed-fixed) step where exactly `want` of `chips` chips fail.
 std::uint64_t step_with_losses(const sim::FaultInjector& inj,
                                std::uint32_t chips, std::uint32_t want) {
   for (std::uint64_t step = 0; step < 10000; ++step) {
-    std::uint32_t lost = 0;
-    for (std::uint32_t c = 0; c < chips; ++c) {
-      lost += inj.fires(sim::FaultKind::kChipFailure,
-                        sim::FaultInjector::site(step, c));
-    }
-    if (lost == want) return step;
+    if (inj.chips_lost(step, chips).size() == want) return step;
   }
   ADD_FAILURE() << "no step with " << want << " losses in 10000 steps";
   return 0;
 }
 
 TEST(ResilientAllReduce, ChipLossReformsTheRingWithExactSurvivorNumerics) {
-  ResilienceConfig cfg;
+  const RoceConfig cfg;
   sim::FaultProfile profile;
   profile.chip_failure_rate = 0.15;
   const sim::FaultInjector inj{9, profile};
@@ -216,7 +297,7 @@ TEST(ResilientAllReduce, ChipLossReformsTheRingWithExactSurvivorNumerics) {
   for (std::uint32_t c = 0; c < chips; ++c) {
     shards.push_back(Tensor::full(Shape{{97}}, static_cast<float>(1u << c)));
   }
-  auto r = resilient_ring_all_reduce(cfg, inj, step, shards, ReduceOp::kSum);
+  auto r = ring_all_reduce(cfg, shards, ReduceOp::kSum, inj, step);
 
   ASSERT_EQ(r.lost_chips.size(), 1u);
   EXPECT_EQ(r.surviving_chips, chips - 1);
@@ -233,11 +314,11 @@ TEST(ResilientAllReduce, ChipLossReformsTheRingWithExactSurvivorNumerics) {
   EXPECT_EQ(r.faults.reformation_overhead,
             cfg.retry.detection_timeout + cfg.reformation_latency);
   // The exchange the survivors run is the P-1 ring.
-  EXPECT_EQ(r.exchange.steps, 2u * (chips - 2));
+  EXPECT_EQ(r.steps, 2u * (chips - 2));
 }
 
 TEST(ResilientAllReduce, MeanAveragesOverSurvivors) {
-  ResilienceConfig cfg;
+  const RoceConfig cfg;
   sim::FaultProfile profile;
   profile.chip_failure_rate = 0.15;
   const sim::FaultInjector inj{9, profile};
@@ -249,7 +330,7 @@ TEST(ResilientAllReduce, MeanAveragesOverSurvivors) {
     shards.push_back(Tensor::full(Shape{{16}}, static_cast<float>(c + 1)));
   }
   std::vector<float> values{1.0f, 2.0f, 3.0f, 4.0f};
-  auto r = resilient_ring_all_reduce(cfg, inj, step, shards, ReduceOp::kMean);
+  auto r = ring_all_reduce(cfg, shards, ReduceOp::kMean, inj, step);
   ASSERT_EQ(r.lost_chips.size(), 1u);
   values.erase(values.begin() + r.lost_chips[0]);
   const float expect = (values[0] + values[1] + values[2]) / 3.0f;
@@ -259,58 +340,56 @@ TEST(ResilientAllReduce, MeanAveragesOverSurvivors) {
 }
 
 TEST(ResilientAllReduce, AllChipsLostThrowsResourceExhausted) {
-  ResilienceConfig cfg;
+  const RoceConfig cfg;
   sim::FaultProfile profile;
   profile.chip_failure_rate = 1.0;
   const sim::FaultInjector inj{1, profile};
-  EXPECT_THROW(resilient_ring_all_reduce_time(cfg, inj, 0, 1 << 20, 8),
+  EXPECT_THROW((void)ring_all_reduce_time(cfg, 1 << 20, 8, inj, 0),
                sim::ResourceExhausted);
 }
 
 TEST(ResilientAllReduce, RejectsBadShardVectors) {
-  const ResilienceConfig cfg;
-  const sim::FaultInjector off;
+  const RoceConfig cfg;
+  sim::FaultProfile profile;
+  profile.chip_failure_rate = 1.0;  // the shard checks come first
+  const sim::FaultInjector inj{1, profile};
   std::vector<Tensor> empty;
-  EXPECT_THROW(resilient_ring_all_reduce(cfg, off, 0, empty),
+  EXPECT_THROW(ring_all_reduce(cfg, empty, ReduceOp::kSum, inj, 0),
                sim::InvalidArgument);
   std::vector<Tensor> mismatched{Tensor::zeros(Shape{{2, 3}}),
                                  Tensor::zeros(Shape{{3, 2}})};
-  EXPECT_THROW(resilient_ring_all_reduce(cfg, off, 0, mismatched),
+  EXPECT_THROW(ring_all_reduce(cfg, mismatched, ReduceOp::kSum, inj, 0),
                sim::InvalidArgument);
 }
-
-// ---------------------------------------------------------------------------
-// Resilient data-parallel / pipeline steps
-// ---------------------------------------------------------------------------
 
 TEST(ResilientDataParallel, DisabledInjectorMatchesPlainStepExactly) {
   DataParallelConfig dp;
   dp.chips = 8;
-  dp.overlap_comm = true;
-  ResilienceConfig cfg;
-  cfg.roce = dp.roce;
-  const sim::FaultInjector off;
+  const sim::FaultInjector off{42, sim::FaultProfile::disabled()};
   const auto step = sim::SimTime::from_ms(250.0);
   const std::size_t grad = 1ull << 28;
 
-  const auto plain = data_parallel_step(dp, step, grad, 4096);
-  const auto res = resilient_data_parallel_step(cfg, dp, off, 0, step, grad, 4096);
-  EXPECT_EQ(res.chips_used, dp.chips);
-  EXPECT_EQ(res.step.compute, plain.compute);
-  EXPECT_EQ(res.step.comm, plain.comm);
-  EXPECT_EQ(res.step.exposed_comm, plain.exposed_comm);
-  EXPECT_EQ(res.step.total, plain.total);
-  EXPECT_DOUBLE_EQ(res.step.tokens_per_second, plain.tokens_per_second);
-  EXPECT_DOUBLE_EQ(res.step.scaling_efficiency, plain.scaling_efficiency);
-  EXPECT_EQ(res.straggler_stall, sim::SimTime::zero());
-  EXPECT_EQ(res.hbm_stall, sim::SimTime::zero());
+  for (const bool overlap : {true, false}) {
+    dp.overlap_comm = overlap;
+    const auto plain = data_parallel_step(dp, step, grad, 4096);
+    const auto res = data_parallel_step(dp, step, grad, 4096, off, 7);
+    EXPECT_EQ(res.chips_used, dp.chips);
+    EXPECT_EQ(res.compute, plain.compute);
+    EXPECT_EQ(res.comm, plain.comm);
+    EXPECT_EQ(res.exposed_comm, plain.exposed_comm);
+    EXPECT_EQ(res.total, plain.total);
+    EXPECT_DOUBLE_EQ(res.tokens_per_second, plain.tokens_per_second);
+    EXPECT_DOUBLE_EQ(res.scaling_efficiency, plain.scaling_efficiency);
+    EXPECT_EQ(res.straggler_stall, sim::SimTime::zero());
+    EXPECT_EQ(res.hbm_stall, sim::SimTime::zero());
+    EXPECT_EQ(res.faults.stragglers, 0u);
+    EXPECT_EQ(res.faults.overhead(), sim::SimTime::zero());
+  }
 }
 
 TEST(ResilientDataParallel, StragglerAndHbmPressureStretchTheStep) {
   DataParallelConfig dp;
   dp.chips = 8;
-  ResilienceConfig cfg;
-  cfg.roce = dp.roce;
   sim::FaultProfile profile;
   profile.tpc_straggler_rate = 1.0;  // every chip straggles
   profile.hbm_pressure_rate = 1.0;
@@ -318,33 +397,29 @@ TEST(ResilientDataParallel, StragglerAndHbmPressureStretchTheStep) {
   const sim::FaultInjector inj{1, profile};
   const auto step = sim::SimTime::from_ms(100.0);
 
-  const auto res =
-      resilient_data_parallel_step(cfg, dp, inj, 0, step, 1 << 20, 4096);
+  const auto res = data_parallel_step(dp, step, 1 << 20, 4096, inj, 0);
   EXPECT_EQ(res.faults.stragglers, dp.chips);
   EXPECT_EQ(res.straggler_stall, step);  // 2x slowdown doubles the step
   EXPECT_EQ(res.hbm_stall, profile.hbm_pressure_stall);
-  EXPECT_EQ(res.step.compute, step * 2 + profile.hbm_pressure_stall);
+  EXPECT_EQ(res.compute, step * 2 + profile.hbm_pressure_stall);
 }
 
 TEST(ResilientDataParallel, ChipLossScalesThroughputAndEfficiencyDown) {
   DataParallelConfig dp;
   dp.chips = 8;
-  ResilienceConfig cfg;
-  cfg.roce = dp.roce;
   sim::FaultProfile profile;
   profile.chip_failure_rate = 0.1;
   const sim::FaultInjector inj{5, profile};
   const std::uint64_t step_idx = step_with_losses(inj, dp.chips, 1);
   const auto step = sim::SimTime::from_ms(100.0);
 
-  const auto healthy =
-      resilient_data_parallel_step(cfg, dp, sim::FaultInjector{}, step_idx,
-                                   step, 1 << 24, 4096);
+  const auto healthy = data_parallel_step(dp, step, 1 << 24, 4096,
+                                          sim::FaultInjector{}, step_idx);
   const auto degraded =
-      resilient_data_parallel_step(cfg, dp, inj, step_idx, step, 1 << 24, 4096);
+      data_parallel_step(dp, step, 1 << 24, 4096, inj, step_idx);
   EXPECT_EQ(degraded.chips_used, dp.chips - 1);
-  EXPECT_LT(degraded.step.tokens_per_second, healthy.step.tokens_per_second);
-  EXPECT_LT(degraded.step.scaling_efficiency, healthy.step.scaling_efficiency);
+  EXPECT_LT(degraded.tokens_per_second, healthy.tokens_per_second);
+  EXPECT_LT(degraded.scaling_efficiency, healthy.scaling_efficiency);
   EXPECT_GT(degraded.faults.reformation_overhead, sim::SimTime::zero());
 }
 
@@ -352,44 +427,64 @@ TEST(ResilientPipeline, DisabledInjectorMatchesPlainStepExactly) {
   PipelineConfig pp;
   pp.stages = 8;
   pp.microbatches = 16;
-  ResilienceConfig cfg;
-  cfg.roce = pp.roce;
-  const sim::FaultInjector off;
+  const sim::FaultInjector off{42, sim::FaultProfile::disabled()};
   const auto model_step = sim::SimTime::from_ms(400.0);
 
   const auto plain = pipeline_step(pp, model_step, 1 << 22, 2048);
-  const auto res =
-      resilient_pipeline_step(cfg, pp, off, 0, model_step, 1 << 22, 2048);
+  const auto res = pipeline_step(pp, model_step, 1 << 22, 2048, off, 7);
   EXPECT_EQ(res.stages_used, pp.stages);
-  EXPECT_EQ(res.step.stage_time, plain.stage_time);
-  EXPECT_EQ(res.step.boundary_comm, plain.boundary_comm);
-  EXPECT_EQ(res.step.slot_time, plain.slot_time);
-  EXPECT_EQ(res.step.total, plain.total);
-  EXPECT_DOUBLE_EQ(res.step.bubble_fraction, plain.bubble_fraction);
-  EXPECT_DOUBLE_EQ(res.step.tokens_per_second, plain.tokens_per_second);
+  EXPECT_EQ(res.stage_time, plain.stage_time);
+  EXPECT_EQ(res.boundary_comm, plain.boundary_comm);
+  EXPECT_EQ(res.slot_time, plain.slot_time);
+  EXPECT_EQ(res.total, plain.total);
+  EXPECT_DOUBLE_EQ(res.bubble_fraction, plain.bubble_fraction);
+  EXPECT_DOUBLE_EQ(res.tokens_per_second, plain.tokens_per_second);
+  EXPECT_EQ(res.faults.overhead(), sim::SimTime::zero());
 }
 
 TEST(ResilientPipeline, StageLossRepartitionsOverSurvivors) {
   PipelineConfig pp;
   pp.stages = 8;
   pp.microbatches = 16;
-  ResilienceConfig cfg;
-  cfg.roce = pp.roce;
   sim::FaultProfile profile;
   profile.chip_failure_rate = 0.1;
   const sim::FaultInjector inj{5, profile};
   const std::uint64_t step_idx = step_with_losses(inj, pp.stages, 1);
 
-  const auto res = resilient_pipeline_step(cfg, pp, inj, step_idx,
-                                           sim::SimTime::from_ms(400.0),
-                                           1 << 22, 2048);
+  const auto res = pipeline_step(pp, sim::SimTime::from_ms(400.0), 1 << 22,
+                                 2048, inj, step_idx);
   EXPECT_EQ(res.stages_used, pp.stages - 1);
   EXPECT_EQ(res.faults.chips_lost, 1u);
   // Fewer stages -> each stage holds more layers -> longer stage time.
   const auto plain = pipeline_step(pp, sim::SimTime::from_ms(400.0), 1 << 22,
                                    2048);
-  EXPECT_GT(res.step.stage_time, plain.stage_time);
+  EXPECT_GT(res.stage_time, plain.stage_time);
   EXPECT_GT(res.faults.reformation_overhead, sim::SimTime::zero());
+}
+
+TEST(ResilientPipeline, BoundaryRetriesFollowThePipelinesOwnLinkPolicy) {
+  PipelineConfig pp;
+  pp.stages = 4;
+  pp.microbatches = 8;
+  sim::FaultProfile profile;
+  profile.transient_link_rate = 1.0;
+  const sim::FaultInjector inj{1, profile};
+  const auto model_step = sim::SimTime::from_ms(40.0);
+  const auto clean = pipeline_step(pp, model_step, 1 << 20, 512);
+
+  // Boundary transfers run one after another, so every chain is exposed.
+  const auto res = pipeline_step(pp, model_step, 1 << 20, 512, inj, 0);
+  const RetryPolicy& retry = pp.roce.retry;
+  const sim::SimTime chain = retry.failed_attempt(0) +
+                             retry.failed_attempt(1) + retry.failed_attempt(2);
+  EXPECT_EQ(res.faults.retries, 3u * (pp.stages - 1));
+  EXPECT_EQ(res.total, clean.total + chain * (pp.stages - 1));
+
+  // A single-attempt policy on the pipeline's links never retries.
+  pp.roce.retry.max_attempts = 1;
+  const auto once = pipeline_step(pp, model_step, 1 << 20, 512, inj, 0);
+  EXPECT_EQ(once.faults.retries, 0u);
+  EXPECT_EQ(once.total, clean.total);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-// Memory-system tests: HBM allocator accounting and DMA/HBM timing models.
+// Memory-system tests: HBM allocator accounting, DMA/HBM timing models and
+// the FNV-1a checksum.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "memory/checksum.hpp"
 #include "memory/device_memory.hpp"
 #include "memory/dma.hpp"
 #include "sim/chip_config.hpp"
@@ -83,6 +87,22 @@ TEST(HbmModel, LatencyPlusStreaming) {
   // 1 TB at 1 TB/s ~ 1 s dominated by streaming.
   EXPECT_NEAR(t.seconds(), 1.0, 0.01);
   EXPECT_GE(hbm_transfer_time(cfg, 0), cfg.hbm_latency);
+}
+
+TEST(Fnv1a, MatchesTheReferenceVectorsWholeOrInPieces) {
+  const auto digest = [](const std::string& text) {
+    return fnv1a64(reinterpret_cast<const std::byte*>(text.data()),
+                   text.size());
+  };
+  // The published FNV-1a 64-bit vectors; "" is the offset basis itself.
+  EXPECT_EQ(digest(""), 0xCBF29CE484222325ull);
+  EXPECT_EQ(digest("a"), 0xAF63DC4C8601EC8Cull);
+  EXPECT_EQ(digest("foobar"), 0x85944171F73967E8ull);
+  Fnv1a pieces;
+  pieces.bytes("foo", 3);
+  pieces.bytes("", 0);
+  pieces.bytes("bar", 3);
+  EXPECT_EQ(pieces.digest(), digest("foobar"));
 }
 
 }  // namespace

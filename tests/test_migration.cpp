@@ -93,7 +93,7 @@ TEST(MigrationPlan, LinkFaultsAddTimeButNeverLosePayload) {
   EXPECT_EQ(stormy.chunks, clean.chunks);
   EXPECT_EQ(stormy.link_retries,
             clean.chunks *
-                static_cast<std::int64_t>(cfg.retry.max_attempts - 1));
+                static_cast<std::int64_t>(cfg.roce.retry.max_attempts - 1));
   EXPECT_EQ(stormy.degraded_chunks, stormy.chunks);
   EXPECT_GT(stormy.duration, clean.duration);
 }

@@ -39,6 +39,39 @@ TEST(SimTime, ToStringPicksUnits) {
   EXPECT_EQ(to_string(SimTime::from_seconds(1.25)), "1.250 s");
 }
 
+TEST(SimTime, StretchedRoundsToTheNearestPicosecond) {
+  const SimTime t = SimTime::from_ps(1001);
+  EXPECT_EQ(t.stretched(1.0), t);
+  EXPECT_EQ(t.stretched(0.5), t);  // a factor below 1 never shortens
+  EXPECT_EQ(t.stretched(2.0), SimTime::from_ps(2002));
+  EXPECT_EQ(t.stretched(1.5), SimTime::from_ps(1502));  // 1501.5 rounds up
+  EXPECT_EQ(t.stretched(1.4995), SimTime::from_ps(1501));  // 1500.9995
+}
+
+TEST(RetryBackoff, DoublesPerAttemptAndSaturatesAtTheCap) {
+  const SimTime base = SimTime::from_ms(5.0);
+  const SimTime cap = SimTime::from_ms(40.0);
+  EXPECT_EQ(backoff_delay(base, cap, 1), base);
+  EXPECT_EQ(backoff_delay(base, cap, 2), base * 2);
+  EXPECT_EQ(backoff_delay(base, cap, 3), base * 4);
+  EXPECT_EQ(backoff_delay(base, cap, 4), cap);  // 40 caps 40
+  EXPECT_EQ(backoff_delay(base, cap, 5), cap);
+  // Attempt counts far past the shift width must not overflow: still cap.
+  EXPECT_EQ(backoff_delay(base, cap, 63), cap);
+  // Nor may a huge base: 10^7 ms doubled ten times overflows int64 ps.
+  const SimTime huge = SimTime::from_ms(10'000'000.0);
+  const SimTime five_s = SimTime::from_ms(5000.0);
+  EXPECT_EQ(backoff_delay(huge, five_s, 1), five_s);
+  EXPECT_EQ(backoff_delay(huge, five_s, 11), five_s);
+  EXPECT_THROW((void)backoff_delay(base, cap, 0), InternalError);
+  // Without a ceiling (the fabric and DMA retries) the doubling runs on,
+  // and saturates at the largest time instead of wrapping.
+  const SimTime fabric = SimTime::from_us(100.0);
+  EXPECT_EQ(backoff_delay(fabric, SimTime::max(), 31),
+            fabric * (std::int64_t{1} << 30));
+  EXPECT_EQ(backoff_delay(fabric, SimTime::max(), 63), SimTime::max());
+}
+
 TEST(Clock, CycleConversionRoundsUp) {
   const Clock c(1e9);  // 1 GHz -> 1 ns per cycle
   EXPECT_EQ(c.to_time(10).ps(), 10'000);
