@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -56,7 +55,8 @@ void pass_fusion(CompiledGraph& cg) {
 void pass_dma_insertion(CompiledGraph& cg) {
   const Graph& g = cg.graph;
   cg.value_sources.assign(g.num_values(), 0);
-  std::map<std::pair<ValueId, Engine>, bool> seen;
+  // Per value, the engines a transfer was already counted toward.
+  std::vector<std::uint8_t> counted(g.num_values(), 0);
   for (NodeId nid = 0; nid < static_cast<NodeId>(g.num_nodes()); ++nid) {
     const Node& n = g.node(nid);
     const Engine eng = cg.node_engine[static_cast<std::size_t>(nid)];
@@ -75,14 +75,14 @@ void pass_dma_insertion(CompiledGraph& cg) {
     for (ValueId v : n.inputs) {
       const auto vi = static_cast<std::size_t>(v);
       if ((cg.value_sources[vi] & ~engine_bit(eng)) == 0) continue;
-      if (!seen.emplace(std::make_pair(v, eng), true).second) continue;
-      cg.dmas.push_back(PlannedDma{v, eng, nid, g.value(v).nbytes()});
+      if ((counted[vi] & engine_bit(eng)) != 0) continue;
+      counted[vi] |= engine_bit(eng);
+      ++cg.stats.planned_dmas;
     }
     for (ValueId v : n.outputs) {
       cg.value_sources[static_cast<std::size_t>(v)] = engine_bit(eng);
     }
   }
-  cg.stats.planned_dmas = cg.dmas.size();
 }
 
 void pass_liveness(CompiledGraph& cg) {
@@ -145,9 +145,8 @@ void pass_memory_planning(CompiledGraph& cg) {
     intervals.push_back(std::move(iv));
     interval_value.push_back(v);
   }
-  const std::size_t capacity =
-      cg.options.enforce_capacity ? cg.config.memory.hbm_bytes : 0;
-  const memory::MemoryPlan plan = memory::plan_memory(intervals, capacity);
+  const memory::MemoryPlan plan =
+      memory::plan_memory(intervals, cg.config.memory.hbm_bytes);
   for (std::size_t i = 0; i < interval_value.size(); ++i) {
     cg.placements[static_cast<std::size_t>(interval_value[i])].offset =
         plan.buffers[i].offset;

@@ -7,8 +7,8 @@
 //
 //   engine mapping      -> Engine per node (paper Table 1)
 //   element-wise fusion -> chains collapsed into pre-bound FusedChainSpecs
-//   DMA insertion       -> per-value source-engine sets + deduplicated
-//                          cross-engine transfer list
+//   DMA insertion       -> per-value source-engine sets + a count of the
+//                          deduplicated cross-engine transfers
 //   liveness analysis   -> def / last-use step per device buffer
 //   memory planning     -> static byte offsets with reuse (memory_planner)
 //   topological order   -> verified execution order
@@ -33,9 +33,6 @@ namespace gaudi::graph {
 struct CompileOptions {
   /// Apply the element-wise fusion pass (see graph/fusion.hpp).
   bool fuse_elementwise = false;
-  /// Enforce the HBM capacity while planning memory: compilation throws
-  /// sim::ResourceExhausted where the device would OOM at run time.
-  bool enforce_capacity = true;
 };
 
 /// Where compile time went and what the passes decided — surfaced by the
@@ -62,15 +59,6 @@ struct CompileStats {
     return total_bytes > arena_bytes ? total_bytes - arena_bytes : 0;
   }
   [[nodiscard]] std::string to_string() const;
-};
-
-/// One planned cross-engine transfer: `value` must be copied to `dst`
-/// before `first_consumer` executes (deduplicated per value+destination).
-struct PlannedDma {
-  ValueId value = kInvalidValue;
-  Engine dst = Engine::kNone;
-  NodeId first_consumer = -1;
-  std::size_t bytes = 0;
 };
 
 /// Static placement of one value's device bytes.
@@ -105,15 +93,14 @@ struct CompiledGraph {
   /// through metadata nodes); the scheduler consumes this instead of
   /// re-deriving producers.
   std::vector<std::uint8_t> value_sources;
-  std::vector<PlannedDma> dmas;
   /// Per-value static memory plan (indexed by ValueId).
   std::vector<ValuePlacement> placements;
 
   CompileStats stats;
 };
 
-/// Runs the full pass pipeline.  Throws sim::ResourceExhausted when
-/// `opts.enforce_capacity` and the planned peak exceeds the HBM budget.
+/// Runs the full pass pipeline.  Throws sim::ResourceExhausted when the
+/// planned peak exceeds the HBM capacity.
 [[nodiscard]] CompiledGraph compile_graph(const Graph& g,
                                           const sim::ChipConfig& cfg,
                                           const CompileOptions& opts = {});

@@ -93,11 +93,6 @@ NodeExec NodeExecutor::run(const Graph& g, NodeId nid,
   };
 
   NodeExec exec;
-  exec.engine = engine_of(n.kind);
-  if (n.kind != OpKind::kReshape) {
-    for (ValueId v : n.inputs) exec.bytes += g.value(v).nbytes();
-    for (ValueId v : n.outputs) exec.bytes += g.value(v).nbytes();
-  }
 
   // Helper that runs a TPC kernel and accumulates duration/flops.  Each of
   // the node's launches (cross-entropy has two) gets its own cost key.
@@ -151,7 +146,6 @@ NodeExec NodeExecutor::run(const Graph& g, NodeId nid,
       } else {
         set_out(0, Tensor::phantom(out_info(0).shape, out_info(0).dtype));
       }
-      exec.engine = Engine::kNone;
       return exec;
     }
 
@@ -328,6 +322,23 @@ NodeExec NodeExecutor::run(const Graph& g, NodeId nid,
     }
   }
   throw sim::InternalError("unhandled op kind in executor");
+}
+
+NodeExec NodeExecutor::run(const Graph& g, const FusedChainSpec& chain,
+                           std::vector<tensor::Tensor>& tensors, ExecMode mode,
+                           bool poison_outputs) const {
+  tensors[static_cast<std::size_t>(chain.output)] =
+      make_output_tensor(g.value(chain.output), mode, poison_outputs);
+  const FusedChainKernel kernel(chain, tensors);
+  const tpc::RunResult r = launch(
+      kernel, mode,
+      mode == ExecMode::kTiming ? kernel_cost_key(g, chain, cfg_) : std::string{},
+      g, chain.tail);
+  NodeExec exec;
+  exec.duration = r.duration;
+  exec.flops = r.flops;
+  exec.label = chain.label;
+  return exec;
 }
 
 }  // namespace gaudi::graph

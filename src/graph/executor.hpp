@@ -1,16 +1,19 @@
-// Per-node execution: dispatches each graph op to its engine's model.
+// Per-launch execution: dispatches each graph op, or a whole fused chain,
+// to its engine's model.
 //
 // TPC ops instantiate kernels from the kernel library and run them on the
-// cluster (functional or timing mode); matmuls run on the MME model.  The
-// executor produces, for every node, the simulated duration the scheduler
-// places on the engine timeline — and, in functional mode, the output
-// tensors.
+// cluster (functional or timing mode); matmuls run on the MME model; a
+// fused chain runs as one pre-bound TPC kernel.  The executor produces, for
+// every launch, the simulated duration and flops the scheduler places on
+// the engine timeline — and, in functional mode, the output tensors.  The
+// runtime sets each launch's engine (from the compiled artifact) and bytes.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "graph/fusion.hpp"
 #include "graph/graph.hpp"
 #include "mme/mme.hpp"
 #include "sim/chip_config.hpp"
@@ -25,8 +28,8 @@ struct NodeExec {
   Engine engine = Engine::kNone;
   sim::SimTime duration{};
   std::uint64_t flops = 0;
-  /// Global-memory traffic: bytes of all inputs plus outputs (for roofline
-  /// analysis); zero for metadata ops.
+  /// Global-memory traffic: bytes of the launching node's inputs plus
+  /// outputs (for roofline analysis); zero for metadata ops.
   std::size_t bytes = 0;
   /// Display label overriding the node's own (used by fused groups).
   std::string label;
@@ -67,6 +70,13 @@ class NodeExecutor {
   NodeExec run(const Graph& g, NodeId n, std::vector<tensor::Tensor>& tensors,
                tpc::ExecMode mode, bool poison_outputs = false) const;
 
+  /// Executes a whole fusion group as its pre-bound fused kernel, in one
+  /// launch at the group's tail; only the chain's output is created.
+  NodeExec run(const Graph& g, const FusedChainSpec& chain,
+               std::vector<tensor::Tensor>& tensors, tpc::ExecMode mode,
+               bool poison_outputs = false) const;
+
+ private:
   /// Launches `k`, node `n`'s kernel, on the cluster.  In timing mode the
   /// result is looked up in, or deposited into, the TimingMemo's kernel
   /// costs under `key` (see kernel_cost_key); functional mode always
@@ -76,9 +86,6 @@ class NodeExecutor {
                         const std::string& key, const Graph& g,
                         NodeId n) const;
 
-  [[nodiscard]] const mme::MmeEngine& mme() const { return mme_; }
-
- private:
   sim::ChipConfig cfg_;
   tpc::TpcCluster cluster_;
   mme::MmeEngine mme_;

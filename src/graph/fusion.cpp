@@ -23,8 +23,7 @@ bool is_fusible_elementwise(OpKind kind) {
   }
 }
 
-bool FusionPlan::is_group_tail(const Graph& g, NodeId n) const {
-  (void)g;
+bool FusionPlan::is_group_tail(NodeId n) const {
   const std::int32_t gi = group_of[static_cast<std::size_t>(n)];
   return gi >= 0 && groups[static_cast<std::size_t>(gi)].last() == n;
 }

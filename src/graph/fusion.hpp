@@ -33,10 +33,7 @@ struct FusionPlan {
   /// materialize in device memory.
   std::vector<bool> internal_value;
 
-  [[nodiscard]] bool fused(NodeId n) const {
-    return group_of[static_cast<std::size_t>(n)] >= 0;
-  }
-  [[nodiscard]] bool is_group_tail(const Graph& g, NodeId n) const;
+  [[nodiscard]] bool is_group_tail(NodeId n) const;
 };
 
 /// True for ops the fuser may place inside a chain: flat element-wise ops

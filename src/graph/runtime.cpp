@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <utility>
 
-#include "graph/fingerprint.hpp"
-#include "graph/fusion.hpp"
 #include "graph/validate.hpp"
 #include "memory/checksum.hpp"
 #include "tensor/ops.hpp"
-#include "tpc/cluster.hpp"
 
 namespace gaudi::graph {
 
@@ -34,8 +32,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
 
   std::vector<tensor::Tensor> tensors(g.num_values());
   // The static plan already fixed every buffer's offset; the dynamic
-  // allocator is replayed as a debug cross-check (and to enforce capacity
-  // for artifacts compiled without enforcement).
+  // allocator is replayed as a cross-check of its peak.
   memory::DeviceAllocator hbm(cg.config.memory);
   std::vector<memory::Allocation> allocs(g.num_values());
   // Remaining consumers per value; storage is dropped when it reaches zero.
@@ -83,9 +80,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
       tensors[static_cast<std::size_t>(v)] =
           tensor::Tensor::phantom(info.shape, info.dtype);
     }
-    if (opts.account_memory) {
-      allocs[static_cast<std::size_t>(v)] = hbm.allocate(info.nbytes(), info.name);
-    }
+    allocs[static_cast<std::size_t>(v)] = hbm.allocate(info.nbytes(), info.name);
   }
 
   NodeExecutor executor(cg.config, sim::CounterRng{opts.seed},
@@ -101,7 +96,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
     const ValueInfo& info = g.value(v);
     if (pending[vi] == 0 && !info.is_output &&
         info.role == ValueRole::kIntermediate) {
-      if (opts.account_memory && allocs[vi].valid()) {
+      if (allocs[vi].valid()) {
         hbm.release(allocs[vi]);
         allocs[vi] = memory::Allocation{};
       }
@@ -298,10 +293,21 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
   };
 
   for (const NodeId nid : cg.order) {
+    const auto ni = static_cast<std::size_t>(nid);
+    const std::int32_t group = cg.fusion.group_of[ni];
+    // A fused chain launches once, at its tail.  The other links run on no
+    // engine, consume nothing yet and never materialize their value.
+    if (group >= 0 && !cg.fusion.is_group_tail(nid)) continue;
     const Node& n = g.node(nid);
+    // What the launch reads: the node itself, or the whole chain it ends.
+    const std::span<const NodeId> members =
+        group >= 0 ? std::span<const NodeId>(
+                         cg.fusion.groups[static_cast<std::size_t>(group)].nodes)
+                   : std::span<const NodeId>(&nid, 1);
+
     // Allocate outputs (reshape aliases its input; fused-chain intermediates
     // live in vector registers — neither takes device bytes).
-    if (opts.account_memory && n.kind != OpKind::kReshape) {
+    if (n.kind != OpKind::kReshape) {
       for (ValueId v : n.outputs) {
         if (is_internal(v)) continue;
         allocs[static_cast<std::size_t>(v)] =
@@ -309,97 +315,50 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
       }
     }
 
-    NodeExec& exec = execs[static_cast<std::size_t>(nid)];
-    if (!cg.fusion.fused(nid)) {
-      if (guarded && functional) {
-        for (ValueId v : n.inputs) verify_input(nid, v);
-      }
-      exec = executor.run(g, nid, tensors, opts.mode,
-                          /*poison_outputs=*/guarded && functional);
-      if (guarded) {
-        guard_cost(exec, n.outputs);
-        if (functional) {
-          bool inherited = false;
-          for (ValueId v : n.inputs) {
-            inherited |= value_anomalous[static_cast<std::size_t>(v)] != 0;
-          }
-          for (ValueId v : n.outputs) {
-            if (!is_internal(v)) sweep_output(exec, nid, v, inherited);
-          }
+    // The guard verifies (and blame-checks) every operand the launch reads.
+    bool inherited = false;
+    if (guarded && functional) {
+      for (const NodeId member : members) {
+        for (ValueId v : g.node(member).inputs) {
+          if (is_internal(v)) continue;
+          verify_input(nid, v);
+          inherited |= value_anomalous[static_cast<std::size_t>(v)] != 0;
         }
       }
-      if (functional) inject_sdc(nid, n.outputs);
-      for (ValueId v : n.inputs) {
+    }
+    const bool poison = guarded && functional;
+    NodeExec& exec = execs[ni];
+    exec = group >= 0
+               ? executor.run(g, cg.chains[static_cast<std::size_t>(group)],
+                              tensors, opts.mode, poison)
+               : executor.run(g, nid, tensors, opts.mode, poison);
+    exec.engine = cg.node_engine[ni];
+    if (exec.engine != Engine::kNone) {
+      for (ValueId v : n.inputs) exec.bytes += g.value(v).nbytes();
+      for (ValueId v : n.outputs) exec.bytes += g.value(v).nbytes();
+    }
+    if (guarded) {
+      guard_cost(exec, n.outputs);
+      if (functional) {
+        for (ValueId v : n.outputs) {
+          if (!is_internal(v)) sweep_output(exec, nid, v, inherited);
+        }
+      }
+    }
+    if (functional) inject_sdc(nid, n.outputs);
+    // The launch read every member's operands just now, so their consumption
+    // lands here — releasing an external at the chain link that names it
+    // would free bytes the tail still reads.
+    for (const NodeId member : members) {
+      for (ValueId v : g.node(member).inputs) {
         auto& p = pending[static_cast<std::size_t>(v)];
         GAUDI_ASSERT(p > 0, "consumer refcount underflow");
         --p;
         release_if_dead(v);
       }
-      // Outputs nobody consumes (and not marked graph outputs) die
-      // immediately.
-      for (ValueId v : n.outputs) release_if_dead(v);
-    } else if (cg.fusion.is_group_tail(g, nid)) {
-      // The whole chain executes as the pre-bound fused kernel — numerics
-      // and timing in one launch, in the run's mode.
-      const FusedChainSpec& spec =
-          cg.chains[static_cast<std::size_t>(
-              cg.fusion.group_of[static_cast<std::size_t>(nid)])];
-      const FusionGroup& group =
-          cg.fusion.groups[static_cast<std::size_t>(
-              cg.fusion.group_of[static_cast<std::size_t>(nid)])];
-      // The fused launch reads every chain member's external operands, so
-      // the guard verifies (and blame-checks) the whole group's inputs here.
-      bool inherited = false;
-      if (guarded && functional) {
-        for (const NodeId member : group.nodes) {
-          for (ValueId v : g.node(member).inputs) {
-            if (is_internal(v)) continue;
-            verify_input(nid, v);
-            inherited |= value_anomalous[static_cast<std::size_t>(v)] != 0;
-          }
-        }
-      }
-      const ValueInfo& out_info = g.value(spec.output);
-      tensors[static_cast<std::size_t>(spec.output)] = make_output_tensor(
-          out_info, opts.mode, /*poison=*/guarded && functional);
-      const FusedChainKernel kernel(spec, tensors);
-      const tpc::RunResult r = executor.launch(
-          kernel, opts.mode,
-          functional ? std::string{} : kernel_cost_key(g, spec, cg.config), g,
-          nid);
-      exec.engine = Engine::kTpc;
-      exec.duration = r.duration;
-      exec.flops = r.flops;
-      exec.label = spec.label;
-      for (ValueId v : n.inputs) exec.bytes += g.value(v).nbytes();
-      for (ValueId v : n.outputs) exec.bytes += g.value(v).nbytes();
-      if (guarded) {
-        guard_cost(exec, n.outputs);
-        if (functional) {
-          for (ValueId v : n.outputs) {
-            if (!is_internal(v)) sweep_output(exec, nid, v, inherited);
-          }
-        }
-      }
-      if (functional) inject_sdc(nid, n.outputs);
-      // The fused launch read every chain member's operands just now, so
-      // the whole group's consumption lands here — releasing an external at
-      // the link that names it would free bytes the tail still reads.
-      for (const NodeId member : group.nodes) {
-        for (ValueId v : g.node(member).inputs) {
-          auto& p = pending[static_cast<std::size_t>(v)];
-          GAUDI_ASSERT(p > 0, "consumer refcount underflow");
-          --p;
-          release_if_dead(v);
-        }
-      }
-      for (ValueId v : n.outputs) release_if_dead(v);
-    } else {
-      // Non-tail links are absorbed into the tail's kernel: no engine time,
-      // no consumption yet (the fused launch reads every operand at the
-      // tail), and the chain value never materializes.
-      exec.engine = Engine::kNone;
     }
+    // Outputs nobody consumes (and not marked graph outputs) die immediately.
+    for (ValueId v : n.outputs) release_if_dead(v);
   }
 
   // End-of-run audit: a graph output corrupted after its last consumer (or
@@ -432,7 +391,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
   if (validating) {
     validate_or_throw(g, execs, result.trace, opts.policy, cg.config);
     std::vector<Violation> violations = validate_memory_plan(cg);
-    if (opts.account_memory && hbm.peak() != cg.stats.peak_bytes) {
+    if (hbm.peak() != cg.stats.peak_bytes) {
       std::ostringstream os;
       os << "planned peak " << cg.stats.peak_bytes
          << " bytes != dynamic allocator peak " << hbm.peak() << " bytes";
@@ -458,9 +417,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
 ProfileResult Runtime::run(const Graph& g,
                            const std::unordered_map<ValueId, tensor::Tensor>& feeds,
                            const RunOptions& opts) const {
-  CompileOptions copts;
-  copts.enforce_capacity = opts.account_memory;
-  return run(compile(g, copts), feeds, opts);
+  return run(compile(g), feeds, opts);
 }
 
 }  // namespace gaudi::graph

@@ -4,15 +4,19 @@
 // element-wise fusion, DMA insertion, liveness, static memory planning,
 // topological order — see graph/compiler.hpp) and returns an immutable
 // CompiledGraph.  `Runtime::run(const CompiledGraph&, feeds)` is the thin
-// run-many loop: it executes nodes in the compiled order (real numerics in
-// functional mode; phantom tensors in timing mode, where each TPC kernel's
-// cost comes from the process-wide TimingMemo after its first launch),
-// replays the dynamic HBM allocator as a debug cross-check of the static
-// memory plan, schedules the node durations onto engine timelines under the
-// selected policy, and returns the hardware trace plus any requested
-// outputs.  Both modes take this one path, with the same guard, fault and
-// memory accounting.  The single-graph `run(const Graph&, ...)` overload
-// compiles and runs in one call for one-shot callers.
+// run-many loop.  In the compiled order it runs each launch, an unfused
+// node or (at a chain's tail) a whole fused chain, through one path: verify
+// the operands the launch reads, execute it (real numerics in functional
+// mode; phantom tensors in timing mode, where each TPC kernel's cost comes
+// from the process-wide TimingMemo after its first launch), set its engine
+// from the compiled mapping and its bytes, guard-sweep and fault-inject its
+// outputs, and release what it read.  The loop replays the dynamic HBM
+// allocator as a cross-check of the static memory plan, schedules the
+// launch durations onto engine timelines under the selected policy, and
+// returns the hardware trace plus any requested outputs.  Both modes take
+// this one path, with the same guard, fault and memory accounting.  The
+// single-graph `run(const Graph&, ...)` overload compiles and runs in one
+// call for one-shot callers.
 #pragma once
 
 #include <cstddef>
@@ -36,11 +40,6 @@ struct RunOptions {
   tpc::ExecMode mode = tpc::ExecMode::kFunctional;
   SchedulePolicy policy = SchedulePolicy::kBarrier;
   std::uint64_t seed = 0x6A0D1;
-  /// Replay the dynamic HBM allocator alongside the static plan and enforce
-  /// the capacity (throws sim::ResourceExhausted on overflow).  Via the
-  /// compile-and-run overload this also gates compile-time capacity
-  /// enforcement.
-  bool account_memory = true;
   /// Run TraceValidator on the scheduled trace (plus the memory-plan
   /// invariants on the compiled artifact) and throw sim::InternalError on
   /// any violation (see graph/validate.hpp); in timing mode, also recompute

@@ -64,10 +64,8 @@ TrainResult train_language_model(const TrainOptions& opts,
   const std::vector<OptimizerState::StateRef> srefs = ostate.state_refs(ug);
 
   graph::Runtime rt(chip);
-  graph::CompileOptions copts;
-  copts.enforce_capacity = opts.run.account_memory;
-  const graph::CompiledGraph cg = rt.compile(g, copts);
-  const graph::CompiledGraph cug = rt.compile(ug, copts);
+  const graph::CompiledGraph cg = rt.compile(g);
+  const graph::CompiledGraph cug = rt.compile(ug);
 
   // Model feeds: parameters (updated in place across steps), token batches,
   // and the loss-scale scalar rewritten before every run.
@@ -209,18 +207,10 @@ TrainResult train_language_model(const TrainOptions& opts,
     }
   }
 
-  // Checkpoint cadence: fixed interval up front; Young/Daly sized lazily
-  // from the first snapshot's real payload bytes (0 = not yet computed).
-  const bool checkpointing =
-      !opts.checkpoint_dir.empty() &&
-      opts.checkpoint_policy != scaleout::RecoveryPolicy::kNone;
-  std::uint64_t interval = 0;
-  if (checkpointing &&
-      opts.checkpoint_policy == scaleout::RecoveryPolicy::kFixedInterval) {
-    GAUDI_CHECK(opts.checkpoint_every > 0,
-                "checkpoint_every must be positive for kFixedInterval");
-    interval = static_cast<std::uint64_t>(opts.checkpoint_every);
-  }
+  const bool checkpointing = !opts.checkpoint_dir.empty();
+  GAUDI_CHECK(!checkpointing || opts.checkpoint_every > 0,
+              "checkpoint_every must be positive");
+  const auto interval = static_cast<std::uint64_t>(opts.checkpoint_every);
 
   result.steps.reserve(static_cast<std::size_t>(opts.steps - start_step));
 
@@ -309,14 +299,6 @@ TrainResult train_language_model(const TrainOptions& opts,
 
     if (checkpointing) {
       const std::uint64_t done = static_cast<std::uint64_t>(step) + 1;
-      if (interval == 0) {
-        const scaleout::Snapshot probe = make_snapshot(done);
-        interval = scaleout::young_daly_interval_steps(
-            opts.nominal_step_time,
-            scaleout::checkpoint_save_time(scaleout::backed_checkpoint_config(
-                probe, opts.checkpoint_cost)),
-            opts.mtbf_steps);
-      }
       if (done % interval == 0 ||
           done == static_cast<std::uint64_t>(opts.steps)) {
         scaleout::SaveOptions sopts;

@@ -21,7 +21,6 @@
 #include "graph/runtime.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
-#include "scaleout/checkpoint.hpp"
 
 namespace gaudi::nn {
 
@@ -91,15 +90,10 @@ struct TrainOptions {
 
   /// Crash-consistent checkpointing (scaleout/snapshot.hpp).  Empty
   /// `checkpoint_dir` disables it entirely.  With a directory set, a
-  /// snapshot of the complete training state lands after the steps the
-  /// policy selects — every `checkpoint_every` steps for kFixedInterval, at
-  /// the Young/Daly optimal interval (from `mtbf_steps`, `nominal_step_time`
-  /// and the measured snapshot size) for kYoungDaly — and always after the
-  /// final step.  kNone never saves.
+  /// snapshot of the complete training state lands every `checkpoint_every`
+  /// steps and always after the final step.
   std::string checkpoint_dir;
   std::int32_t checkpoint_every = 1;
-  scaleout::RecoveryPolicy checkpoint_policy =
-      scaleout::RecoveryPolicy::kFixedInterval;
   /// Resume from the newest *valid* snapshot in `checkpoint_dir` before
   /// training.  An empty or nonexistent directory is a clean fresh start
   /// (noted in TrainResult::resume_report); a snapshot whose fingerprint
@@ -109,12 +103,6 @@ struct TrainOptions {
   /// index) instead of one fixed batch, making the checkpointed data-order
   /// cursor load-bearing.  Off by default to preserve the historical loop.
   bool resample_data = false;
-  /// Inputs to the Young/Daly interval for kYoungDaly.
-  double mtbf_steps = 200.0;
-  sim::SimTime nominal_step_time = sim::SimTime::from_ms(300.0);
-  /// Storage cost model; state_bytes is overridden by the real serialized
-  /// payload (scaleout::backed_checkpoint_config).
-  scaleout::CheckpointConfig checkpoint_cost{};
 };
 
 struct TrainStepInfo {

@@ -12,7 +12,6 @@ AllReduceResult ring_all_reduce_time(const RoceConfig& cfg, std::size_t bytes,
                                      std::uint64_t step) {
   GAUDI_CHECK(chips >= 1 && chips <= cfg.num_chips,
               "chip count outside the box");
-  GAUDI_CHECK(cfg.retry.max_attempts >= 1, "retry policy needs >= 1 attempt");
   AllReduceResult r;
   // Chip losses first: they decide the ring the exchange actually runs on.
   r.lost_chips = lose_chips(cfg, faults, step, chips, r.faults);

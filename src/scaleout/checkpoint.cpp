@@ -114,9 +114,10 @@ TrainingRunReport resilient_training_run(const TrainingRunConfig& cfg,
       continue;
     }
 
-    // Step executes; stragglers and HBM pressure stretch it.
+    // Step executes (no chip died, so every chip may straggle); stragglers
+    // and HBM pressure stretch it.
     sim::SimTime dur = cfg.step_time.stretched(
-        faults.slowest_straggler(site_step, cfg.chips));
+        faults.slowest_straggler(site_step, cfg.chips, /*lost=*/{}));
     rep.stall_time += dur - cfg.step_time;
     if (faults.fires(sim::FaultKind::kHbmPressure,
                      sim::FaultInjector::site(site_step, 0))) {

@@ -23,7 +23,7 @@ DataParallelStep data_parallel_step(const DataParallelConfig& cfg,
   step.chips_used = sync.surviving_chips;
   step.faults = sync.faults;
   step.compute = single_chip_step.stretched(faults.slowest_straggler(
-      step_index, step.chips_used, &step.faults.stragglers));
+      step_index, cfg.chips, sync.lost_chips, &step.faults.stragglers));
   step.straggler_stall = step.compute - single_chip_step;
   if (faults.fires(sim::FaultKind::kHbmPressure,
                    sim::FaultInjector::site(step_index, 0))) {

@@ -20,13 +20,15 @@ PipelineStep pipeline_step(const PipelineConfig& cfg, sim::SimTime full_model_st
   FaultStats& f = step.faults;
   // Losing a stage forces a re-partition of the layers over the survivors
   // before the step can run.
-  const std::uint32_t stages = cfg.stages - static_cast<std::uint32_t>(
-      lose_chips(cfg.roce, faults, step_index, cfg.stages, f).size());
+  const std::vector<std::uint32_t> lost =
+      lose_chips(cfg.roce, faults, step_index, cfg.stages, f);
+  const std::uint32_t stages =
+      cfg.stages - static_cast<std::uint32_t>(lost.size());
   step.stages_used = stages;
   // A straggling stage paces every slot: the GPipe schedule is synchronous
   // per slot, so the whole pipeline marches at the slowest stage's beat.
   const double slow =
-      faults.slowest_straggler(step_index, stages, &f.stragglers);
+      faults.slowest_straggler(step_index, cfg.stages, lost, &f.stragglers);
   double boundary_slow = 1.0;
   for (std::uint32_t s = 0; s + 1 < stages; ++s) {  // boundary link s -> s+1
     const LinkFaults lf = link_faults(cfg.roce.retry, faults, step_index, s, f);

@@ -13,6 +13,11 @@ sim::SimTime RetryPolicy::failed_attempt(std::uint32_t attempt) const {
                             static_cast<std::int32_t>(attempt) + 1);
 }
 
+std::uint32_t RetryPolicy::attempts() const {
+  GAUDI_CHECK(max_attempts >= 1, "retry policy needs >= 1 attempt");
+  return max_attempts;
+}
+
 sim::SimTime p2p_time(const RoceConfig& cfg, std::size_t bytes) {
   const double stream_s =
       static_cast<double>(bytes) / cfg.link_bandwidth_bytes_per_s;
@@ -55,7 +60,8 @@ LinkFaults link_faults(const RetryPolicy& retry,
   // Attempt 0 draws at the canonical (step, link) site, so fault_schedule
   // enumerates the first-failure draws this consumes; later attempts derive
   // from it.
-  for (std::uint32_t a = 0; a + 1 < retry.max_attempts; ++a) {
+  const std::uint32_t attempts = retry.attempts();
+  for (std::uint32_t a = 0; a + 1 < attempts; ++a) {
     if (!faults.fires(sim::FaultKind::kTransientLink,
                       a == 0 ? site : sim::splitmix64(site) + a)) {
       break;

@@ -32,6 +32,9 @@ struct RetryPolicy {
   /// Wall-clock failed attempt `attempt` (0-based) costs: detection plus
   /// the backoff before the next attempt.
   [[nodiscard]] sim::SimTime failed_attempt(std::uint32_t attempt) const;
+  /// `max_attempts`; throws sim::InvalidArgument when it is 0, since every
+  /// transfer needs the attempt that is forced through.
+  [[nodiscard]] std::uint32_t attempts() const;
 };
 
 struct RoceConfig {

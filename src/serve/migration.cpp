@@ -16,7 +16,7 @@ TransferPlan plan_kv_transfer(const MigrationConfig& cfg,
   plan.blocks = (rows + bt - 1) / bt;
   plan.chunks = (plan.blocks + per_chunk - 1) / per_chunk;
   const scaleout::RetryPolicy& retry = cfg.roce.retry;
-  const std::uint32_t attempts = std::max<std::uint32_t>(retry.max_attempts, 1u);
+  const std::uint32_t attempts = retry.attempts();
 
   std::int64_t blocks_left = plan.blocks;
   for (std::int64_t c = 0; c < plan.chunks; ++c) {

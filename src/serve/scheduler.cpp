@@ -111,9 +111,6 @@ std::string ContinuousBatchScheduler::price_key(Phase phase,
   fp.i64(cfg_.model.ffn_dim);
   fp.i64(cfg_.model.max_seq);
   fp.i64(batch);
-  fp.boolean(cfg_.compile.fuse_elementwise);
-  fp.boolean(cfg_.compile.enforce_capacity);
-  fp.u64(cfg_.param_seed);
   fp.u8(static_cast<std::uint8_t>(phase));
   fp.i64(bucket);
   std::ostringstream os;
@@ -135,9 +132,9 @@ sim::SimTime ContinuousBatchScheduler::price(Phase phase,
   if (!timing_only_ || !memo.find_time(key, &cost)) {
     graph::Graph g;
     if (phase == Phase::kDecode) {
-      (void)nn::build_gpt_decode_step(g, m, bucket, cfg_.param_seed);
+      (void)nn::build_gpt_decode_step(g, m, bucket);
     } else {
-      (void)nn::build_gpt_prefill(g, m, bucket, cfg_.param_seed);
+      (void)nn::build_gpt_prefill(g, m, bucket);
     }
     graph::RunOptions opts;
     opts.mode = tpc::ExecMode::kTiming;
@@ -146,7 +143,7 @@ sim::SimTime ContinuousBatchScheduler::price(Phase phase,
     // injection must not perturb them either.
     opts.guard = sim::NumericsPolicy::kOff;
     opts.faults = &kNoFaults;
-    cost = rt_.run(rt_.compile(g, cfg_.compile), {}, opts).makespan;
+    cost = rt_.run(g, {}, opts).makespan;
     if (timing_only_) memo.insert_time(key, cost);
   }
   costs_.emplace(std::make_pair(phase, bucket), cost);

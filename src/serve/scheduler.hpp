@@ -79,8 +79,6 @@ struct ServeConfig {
   /// KV pool geometry; `num_blocks` is derived from `kv_budget_bytes`.
   std::int64_t block_tokens = 64;
   std::size_t kv_budget_bytes = 64ull * 1024 * 1024;
-  graph::CompileOptions compile{};
-  std::uint64_t param_seed = 0xDEC0DE;
   /// Share decode-step and prefill-chunk makespans process-wide through
   /// graph::TimingMemo (and GAUDI_MEMO_FILE), so a shape priced by any
   /// scheduler of the same model skips graph construction, compilation, and

@@ -80,10 +80,12 @@ std::vector<std::uint32_t> FaultInjector::chips_lost(
   return lost;
 }
 
-double FaultInjector::slowest_straggler(std::uint64_t step, std::uint32_t n,
+double FaultInjector::slowest_straggler(std::uint64_t step, std::uint32_t chips,
+                                        const std::vector<std::uint32_t>& lost,
                                         std::uint32_t* count) const {
   double slow = 1.0;
-  for (std::uint32_t c = 0; c < n; ++c) {
+  for (std::uint32_t c = 0; c < chips; ++c) {
+    if (std::find(lost.begin(), lost.end(), c) != lost.end()) continue;
     if (fires(FaultKind::kTpcStraggler, site(step, c))) {
       if (count != nullptr) ++*count;
       slow = std::max(slow, profile_.straggler_slowdown);

@@ -132,9 +132,11 @@ class FaultInjector {
   [[nodiscard]] std::vector<std::uint32_t> chips_lost(
       std::uint64_t step, std::uint32_t chips) const;
   /// ... and the slowdown of the slowest straggler (kTpcStraggler) among
-  /// chips [0, n), 1 when none straggles.  Adds the stragglers to
-  /// `*count` when given.
-  [[nodiscard]] double slowest_straggler(std::uint64_t step, std::uint32_t n,
+  /// the chips [0, chips) that are not in `lost` (those that died at this
+  /// step), 1 when none straggles.  Adds the stragglers to `*count` when
+  /// given.
+  [[nodiscard]] double slowest_straggler(std::uint64_t step, std::uint32_t chips,
+                                         const std::vector<std::uint32_t>& lost,
                                          std::uint32_t* count = nullptr) const;
 
   /// Deterministic coordinates of a fired kSdcBitFlip: which element of the

@@ -106,11 +106,6 @@ TEST(Compiler, CapacityEnforcedAtCompileTime) {
   const ValueId x = g.input(Shape{{1 << 16}}, DType::F32, "x");
   g.mark_output(g.relu(x));
   EXPECT_THROW((void)Runtime(small).compile(g), sim::ResourceExhausted);
-  // With enforcement off, compilation plans the same layout and succeeds.
-  CompileOptions copts;
-  copts.enforce_capacity = false;
-  const CompiledGraph cg = Runtime(small).compile(g, copts);
-  EXPECT_GT(cg.stats.peak_bytes, small.memory.hbm_bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "scaleout/checkpoint.hpp"
 #include "scaleout/data_parallel.hpp"
 #include "scaleout/pipeline.hpp"
+#include "serve/migration.hpp"
 #include "sim/env.hpp"
 #include "tensor/ops.hpp"
 
@@ -485,6 +486,68 @@ TEST(ResilientPipeline, BoundaryRetriesFollowThePipelinesOwnLinkPolicy) {
   const auto once = pipeline_step(pp, model_step, 1 << 20, 512, inj, 0);
   EXPECT_EQ(once.faults.retries, 0u);
   EXPECT_EQ(once.total, clean.total);
+}
+
+// max_attempts == 0 has one meaning on every fabric transfer: the policy is
+// invalid, since each transfer needs the attempt that is forced through.
+TEST(RetryPolicyCheck, ZeroAttemptsThrowsTheSameErrorOnEveryTransfer) {
+  RoceConfig roce;
+  roce.retry.max_attempts = 0;
+  const auto error_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const sim::InvalidArgument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string ring =
+      error_of([&] { (void)ring_all_reduce_time(roce, 1 << 20, 2); });
+  PipelineConfig pp;
+  pp.roce = roce;
+  pp.stages = 2;
+  const std::string pipeline = error_of(
+      [&] { (void)pipeline_step(pp, sim::SimTime::from_ms(40.0), 1 << 20, 512); });
+  serve::MigrationConfig migration;
+  migration.roce = roce;
+  const std::string kv = error_of([&] {
+    (void)serve::plan_kv_transfer(migration, sim::FaultInjector{}, 0, 64, 16,
+                                  1024);
+  });
+  EXPECT_NE(ring.find("retry policy needs >= 1 attempt"), std::string::npos)
+      << ring;
+  EXPECT_EQ(pipeline, ring);
+  EXPECT_EQ(kv, ring);
+}
+
+// Stragglers are drawn over the chips that survived the step.  At step 628
+// of this seed only chip 0 dies and only chip 0's straggler site fires, so
+// no survivor straggles and neither step stretches.
+TEST(ResilientScaleOut, StragglersAreDrawnOverTheSurvivors) {
+  sim::FaultProfile profile;
+  profile.chip_failure_rate = 0.2;
+  profile.tpc_straggler_rate = 0.2;
+  const sim::FaultInjector inj{3, profile};
+  const std::uint64_t step_idx = 628;
+  ASSERT_EQ(inj.chips_lost(step_idx, 8), std::vector<std::uint32_t>{0});
+  ASSERT_TRUE(inj.fires(sim::FaultKind::kTpcStraggler,
+                        sim::FaultInjector::site(step_idx, 0)));
+
+  DataParallelConfig dp;
+  dp.chips = 8;
+  const auto d = data_parallel_step(dp, sim::SimTime::from_ms(100.0), 1 << 20,
+                                    4096, inj, step_idx);
+  EXPECT_EQ(d.chips_used, 7u);
+  EXPECT_EQ(d.faults.stragglers, 0u);
+  EXPECT_EQ(d.straggler_stall, sim::SimTime::zero());
+
+  PipelineConfig pp;
+  pp.stages = 8;
+  const auto model_step = sim::SimTime::from_ms(400.0);
+  const auto p = pipeline_step(pp, model_step, 1 << 20, 2048, inj, step_idx);
+  EXPECT_EQ(p.stages_used, 7u);
+  EXPECT_EQ(p.faults.stragglers, 0u);
+  EXPECT_EQ(p.stage_time, sim::SimTime::from_seconds(model_step.seconds() / 7));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 // Fusion-pass tests: chain discovery rules, fused-kernel numerics against
-// the composed reference, and the runtime-level effects (time, memory,
-// unchanged outputs).
+// the composed reference, the runtime-level effects (time, memory,
+// unchanged outputs), and golden values of guarded, fault-injected fused
+// launches.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <sstream>
+
+#include "core/experiments.hpp"
 #include "graph/autodiff.hpp"
 #include "graph/fusion.hpp"
 #include "graph/runtime.hpp"
+#include "memory/checksum.hpp"
+#include "sim/fault.hpp"
 #include "tensor/ops.hpp"
 #include "tpc/cluster.hpp"
 
@@ -38,9 +45,9 @@ TEST(FusionPlan, FindsLinearChain) {
   const FusionPlan plan = plan_fusion(g);
   ASSERT_EQ(plan.groups.size(), 1u);
   EXPECT_EQ(plan.groups[0].nodes.size(), 3u);
-  EXPECT_TRUE(plan.fused(0));
-  EXPECT_TRUE(plan.is_group_tail(g, 2));
-  EXPECT_FALSE(plan.is_group_tail(g, 0));
+  EXPECT_EQ(plan.group_of[0], 0);
+  EXPECT_TRUE(plan.is_group_tail(2));
+  EXPECT_FALSE(plan.is_group_tail(0));
   // Intermediates a and b are internal; the tail output is not.
   EXPECT_TRUE(plan.internal_value[static_cast<std::size_t>(a)]);
   EXPECT_TRUE(plan.internal_value[static_cast<std::size_t>(b)]);
@@ -249,6 +256,141 @@ TEST(FusionCompiled, ChainsArePreBoundAtCompileTime) {
   const auto plain = rt.run(rt.compile(g), feeds, opts);
   EXPECT_EQ(ops::max_abs_diff(plain.outputs.at(out), fused.outputs.at(out)),
             0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden values of fused launches under the guard and fault injection
+// ---------------------------------------------------------------------------
+
+// An MME matmul, an unfused softmax whose output is the external operand of
+// a four-link chain, a reshape, a final softmax, and a two-link chain that
+// overflows to Inf on its own.
+Graph fused_guard_graph(ValueId* x, ValueId* w, ValueId* external) {
+  Graph g;
+  *x = g.input(Shape{{16, 32}}, DType::F32, "x");
+  *w = g.param(Shape{{32, 32}}, "w");
+  const ValueId h = g.matmul(*x, *w, false, false, "mm");
+  *external = g.softmax(h, "sm");
+  ValueId c = g.mul_scalar(h, 0.5f, "scale");
+  c = g.add(c, *external, "mix");
+  c = g.relu(c);
+  c = g.add_scalar(c, 1.0f, "shift");
+  const ValueId r = g.reshape(c, Shape{{32, 16}}, "view");
+  g.mark_output(g.softmax(r, "out_sm"));
+  g.mark_output(g.exp(g.mul_scalar(*x, 200.0f, "amplify")));
+  return g;
+}
+
+std::string describe(const NodeExec& e) {
+  std::ostringstream os;
+  os << engine_name(e.engine) << ' ' << e.duration.ps() << " ps, " << e.flops
+     << " flops, " << e.bytes << " B, '" << e.label << "', guard "
+     << e.guard_time.ps() << " ps, stats " << e.has_stats << ' '
+     << e.stats.count << '/' << e.stats.nan_count << '/' << e.stats.inf_count
+     << '/' << e.stats.denormal_count << '/' << e.stats.bf16_overflow_count
+     << '/' << std::hex << std::bit_cast<std::uint32_t>(e.stats.max_abs);
+  return os.str();
+}
+
+std::string describe(const SdcInjection& s) {
+  std::ostringstream os;
+  os << "node " << s.node << ", value " << s.value << ", element " << s.element
+     << ", bit " << s.bit;
+  return os.str();
+}
+
+// A functional run under kWarn with the chain's external operand corrupted
+// after its producer retires and seeded bit flips on every launch: pins the
+// guard's reports, the flips and every node's exec record, fused tails and
+// absorbed links included.
+TEST(FusedLaunchGolden, GuardedFaultInjectedFunctionalRun) {
+  ValueId x = kInvalidValue;
+  ValueId w = kInvalidValue;
+  ValueId external = kInvalidValue;
+  const Graph g = fused_guard_graph(&x, &w, &external);
+  const sim::CounterRng rng(84);
+  const std::unordered_map<ValueId, Tensor> feeds = {
+      {x, Tensor::uniform(Shape{{16, 32}}, rng.stream(1), -1.0f, 1.0f)},
+      {w, Tensor::normal(Shape{{32, 32}}, rng.stream(2), 0.2f)}};
+  sim::FaultProfile profile;
+  profile.sdc_bit_flip_rate = 0.5;
+  const sim::FaultInjector faults{31, profile};
+  Runtime rt;
+  CompileOptions copts;
+  copts.fuse_elementwise = true;
+  RunOptions opts;
+  opts.guard = sim::NumericsPolicy::kWarn;
+  opts.faults = &faults;
+  opts.corrupt_value = external;
+  const ProfileResult r = rt.run(rt.compile(g, copts), feeds, opts);
+
+  const std::vector<std::string> reports = {
+      "silent data corruption: 'mm:0' (value 2) failed its checksum when read by 'sm' (node 1); produced by 'mm' (node 0) (bytes changed after the producer retired)",
+      "silent data corruption: 'sm:1' (value 3) failed its checksum when read by 'shift' (node 5); produced by 'sm' (node 1) (bytes changed after the producer retired)",
+      "silent data corruption: 'shift:5' (value 7) failed its checksum when read by 'view' (node 6); produced by 'shift' (node 5) (bytes changed after the producer retired)",
+      "silent data corruption: 'view:6' (value 8) failed its checksum when read by 'out_sm' (node 7); produced by 'view' (node 6) (bytes changed after the producer retired)",
+      "non-finite output at 'exp' (node 9): 'exp:9' (value 11) has nan=0 inf=139 denormal=20 bf16_overflow=0 max_abs=inf (512 elements)\n  contamination path (feed -> fault):\n    'exp:9' (value 11) <- 'exp' (node 9)\n",
+      "silent data corruption: graph output 'exp:9' (value 11) failed its checksum at end of run; produced by 'exp' (node 9) (bytes changed after the producer retired)",
+  };
+  ASSERT_EQ(r.anomalies.size(), reports.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(r.anomalies[i].report, reports[i]) << "anomaly " << i;
+  }
+
+  const std::vector<std::string> injections = {
+      "node 0, value 2, element 284, bit 22",
+      "node 1, value 3, element 281, bit 30",
+      "node 5, value 7, element 156, bit 23",
+      "node 6, value 8, element 416, bit 21",
+      "node 9, value 11, element 175, bit 25",
+  };
+  ASSERT_EQ(r.sdc_injections.size(), injections.size());
+  for (std::size_t i = 0; i < injections.size(); ++i) {
+    EXPECT_EQ(describe(r.sdc_injections[i]), injections[i]) << "flip " << i;
+  }
+
+  const std::vector<std::string> execs = {
+      "MME 101703371 ps, 32768 flops, 8192 B, '', guard 60256 ps, stats 1 512/0/0/0/0/402813a1",
+      "TPC 23298605 ps, 2560 flops, 4096 B, '', guard 60256 ps, stats 1 512/0/0/0/0/3e9dfbcc",
+      "- 0 ps, 0 flops, 0 B, '', guard 0 ps, stats 0 0/0/0/0/0/0",
+      "- 0 ps, 0 flops, 0 B, '', guard 0 ps, stats 0 0/0/0/0/0/0",
+      "- 0 ps, 0 flops, 0 B, '', guard 0 ps, stats 0 0/0/0/0/0/0",
+      "TPC 23285581 ps, 2048 flops, 4096 B, 'fused[mul_scalar+add+unary+add_scalar]', guard 60256 ps, stats 1 512/0/0/0/0/7c82353f",
+      "- 0 ps, 0 flops, 0 B, '', guard 0 ps, stats 1 512/0/0/0/0/7c82353f",
+      "TPC 23341395 ps, 2560 flops, 4096 B, '', guard 60256 ps, stats 1 512/0/0/0/0/3f800000",
+      "- 0 ps, 0 flops, 0 B, '', guard 0 ps, stats 0 0/0/0/0/0/0",
+      "TPC 23319070 ps, 1024 flops, 4096 B, 'fused[mul_scalar+unary]', guard 60256 ps, stats 1 512/0/139/20/0/7f800000",
+  };
+  ASSERT_EQ(r.node_execs.size(), execs.size());
+  for (std::size_t i = 0; i < execs.size(); ++i) {
+    EXPECT_EQ(describe(r.node_execs[i]), execs[i]) << "node " << i;
+  }
+}
+
+// The Chrome trace of a fused, guarded, fault-injected timing run of the
+// linear-attention layer at seq 512 (what `profile-layer --attention linear
+// --seq 512 --fuse --guard warn --faults --fault-seed 7` runs, at the
+// experiment's default batch).
+TEST(FusedLaunchGolden, LinearAttentionChromeTrace) {
+  core::LayerExperiment exp;
+  exp.seq_len = 512;
+  exp.attention.kind = nn::AttentionKind::kLinear;
+  Graph g;
+  core::build_layer_experiment(g, exp);
+  const sim::FaultInjector faults{7, sim::FaultProfile::stress()};
+  Runtime rt;
+  CompileOptions copts;
+  copts.fuse_elementwise = true;
+  RunOptions opts;
+  opts.mode = tpc::ExecMode::kTiming;
+  opts.guard = sim::NumericsPolicy::kWarn;
+  opts.faults = &faults;
+  const std::string json =
+      rt.run(rt.compile(g, copts), {}, opts).trace.to_chrome_json();
+  EXPECT_EQ(json.size(), 8585u);
+  EXPECT_EQ(memory::fnv1a64(reinterpret_cast<const std::byte*>(json.data()),
+                            json.size()),
+            0x5278dc8e04291ae1ull);
 }
 
 }  // namespace

@@ -206,22 +206,6 @@ TEST(Runtime, ThrowsWhenGraphExceedsHbm) {
   EXPECT_THROW(run_timing(g), sim::ResourceExhausted);
 }
 
-TEST(Runtime, MemoryAccountingCanBeDisabled) {
-  Graph g;
-  const std::int64_t n = 46341;
-  const ValueId x = g.input(Shape{{n, n}}, DType::F32, "x");
-  const ValueId a = g.add_scalar(x, 1.0f);
-  const ValueId b = g.add_scalar(x, 2.0f);
-  const ValueId c = g.add_scalar(x, 3.0f);
-  const ValueId d = g.add_scalar(x, 4.0f);
-  g.mark_output(g.add(g.add(a, b), g.add(c, d)));
-  Runtime rt(chip());
-  RunOptions opts;
-  opts.mode = tpc::ExecMode::kTiming;
-  opts.account_memory = false;
-  EXPECT_NO_THROW(rt.run(g, {}, opts));
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler invariants
 // ---------------------------------------------------------------------------

@@ -507,35 +507,5 @@ TEST(DeterministicResume, ResumeFallsBackOverCorruptedNewestCheckpoint) {
             std::bit_cast<std::uint32_t>(full.steps[2].loss));
 }
 
-TEST(DeterministicResume, YoungDalyPolicySavesAtComputedInterval) {
-  TempDir dir("yd");
-  nn::TrainOptions opts;
-  opts.steps = 6;
-  opts.checkpoint_dir = dir.path();
-  opts.checkpoint_policy = scaleout::RecoveryPolicy::kYoungDaly;
-  // Tiny payload + short MTBF → the Young/Daly interval lands small but the
-  // exact value comes from the measured snapshot size.
-  opts.mtbf_steps = 4.0;
-  opts.nominal_step_time = sim::SimTime::from_ms(1.0);
-  const nn::TrainResult r = nn::train_language_model(opts);
-  EXPECT_GE(r.checkpoints_saved, 1u);  // the final step always lands
-  EXPECT_FALSE(r.last_checkpoint.empty());
-  EXPECT_TRUE(fs::exists(r.last_checkpoint));
-  const SnapshotScan scan = scaleout::scan_snapshots(dir.path());
-  ASSERT_TRUE(scan.found());
-  EXPECT_EQ(scan.step, 6u);
-}
-
-TEST(DeterministicResume, NonePolicyNeverSaves) {
-  TempDir dir("none");
-  nn::TrainOptions opts;
-  opts.steps = 2;
-  opts.checkpoint_dir = dir.path();
-  opts.checkpoint_policy = scaleout::RecoveryPolicy::kNone;
-  const nn::TrainResult r = nn::train_language_model(opts);
-  EXPECT_EQ(r.checkpoints_saved, 0u);
-  EXPECT_FALSE(scaleout::scan_snapshots(dir.path()).found());
-}
-
 }  // namespace
 }  // namespace gaudi
