@@ -157,19 +157,6 @@ void pass_memory_planning(CompiledGraph& cg) {
   cg.stats.arena_bytes = plan.arena_bytes;
 }
 
-void pass_topological_order(CompiledGraph& cg) {
-  const Graph& g = cg.graph;
-  cg.order.resize(g.num_nodes());
-  for (NodeId nid = 0; nid < static_cast<NodeId>(g.num_nodes()); ++nid) {
-    for (ValueId v : g.node(nid).inputs) {
-      GAUDI_CHECK(g.value(v).producer < nid,
-                  "graph is not topologically ordered at node '" +
-                      g.node(nid).label + "'");
-    }
-    cg.order[static_cast<std::size_t>(nid)] = nid;
-  }
-}
-
 }  // namespace
 
 std::string CompileStats::to_string() const {
@@ -216,7 +203,6 @@ CompiledGraph compile_graph(const Graph& g, const sim::ChipConfig& cfg,
   timed("dma-insertion", pass_dma_insertion);
   timed("liveness", pass_liveness);
   timed("memory-planning", pass_memory_planning);
-  timed("topological-order", pass_topological_order);
   return cg;
 }
 

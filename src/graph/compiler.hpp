@@ -11,11 +11,12 @@
 //                          deduplicated cross-engine transfers
 //   liveness analysis   -> def / last-use step per device buffer
 //   memory planning     -> static byte offsets with reuse (memory_planner)
-//   topological order   -> verified execution order
 //
 // `Runtime::run(const CompiledGraph&, feeds)` then executes the artifact
 // without re-deriving any of this; the per-run loop makes no mapping,
-// fusion, or memory-planning decisions.
+// fusion, or memory-planning decisions.  Program order is node-id order:
+// `Graph::add_op` accepts only values that already exist and nodes are
+// append-only, so every node's producers precede it.
 #pragma once
 
 #include <cstddef>
@@ -81,8 +82,6 @@ struct CompiledGraph {
   sim::ChipConfig config;
   CompileOptions options;
 
-  /// Execution order (the IR's program order, verified topological).
-  std::vector<NodeId> order;
   /// Post-fusion engine per node: fused non-tail links are demoted to
   /// Engine::kNone, everything else follows engine_of(OpKind).
   std::vector<Engine> node_engine;

@@ -33,10 +33,10 @@ struct NodeExec {
   std::size_t bytes = 0;
   /// Display label overriding the node's own (used by fused groups).
   std::string label;
-  /// Guarded runs only: simulated cost of sweeping/checksumming this node's
-  /// retiring outputs (the scheduler nests it as a kGuard span at the tail
-  /// of the exec span), and the sweep's results.  All-zero defaults keep
-  /// unguarded schedules byte-identical to pre-guard builds.
+  /// Guarded runs only: simulated cost of sweeping/checksumming the buffers
+  /// this launch allocated (the scheduler nests it as a kGuard span at the
+  /// tail of the exec span), and the sweep's results.  All-zero defaults
+  /// keep unguarded schedules byte-identical to pre-guard builds.
   sim::SimTime guard_time{};
   bool has_stats = false;
   sim::NumericsStats stats{};

@@ -1,6 +1,7 @@
 #include "graph/runtime.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <iostream>
 #include <span>
@@ -39,10 +40,10 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
   std::vector<std::int32_t> pending(g.num_values(), 0);
 
   // Numerics-guard state (functional guarded runs).  The ledger holds a
-  // checksum of every live external buffer; a mismatch at a consumer means
-  // the bytes changed between ops — silent data corruption.  value_anomalous
-  // tracks which values carry NaN/Inf so an anomaly report can walk the
-  // contamination path back to its origin.
+  // checksum of every feed and every buffer the run allocated; a mismatch at
+  // a consumer means the bytes changed between ops — silent data
+  // corruption.  value_anomalous tracks which values carry NaN/Inf so an
+  // anomaly report can walk the contamination path back to its origin.
   memory::ChecksumLedger ledger;
   std::vector<char> value_anomalous(g.num_values(), 0);
   std::vector<NumericsAnomaly> anomalies;
@@ -86,10 +87,6 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
   NodeExecutor executor(cg.config, sim::CounterRng{opts.seed},
                         /*cross_check=*/validating);
   std::vector<NodeExec> execs(g.num_nodes());
-
-  auto is_internal = [&](ValueId v) {
-    return cg.fusion.internal_value[static_cast<std::size_t>(v)];
-  };
 
   auto release_if_dead = [&](ValueId v) {
     const auto vi = static_cast<std::size_t>(v);
@@ -182,15 +179,32 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
     raise_anomaly(std::move(a));
   };
 
-  // Sweeps one retiring external output, merges stats into the node's exec,
-  // and originates an anomaly when NaN/Inf appear that no input carried.
-  auto sweep_output = [&](NodeExec& exec, NodeId nid, ValueId v,
-                          bool inherited) {
-    const auto vi = static_cast<std::size_t>(v);
-    const tensor::Tensor& t = tensors[vi];
-    if (!t.defined()) return;
-    if (tensor::is_floating(t.dtype())) {
-      const sim::NumericsStats s = tensor::ops::numerics_sweep(t);
+  // Retires a launch's outputs under the guard.  Only buffers this run
+  // allocated are guarded: a reshape's view aliases its input's bytes and
+  // carries its input's anomaly mark, so what flows through it is met once,
+  // at its producer.  Both modes bill the sweep (one pass plus checksum per
+  // buffer) and count its floating-point elements as coverage; a functional
+  // run also sweeps, blames and checksums the bytes.
+  auto retire = [&](NodeExec& exec, NodeId nid, bool inherited) {
+    std::size_t bytes = 0;
+    for (ValueId v : g.node(nid).outputs) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (!allocs[vi].valid()) {
+        value_anomalous[vi] = inherited;
+        continue;
+      }
+      const ValueInfo& info = g.value(v);
+      const tensor::Tensor& t = tensors[vi];
+      bytes += info.nbytes();
+      exec.has_stats = true;
+      if (functional) ledger.record(v, t.raw(), t.nbytes());
+      if (!tensor::is_floating(info.dtype)) continue;
+      sim::NumericsStats s;
+      if (functional) {
+        s = tensor::ops::numerics_sweep(t);
+      } else {
+        s.count = static_cast<std::uint64_t>(info.shape.numel());
+      }
       exec.stats.merge(s);
       total_stats.merge(s);
       if (s.anomalous()) {
@@ -205,94 +219,65 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
         }
       }
     }
-    exec.has_stats = true;
-    ledger.record(static_cast<std::int64_t>(v), t.raw(), t.nbytes());
+    if (exec.has_stats) {
+      exec.guard_time = sim::guard_sweep_time(
+          bytes, cg.config.memory.hbm_bandwidth_bytes_per_s);
+    }
   };
 
-  // Simulated cost of the guard pass over this node's retiring outputs (one
-  // fused sweep + checksum per buffer).  Charged in both execution modes so
-  // timing studies see the guard's overhead.
-  auto guard_cost = [&](NodeExec& exec, const std::vector<ValueId>& outs) {
-    if (exec.engine == Engine::kNone) return;
-    std::size_t bytes = 0;
-    for (ValueId v : outs) {
-      if (!is_internal(v)) bytes += g.value(v).nbytes();
-    }
-    exec.guard_time = sim::guard_sweep_time(
-        bytes, cg.config.memory.hbm_bandwidth_bytes_per_s);
-    if (!functional) {
-      // Timing mode has no data to sweep; the stats record only coverage.
-      exec.has_stats = true;
-      for (ValueId v : outs) {
-        if (!is_internal(v)) {
-          exec.stats.count +=
-              static_cast<std::uint64_t>(g.value(v).shape.numel());
-        }
-      }
-      total_stats.count += exec.stats.count;
-    }
+  // Rewrites element `i` of a floating buffer through its raw bits at the
+  // dtype's width (an f32 word or a bf16 half-word, read into the low bytes
+  // of `bits`): `edit(bits, width_in_bits)` returns the new bits.
+  auto store_bits = [](tensor::Tensor& t, std::uint64_t i, auto edit) {
+    static_assert(std::endian::native == std::endian::little);
+    const std::size_t width = tensor::dtype_size(t.dtype());
+    std::byte* p = t.raw() + i * width;
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, p, width);
+    bits = edit(bits, static_cast<std::uint32_t>(8 * width));
+    std::memcpy(p, &bits, width);
+  };
+  auto floating_data = [&](ValueId v) {
+    const tensor::Tensor& t = tensors[static_cast<std::size_t>(v)];
+    return t.defined() && t.numel() > 0 && tensor::is_floating(t.dtype());
   };
 
   // Deterministic corruption of a just-retired buffer, after its checksum is
   // recorded — so the damage is silent until a guarded consumer looks.
-  auto inject_sdc = [&](NodeId nid, const std::vector<ValueId>& outs) {
-    if (opts.corrupt_value != kInvalidValue) {
-      for (ValueId v : outs) {
-        if (v != opts.corrupt_value) continue;
-        tensor::Tensor& t = tensors[static_cast<std::size_t>(v)];
-        if (!t.defined() || t.numel() == 0 ||
-            !tensor::is_floating(t.dtype())) {
-          break;
-        }
-        if (t.dtype() == tensor::DType::F32) {
-          const std::uint32_t qnan = 0x7FC00000u;
-          std::memcpy(t.raw(), &qnan, sizeof(qnan));
-        } else {
-          const std::uint16_t qnan = 0x7FC0u;
-          std::memcpy(t.raw(), &qnan, sizeof(qnan));
-        }
-      }
-    }
-    if (faults == nullptr ||
-        !faults->fires(sim::FaultKind::kSdcBitFlip,
-                       sim::FaultInjector::site(
-                           opts.fault_epoch, static_cast<std::uint64_t>(
-                                                 static_cast<std::uint32_t>(nid))))) {
-      return;
-    }
+  auto inject_sdc = [&](NodeId nid) {
+    const std::vector<ValueId>& outs = g.node(nid).outputs;
     for (ValueId v : outs) {
-      if (is_internal(v)) continue;
-      tensor::Tensor& t = tensors[static_cast<std::size_t>(v)];
-      if (!t.defined() || t.numel() == 0 || !tensor::is_floating(t.dtype())) {
-        continue;
-      }
-      const std::uint64_t site = sim::FaultInjector::site(
-          opts.fault_epoch, static_cast<std::uint64_t>(
-                                static_cast<std::uint32_t>(nid)));
+      if (v != opts.corrupt_value || !floating_data(v)) continue;
+      store_bits(tensors[static_cast<std::size_t>(v)], 0,
+                 [](std::uint32_t, std::uint32_t w) {
+                   return 0x7FC00000u >> (32 - w);  // quiet NaN
+                 });
+    }
+    if (faults == nullptr) return;
+    const std::uint64_t site = sim::FaultInjector::site(
+        opts.fault_epoch,
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(nid)));
+    if (!faults->fires(sim::FaultKind::kSdcBitFlip, site)) return;
+    // One flip per firing: a single upset hits the first floating buffer
+    // the launch allocated (a view owns no bytes to upset).
+    for (ValueId v : outs) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (!allocs[vi].valid() || !floating_data(v)) continue;
+      tensor::Tensor& t = tensors[vi];
       const std::uint64_t element =
           faults->sdc_element(site, static_cast<std::uint64_t>(t.numel()));
-      const std::uint32_t element_bits =
-          t.dtype() == tensor::DType::F32 ? 32u : 16u;
-      const std::uint32_t bit = faults->sdc_bit(site, element_bits);
-      std::byte* base = t.raw() + element * (element_bits / 8);
-      if (element_bits == 32) {
-        std::uint32_t word;
-        std::memcpy(&word, base, sizeof(word));
-        word ^= (1u << bit);
-        std::memcpy(base, &word, sizeof(word));
-      } else {
-        std::uint16_t word;
-        std::memcpy(&word, base, sizeof(word));
-        word = static_cast<std::uint16_t>(word ^ (1u << bit));
-        std::memcpy(base, &word, sizeof(word));
-      }
+      const std::uint32_t bit = faults->sdc_bit(
+          site, static_cast<std::uint32_t>(8 * tensor::dtype_size(t.dtype())));
+      store_bits(t, element, [bit](std::uint32_t bits, std::uint32_t) {
+        return bits ^ (1u << bit);
+      });
       sdc_injections.push_back(SdcInjection{
           nid, v, static_cast<std::int64_t>(element), bit});
-      break;  // one flip per firing: a single upset hits one buffer
+      return;
     }
   };
 
-  for (const NodeId nid : cg.order) {
+  for (NodeId nid = 0; nid < static_cast<NodeId>(g.num_nodes()); ++nid) {
     const auto ni = static_cast<std::size_t>(nid);
     const std::int32_t group = cg.fusion.group_of[ni];
     // A fused chain launches once, at its tail.  The other links run on no
@@ -309,7 +294,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
     // live in vector registers — neither takes device bytes).
     if (n.kind != OpKind::kReshape) {
       for (ValueId v : n.outputs) {
-        if (is_internal(v)) continue;
+        if (cg.fusion.internal_value[static_cast<std::size_t>(v)]) continue;
         allocs[static_cast<std::size_t>(v)] =
             hbm.allocate(g.value(v).nbytes(), g.value(v).name);
       }
@@ -320,7 +305,6 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
     if (guarded && functional) {
       for (const NodeId member : members) {
         for (ValueId v : g.node(member).inputs) {
-          if (is_internal(v)) continue;
           verify_input(nid, v);
           inherited |= value_anomalous[static_cast<std::size_t>(v)] != 0;
         }
@@ -337,15 +321,8 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
       for (ValueId v : n.inputs) exec.bytes += g.value(v).nbytes();
       for (ValueId v : n.outputs) exec.bytes += g.value(v).nbytes();
     }
-    if (guarded) {
-      guard_cost(exec, n.outputs);
-      if (functional) {
-        for (ValueId v : n.outputs) {
-          if (!is_internal(v)) sweep_output(exec, nid, v, inherited);
-        }
-      }
-    }
-    if (functional) inject_sdc(nid, n.outputs);
+    if (guarded) retire(exec, nid, inherited);
+    if (functional) inject_sdc(nid);
     // The launch read every member's operands just now, so their consumption
     // lands here — releasing an external at the chain link that names it
     // would free bytes the tail still reads.

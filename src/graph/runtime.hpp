@@ -1,16 +1,16 @@
 // Graph runtime: the execute side of the compile/execute split.
 //
 // `Runtime::compile` runs the ahead-of-time pass pipeline (engine mapping,
-// element-wise fusion, DMA insertion, liveness, static memory planning,
-// topological order — see graph/compiler.hpp) and returns an immutable
-// CompiledGraph.  `Runtime::run(const CompiledGraph&, feeds)` is the thin
-// run-many loop.  In the compiled order it runs each launch, an unfused
-// node or (at a chain's tail) a whole fused chain, through one path: verify
-// the operands the launch reads, execute it (real numerics in functional
-// mode; phantom tensors in timing mode, where each TPC kernel's cost comes
-// from the process-wide TimingMemo after its first launch), set its engine
-// from the compiled mapping and its bytes, guard-sweep and fault-inject its
-// outputs, and release what it read.  The loop replays the dynamic HBM
+// element-wise fusion, DMA insertion, liveness, static memory planning —
+// see graph/compiler.hpp) and returns an immutable CompiledGraph.
+// `Runtime::run(const CompiledGraph&, feeds)` is the thin run-many loop.  In
+// node-id order it runs each launch, an unfused node or (at a chain's tail)
+// a whole fused chain, through one path: verify the operands the launch
+// reads, execute it (real numerics in functional mode; phantom tensors in
+// timing mode, where each TPC kernel's cost comes from the process-wide
+// TimingMemo after its first launch), set its engine from the compiled
+// mapping and its bytes, retire the buffers it allocated under the guard
+// and fault injection, and release what it read.  The loop replays the dynamic HBM
 // allocator as a cross-check of the static memory plan, schedules the
 // launch durations onto engine timelines under the selected policy, and
 // returns the hardware trace plus any requested outputs.  Both modes take
@@ -54,12 +54,13 @@ struct RunOptions {
   /// is bit-identical to a fault-free build.
   const sim::FaultInjector* faults = nullptr;
   /// Numerics guard (see sim/numerics.hpp).  Unset falls back to the
-  /// GAUDI_GUARD environment variable.  Under kWarn/kTrap a functional run
-  /// sweeps every op's retiring outputs for NaN/Inf/denormals, checksums
-  /// live buffers to catch silent data corruption between ops, and
-  /// poison-fills fresh outputs with a signaling-NaN pattern so
-  /// reads-before-writes surface; the sweep cost is billed as a nested
-  /// kGuard trace span.  kTrap throws sim::NumericsError at the first
+  /// GAUDI_GUARD environment variable.  Under kWarn/kTrap the guard retires
+  /// every buffer a launch allocates (a reshape's view owns none): a
+  /// functional run sweeps it for NaN/Inf/denormals, checksums it to catch
+  /// silent data corruption between ops, and poison-fills fresh outputs
+  /// with a signaling-NaN pattern so reads-before-writes surface; both
+  /// modes bill the sweep as a nested kGuard trace span and count its
+  /// elements as coverage.  kTrap throws sim::NumericsError at the first
   /// anomaly; kWarn collects them in ProfileResult::anomalies.  kOff keeps
   /// traces and numerics byte-identical to a guard-free build.
   std::optional<sim::NumericsPolicy> guard{};
@@ -113,12 +114,13 @@ struct ProfileResult {
   /// Anomalies in detection order (kWarn collects every origination; kTrap
   /// throws at the first, so trapped runs never return this).
   std::vector<NumericsAnomaly> anomalies;
-  /// Bit flips the fault injector landed in live buffers this run —
+  /// Bit flips the fault injector landed in buffers this run allocated —
   /// recorded whether or not the guard was on, so tests can cross-check
   /// detection against injection.
   std::vector<SdcInjection> sdc_injections;
-  /// Merged numerics stats over every swept output (guarded functional
-  /// runs; zero otherwise).
+  /// Merged numerics stats over every buffer the guard retired: full sweeps
+  /// in functional mode, element coverage (`count`) alone in timing mode,
+  /// the same count in both.  Zero in unguarded runs.
   sim::NumericsStats numerics{};
 };
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "memory/checksum.hpp"
@@ -16,11 +17,7 @@ namespace gaudi::graph {
 namespace {
 
 constexpr const char* kMemoMagic = "gaudi-timing-memo v1";
-
-std::uint64_t checksum_of(const std::string& bytes) {
-  return memory::fnv1a64(reinterpret_cast<const std::byte*>(bytes.data()),
-                         bytes.size());
-}
+constexpr std::string_view kWhat = "timing-memo file";
 
 }  // namespace
 
@@ -90,33 +87,14 @@ std::size_t TimingMemo::save_times(const std::string& path) const {
   body << kMemoMagic << "\n";
   body << "count " << entries.size() << "\n";
   for (const auto& [key, t] : entries) body << key << ' ' << t.ps() << "\n";
-  std::ostringstream file;
-  file << body.str();
-  char sum[32];
-  std::snprintf(sum, sizeof sum, "%016llx",
-                static_cast<unsigned long long>(checksum_of(body.str())));
-  file << "checksum " << sum << "\n";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    GAUDI_CHECK(out.good(), "cannot write timing-memo file " + tmp);
-    out << file.str();
-    out.flush();
-    GAUDI_CHECK(out.good(), "short write to timing-memo file " + tmp);
-  }
-  GAUDI_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cannot commit timing-memo file " + path);
+  std::string file = std::move(body).str();
+  file += "checksum " + memory::hex16(memory::fnv1a64(file)) + "\n";
+  memory::write_file_atomic(path, file, kWhat);
   return entries.size();
 }
 
 std::size_t TimingMemo::load_times(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw sim::CheckpointError("cannot read timing-memo file " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  const std::string text = memory::read_file(path, kWhat);
 
   std::vector<std::string> lines;
   std::size_t start = 0;
@@ -158,12 +136,9 @@ std::size_t TimingMemo::load_times(const std::string& path) {
                                    " is missing its checksum trailer");
   }
   // The checksum covers every byte before the trailer line.
-  const std::size_t body_len = text.rfind("checksum ");
-  char expect[32];
-  std::snprintf(expect, sizeof expect, "%016llx",
-                static_cast<unsigned long long>(
-                    checksum_of(text.substr(0, body_len))));
-  if (sum_line.substr(9) != expect) {
+  const std::string_view body =
+      std::string_view(text).substr(0, text.rfind("checksum "));
+  if (sum_line.substr(9) != memory::hex16(memory::fnv1a64(body))) {
     throw sim::CheckpointChecksumMismatch("timing-memo file " + path +
                                           " fails its checksum");
   }

@@ -1,5 +1,12 @@
 #include "memory/checksum.hpp"
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "sim/error.hpp"
+
 namespace gaudi::memory {
 
 void Fnv1a::bytes(const void* data, std::size_t n) {
@@ -18,6 +25,51 @@ std::uint64_t fnv1a64(const std::byte* data, std::size_t n) {
   Fnv1a h;
   h.bytes(data, n);
   return h.digest();
+}
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  Fnv1a h;
+  h.bytes(bytes.data(), bytes.size());
+  return h.digest();
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+void write_file_atomic(const std::string& path, std::string_view bytes,
+                       std::string_view what) {
+  const std::string tmp = path + ".tmp";
+  const std::string who(what);
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw sim::Error(who + ": cannot open '" + tmp + "' for writing");
+    }
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    if (!out.good()) {
+      throw sim::Error(who + ": short write to '" + tmp + "'");
+    }
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    throw sim::Error(who + ": cannot commit '" + path + "': " + ec.message());
+  }
+}
+
+std::string read_file(const std::string& path, std::string_view what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw sim::CheckpointError(std::string(what) + ": cannot open '" + path +
+                               "'");
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
 }
 
 void ChecksumLedger::record(std::int64_t id, const std::byte* data,

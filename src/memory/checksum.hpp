@@ -7,10 +7,16 @@
 // it at each read.  The ledger stores one 64-bit FNV-1a hash per value id;
 // guarded runs record on production and verify on consumption, turning a
 // silent flip into a localized, attributable anomaly.
+//
+// The same hash seals the simulator's durable files (snapshot manifests and
+// the timing memo), which share one checksum format and one crash-safe
+// writer and reader here.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace gaudi::memory {
@@ -30,6 +36,23 @@ class Fnv1a {
 
 /// FNV-1a digest of one raw byte range.
 [[nodiscard]] std::uint64_t fnv1a64(const std::byte* data, std::size_t n);
+/// FNV-1a digest of a string's bytes.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
+
+/// A digest as sixteen lower-case hex digits: the form a durable file's
+/// checksum line carries.
+[[nodiscard]] std::string hex16(std::uint64_t v);
+
+/// Writes `bytes` to `path` through a flushed `path.tmp` renamed over it, so
+/// a crash never leaves a half-written file under the final name.  Throws
+/// sim::Error whose message starts with `what` (the kind of file).
+void write_file_atomic(const std::string& path, std::string_view bytes,
+                       std::string_view what);
+
+/// The whole file at `path`.  Throws sim::CheckpointError whose message
+/// starts with `what` when it cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path,
+                                    std::string_view what);
 
 /// Checksums of live buffers, keyed by the owning value id.
 class ChecksumLedger {

@@ -5,8 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "memory/checksum.hpp"
 #include "sim/error.hpp"
@@ -20,18 +20,7 @@ namespace {
 constexpr const char* kManifestMagic = "gsnap-manifest";
 constexpr const char* kDataSuffix = ".gsnap";
 constexpr const char* kManifestSuffix = ".manifest";
-constexpr const char* kTmpSuffix = ".tmp";
-
-std::uint64_t checksum_of(const std::string& bytes) {
-  return memory::fnv1a64(reinterpret_cast<const std::byte*>(bytes.data()),
-                         bytes.size());
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
+constexpr std::string_view kWhat = "snapshot";
 
 bool plain_token(const std::string& s) {
   return !s.empty() &&
@@ -45,40 +34,6 @@ tensor::DType parse_dtype(const std::string& s) {
     if (s == tensor::dtype_name(d)) return d;
   }
   throw sim::CheckpointError("snapshot manifest names unknown dtype '" + s + "'");
-}
-
-/// Writes `bytes` to `path` via a temp-file-then-rename so a crash never
-/// leaves a half-written file under the final name.
-void write_file_atomic(const fs::path& path, const std::string& bytes) {
-  const fs::path tmp = path.string() + kTmpSuffix;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw sim::Error("snapshot: cannot open '" + tmp.string() +
-                       "' for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      throw sim::Error("snapshot: short write to '" + tmp.string() + "'");
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw sim::Error("snapshot: cannot commit '" + path.string() +
-                     "': " + ec.message());
-  }
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw sim::CheckpointError("snapshot: cannot open '" + path.string() + "'");
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
 }
 
 /// The manifest body (everything the trailing checksum line covers).
@@ -98,7 +53,8 @@ std::string manifest_body(const Snapshot& snap, std::uint32_t version,
     os << "s " << s.name << " " << tensor::dtype_name(s.data.dtype()) << " "
        << s.data.shape().rank();
     for (const std::int64_t d : s.data.shape().dims()) os << " " << d;
-    os << " " << offsets[i] << " " << s.data.nbytes() << " " << hex16(sums[i])
+    os << " " << offsets[i] << " " << s.data.nbytes() << " "
+       << memory::hex16(sums[i])
        << "\n";
   }
   return std::move(os).str();
@@ -205,11 +161,11 @@ std::string save_snapshot(const std::string& dir, const Snapshot& snap,
                    s.data.nbytes());
   }
   std::string manifest = manifest_body(snap, opts.version, offsets, sums);
-  manifest += "checksum " + hex16(checksum_of(manifest)) + "\n";
+  manifest += "checksum " + memory::hex16(memory::fnv1a64(manifest)) + "\n";
 
   const fs::path base = fs::path(dir) / snapshot_basename(snap.step);
-  const fs::path data_path = base.string() + kDataSuffix;
-  const fs::path manifest_path = base.string() + kManifestSuffix;
+  const std::string data_path = base.string() + kDataSuffix;
+  const std::string manifest_path = base.string() + kManifestSuffix;
 
   // Simulated torn-write window: a fired kCheckpointCorruption damages the
   // write in one of three shapes.  The writer does not observe any of them
@@ -233,15 +189,15 @@ std::string save_snapshot(const std::string& dir, const Snapshot& snap,
     }
   }
 
-  write_file_atomic(data_path, payload);
+  memory::write_file_atomic(data_path, payload, kWhat);
   if (mode != kLostCommit) {
-    write_file_atomic(manifest_path, manifest);
+    memory::write_file_atomic(manifest_path, manifest, kWhat);
   }
-  return manifest_path.string();
+  return manifest_path;
 }
 
 Snapshot load_snapshot(const std::string& manifest_path) {
-  const std::string text = read_file(manifest_path);
+  const std::string text = memory::read_file(manifest_path, kWhat);
 
   // Version first: a future format may not even keep the checksum trailer,
   // so skew must be reported as skew, not as structural damage.
@@ -277,7 +233,7 @@ Snapshot load_snapshot(const std::string& manifest_path) {
     std::istringstream tail(text.substr(trailer + 1));
     std::string word, hex;
     if (!(tail >> word >> hex) || word != "checksum" ||
-        hex != hex16(checksum_of(body))) {
+        hex != memory::hex16(memory::fnv1a64(body))) {
       throw sim::CheckpointChecksumMismatch(
           "snapshot manifest '" + manifest_path +
           "' fails its own body checksum");
@@ -364,7 +320,7 @@ Snapshot load_snapshot(const std::string& manifest_path) {
     throw sim::CheckpointTruncated("snapshot data file '" + data_path +
                                    "' is missing (uncommitted or deleted)");
   }
-  const std::string payload = read_file(data_path);
+  const std::string payload = memory::read_file(data_path, kWhat);
   for (std::size_t i = 0; i < snap.sections.size(); ++i) {
     SnapshotSection& s = snap.sections[i];
     if (offsets[i] + nbytes[i] > payload.size()) {

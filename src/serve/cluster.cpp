@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 
 #include "graph/validate.hpp"
@@ -320,13 +321,20 @@ void ClusterRouter::finish_track(std::int64_t orig) {
 void ClusterRouter::process_death(std::int64_t r, sim::SimTime now) {
   Replica& rep = replicas_[static_cast<std::size_t>(r)];
   rep.up = false;
-  rep.death_pending = true;
-  rep.dead_work = rep.sched->drain_all();
+  std::vector<RequestProgress> drained = rep.sched->drain_all();
+  rep.dead_work.insert(rep.dead_work.end(),
+                       std::make_move_iterator(drained.begin()),
+                       std::make_move_iterator(drained.end()));
   rep.rejoin_time = now + cfg_.replica.chip_restart;
   // Detection: suspicion timeout, or the restarted chip's first heartbeat
   // announcing a new incarnation — whichever heartbeat tick comes first.
-  rep.detect_time = heartbeat_ceil(
-      now + std::min(cfg_.suspicion_timeout, cfg_.replica.chip_restart));
+  // A chip that rejoins and dies again before that tick keeps it: the tick
+  // finds the chip down and fails over the work of both deaths.
+  if (!rep.death_pending) {
+    rep.death_pending = true;
+    rep.detect_time = heartbeat_ceil(
+        now + std::min(cfg_.suspicion_timeout, cfg_.replica.chip_restart));
+  }
   ++report_.chip_failures;
   rep.stats.chip_failures += 1;
   rep.stats.down_time += cfg_.replica.chip_restart;

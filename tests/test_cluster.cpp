@@ -138,6 +138,33 @@ TEST(Cluster, FailoverCompletesOrTypesEveryRequest) {
   }
 }
 
+TEST(Cluster, RepeatedDeathBeforeDetectionFailsOverBothDeaths) {
+  // Regression: with chip_restart (50 ms) inside the suspicion timeout,
+  // detection waits for the restarted chip's first heartbeat tick, so a
+  // replica can rejoin and die again before its first death is detected.
+  // The second death used to overwrite the first's drained work and
+  // detection time, and the router stalled with that work unresolved
+  // (`serve-cluster --requests 200 --rate 40 --faults --mtbf 20
+  // --suspicion-ms 60 --heartbeat-ms 20 --fault-seed 4`).
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::StreamConfig scfg;
+  scfg.num_requests = 200;
+  scfg.arrival_rate_rps = 40.0;
+  const auto stream = serve::poisson_stream(scfg);
+  serve::ClusterConfig cfg;
+  cfg.replica.timing_only = true;
+  cfg.replicas = 2;
+  cfg.fault_profile = sim::FaultProfile::from_mtbf_steps(20, 1);
+  cfg.fault_seed = 4;
+  cfg.suspicion_timeout = sim::SimTime::from_ms(60.0);
+  cfg.heartbeat_interval = sim::SimTime::from_ms(20.0);
+  serve::ClusterRouter router(rt, cfg);
+  const serve::ClusterReport r = router.run(stream);
+  EXPECT_EQ(r.summary.offered, 200);
+  EXPECT_EQ(outcome_total(r.summary), r.summary.offered);
+  expect_exact_outputs(stream, r.requests);
+}
+
 TEST(Cluster, ReplicasBeatSingleReplicaAvailabilityUnderFaults) {
   const graph::Runtime rt(sim::ChipConfig::hls1());
   const auto stream = serve::poisson_stream(tiny_stream(16));

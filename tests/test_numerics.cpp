@@ -299,6 +299,29 @@ TEST(NumericsGuard, TimingTraceCarriesGuardSpansAndValidates) {
   EXPECT_LT(plain.makespan, guarded.makespan);  // the sweep costs time
 }
 
+// A reshape's view aliases its input's bytes, so the guard covers them once,
+// at their producer, in either execution mode: relu and softmax each retire
+// 512 elements and the view between them none.
+TEST(NumericsGuard, CoverageIsTheSameInBothModesAcrossAView) {
+  graph::Graph g;
+  const graph::ValueId x =
+      g.input(tensor::Shape{{16, 32}}, tensor::DType::F32, "x");
+  const graph::ValueId r = g.reshape(g.relu(x), tensor::Shape{{32, 16}});
+  g.mark_output(g.softmax(r));
+  std::unordered_map<graph::ValueId, tensor::Tensor> feeds;
+  feeds.emplace(x, tensor::Tensor::full(tensor::Shape{{16, 32}}, 0.5f));
+
+  graph::Runtime rt;
+  RunOptions opts;
+  opts.guard = NumericsPolicy::kWarn;
+  const graph::ProfileResult functional = rt.run(g, feeds, opts);
+  opts.mode = tpc::ExecMode::kTiming;
+  const graph::ProfileResult timing = rt.run(g, {}, opts);
+  EXPECT_EQ(functional.numerics.count, 1024u);
+  EXPECT_EQ(timing.numerics.count, 1024u);
+  EXPECT_TRUE(functional.anomalies.empty());
+}
+
 TEST(NumericsGuard, ChecksumCatchesInjectedCorruption) {
   graph::Graph g;
   const graph::ValueId a =
@@ -332,26 +355,31 @@ TEST(NumericsGuard, ChecksumCatchesInjectedCorruption) {
 
 TEST(NumericsGuard, FaultInjectorBitFlipsAreCaught) {
   sim::FaultProfile profile;
-  profile.sdc_bit_flip_rate = 0.25;
+  profile.sdc_bit_flip_rate = 0.9;  // fires on most launches
   const sim::FaultInjector faults{0xBEEF, profile};
 
   const graph::RandomDag dag = graph::random_dag(5);
   const auto feeds = graph::random_feeds(dag.graph, 5);
   graph::Runtime rt;
+  const graph::CompiledGraph cg = rt.compile(dag.graph);
   RunOptions opts;
   opts.guard = NumericsPolicy::kWarn;
   opts.faults = &faults;
-  const graph::ProfileResult r = rt.run(dag.graph, feeds, opts);
+  const graph::ProfileResult r = rt.run(cg, feeds, opts);
   ASSERT_FALSE(r.sdc_injections.empty());
   for (const graph::SdcInjection& inj : r.sdc_injections) {
-    EXPECT_NE(inj.value, graph::kInvalidValue);
+    ASSERT_NE(inj.value, graph::kInvalidValue);
     EXPECT_GE(inj.node, 0);
+    // An upset lands in device bytes: never in a reshape's view.
+    EXPECT_TRUE(cg.placements[static_cast<std::size_t>(inj.value)].has_buffer)
+        << "flip at node " << inj.node << " hit value " << inj.value
+        << ", which owns no buffer";
   }
   // Injection is independent of detection: the unguarded run records the
   // same flips but reports nothing.
   RunOptions off = opts;
   off.guard = NumericsPolicy::kOff;
-  const graph::ProfileResult silent = rt.run(dag.graph, feeds, off);
+  const graph::ProfileResult silent = rt.run(cg, feeds, off);
   EXPECT_EQ(silent.sdc_injections.size(), r.sdc_injections.size());
   EXPECT_TRUE(silent.anomalies.empty());
 }
