@@ -75,8 +75,9 @@ struct BatchConfig {
 [[nodiscard]] BatchConfig load_batch_config(const std::string& path);
 
 struct BatchOptions {
-  /// Worker threads for replica execution; 0 picks the hardware default,
-  /// 1 forces serial execution (the output is identical either way).
+  /// Worker threads for replica execution; 0 means one per CPU this process
+  /// may use, 1 runs the replicas serially on the caller (the output is
+  /// identical either way).
   std::size_t threads = 0;
   /// Explicit timing-only override for experiments that do not set their
   /// own; unset keeps each experiment's (or the environment's) choice.

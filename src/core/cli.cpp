@@ -157,8 +157,9 @@ commands:
                                  replicas run in parallel, stats reduce
                                  to n/mean/p50/p99 per cell
       --csv FILE                 write the byte-deterministic CSV
-      --threads N                replica worker threads; 0 = hardware, 1 =
-                                 serial (same output either way)
+      --threads N                replica worker threads; 0 = the CPUs this
+                                 process may use, 1 = serial on the caller
+                                 (same output either way)
       --timing-only on|off       default for serve experiments that do not
                                  choose
   help                           this text

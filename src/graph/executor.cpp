@@ -123,12 +123,10 @@ NodeExec NodeExecutor::run(const Graph& g, NodeId nid,
             mme_.execute(in(0), in(1), n.attrs.trans_a, n.attrs.trans_b);
         if (n.inputs.size() == 3) {
           // Bias add fused into the MME drain: no extra simulated time.
-          const tensor::Tensor& bias = in(2);
-          auto yv = y.f32();
-          const auto bv = bias.f32();
-          const std::int64_t d = bias.shape()[0];
-          for (std::int64_t i = 0; i < y.numel(); ++i) {
-            yv[static_cast<std::size_t>(i)] += bv[static_cast<std::size_t>(i % d)];
+          const std::span<const float> bias = in(2).f32();
+          const std::span<float> yv = y.f32();
+          for (std::size_t row = 0; row < yv.size(); row += bias.size()) {
+            for (std::size_t j = 0; j < bias.size(); ++j) yv[row + j] += bias[j];
           }
         }
         set_out(0, std::move(y));

@@ -174,8 +174,12 @@ TrainResult train_language_model(const TrainOptions& opts,
               ", this run expects " + std::to_string(expected));
         }
       }
-      GAUDI_CHECK(snap.step < static_cast<std::uint64_t>(opts.steps),
-                  "resume snapshot already covers the requested steps");
+      if (snap.step >= static_cast<std::uint64_t>(opts.steps)) {
+        throw sim::InvalidArgument(
+            "--steps " + std::to_string(opts.steps) +
+            " is already covered: the newest snapshot is at step " +
+            std::to_string(snap.step) + "; pass a larger --steps to resume");
+      }
       const auto restore_tensor = [&](const graph::Graph& owner, ValueId v,
                                       std::unordered_map<ValueId, Tensor>& dst) {
         const graph::ValueInfo& info = owner.value(v);

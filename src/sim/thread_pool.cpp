@@ -1,5 +1,7 @@
 #include "sim/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -17,12 +19,23 @@ namespace {
 // kernel sweep).
 thread_local bool t_on_pool_worker = false;
 
+/// CPUs this process may run on: its affinity mask (taskset, cpusets), else
+/// every CPU the machine has.
+std::size_t usable_cpus() {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&mask));
+  }
+  return std::thread::hardware_concurrency();
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = usable_cpus();
+  // One worker would only hand ranges to a second thread while the caller
+  // sleeps: run them on the caller instead.
+  if (threads < 2) return;
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -62,12 +75,8 @@ void ThreadPool::parallel_for_chunks(
   if (n == 0) {
     return;
   }
-  if (t_on_pool_worker) {
-    fn(0, n);
-    return;
-  }
   const std::size_t chunks = std::min(n, workers_.size() * 4);
-  if (chunks <= 1) {
+  if (t_on_pool_worker || chunks <= 1) {
     fn(0, n);
     return;
   }

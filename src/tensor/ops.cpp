@@ -16,19 +16,24 @@ void check_f32(const Tensor& t, const char* what) {
 }
 
 /// Inner kernel: C[m,n] += A[m,k] @ B[k,n] over a row range, k-blocked so the
-/// B panel stays cache-resident.
-void gemm_rows(const float* a, const float* b, float* c, std::int64_t row_begin,
+/// B panel stays cache-resident.  Order contract: each C[i][j] receives
+/// A[i][k] * B[k][j] for ascending k, skipping every k with A[i][k] == 0,
+/// as one rounded multiply then one rounded add.  C must not overlap A or B;
+/// the inner loop runs over j, so the compiler may vectorize it without
+/// touching any element's sequence of adds (src/tensor/CMakeLists.txt).
+void gemm_rows(const float* __restrict a, const float* __restrict b,
+               float* __restrict c, std::int64_t row_begin,
                std::int64_t row_end, std::int64_t k, std::int64_t n) {
   constexpr std::int64_t kBlock = 256;
   for (std::int64_t k0 = 0; k0 < k; k0 += kBlock) {
     const std::int64_t k1 = std::min(k, k0 + kBlock);
     for (std::int64_t i = row_begin; i < row_end; ++i) {
-      float* ci = c + i * n;
-      const float* ai = a + i * k;
+      float* __restrict ci = c + i * n;
+      const float* __restrict ai = a + i * k;
       for (std::int64_t kk = k0; kk < k1; ++kk) {
         const float aik = ai[kk];
         if (aik == 0.0f) continue;
-        const float* bk = b + kk * n;
+        const float* __restrict bk = b + kk * n;
         for (std::int64_t j = 0; j < n; ++j) {
           ci[j] += aik * bk[j];
         }
@@ -52,11 +57,16 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   GAUDI_CHECK(c.shape()[0] == m && c.shape()[1] == n, "gemm output shape mismatch");
 
   float* cp = c.f32().data();
+  const float* ap = a.f32().data();
+  const float* bp = b.f32().data();
+  const auto overlaps = [&](const float* p, std::int64_t len) {
+    return p < cp + m * n && cp < p + len;
+  };
+  GAUDI_CHECK(!overlaps(ap, m * k) && !overlaps(bp, k * n),
+              "gemm C must not share storage with A or B");
   if (!accumulate) {
     std::fill_n(cp, m * n, 0.0f);
   }
-  const float* ap = a.f32().data();
-  const float* bp = b.f32().data();
 
   const std::int64_t work = m * n * k;
   if (work < (1 << 18)) {

@@ -1,8 +1,10 @@
 // CLI tests: the option parser's contract, end-to-end command dispatch, and
 // agreement between the CLI and batch-cell front-ends.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -212,6 +214,28 @@ TEST(Cli, TrainErrorsNameTheOption) {
     EXPECT_NE(out.find(flag), std::string::npos) << out;
     EXPECT_EQ(out.find("check failed"), std::string::npos) << out;
   }
+}
+
+TEST(Cli, TrainResumePastTheLastStepNamesTheOption) {
+  // Resuming a finished run asks for no step the snapshot lacks: the error
+  // names --steps and the snapshot's step, not a source line.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("gaudisim-cli-resume-past-end-" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::string out;
+  ASSERT_EQ(run({"train", "--steps", "3", "--checkpoint-dir", dir.c_str()}, &out),
+            0)
+      << out;
+  EXPECT_EQ(run({"train", "--steps", "3", "--checkpoint-dir", dir.c_str(),
+                 "--resume"},
+                &out),
+            1);
+  EXPECT_NE(out.find("--steps 3"), std::string::npos) << out;
+  EXPECT_NE(out.find("step 3"), std::string::npos) << out;
+  EXPECT_EQ(out.find("check failed"), std::string::npos) << out;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, UsageMentionsFaultTooling) {

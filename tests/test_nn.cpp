@@ -3,10 +3,14 @@
 // closed-form references at miniature scale.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "graph/runtime.hpp"
 #include "nn/models.hpp"
+#include "nn/train.hpp"
 #include "tensor/ops.hpp"
 #include "workload/corpus.hpp"
 
@@ -573,6 +577,35 @@ TEST(LanguageModel, ParamCountScalesWithConfig) {
   bigger.n_layers = 4;
   const LanguageModel big = build_language_model(g2, bigger);
   EXPECT_GT(big.param_count(g2), small.param_count(g1));
+}
+
+TEST(TrainGolden, PerfbenchConfigLossBitsArePinned) {
+  // perfbench's train-functional model and loop at seed 1: the one pin on
+  // functional training numerics across commits.  Any change to the GEMM
+  // order, a TPC kernel, the optimizer or the loss scaler that moves a
+  // single bit of a loss shows here.
+  TrainOptions opts;
+  opts.model.vocab = 256;
+  opts.model.batch = 2;
+  opts.model.seq_len = 64;
+  opts.model.heads = 4;
+  opts.model.head_dim = 16;
+  opts.model.ffn_dim = 128;
+  opts.optimizer.kind = OptimizerKind::kAdam;
+  opts.steps = 12;
+  opts.loss_scaling = true;
+  opts.bf16_grads = true;
+  opts.seed = 1;
+  constexpr std::array<std::uint32_t, 12> kLossBits = {
+      0x40b1718d, 0x40ad4f52, 0x40a7e4ef, 0x40a1df30, 0x409bc1f0, 0x4095da51,
+      0x40901f58, 0x408a92a8, 0x40854f4e, 0x4080573e, 0x407722bc, 0x406dd3f5};
+  const TrainResult r = train_language_model(opts);
+  ASSERT_EQ(r.steps.size(), kLossBits.size());
+  for (std::size_t i = 0; i < kLossBits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(r.steps[i].loss), kLossBits[i])
+        << "step " << i << ": loss " << r.steps[i].loss << " = 0x" << std::hex
+        << std::bit_cast<std::uint32_t>(r.steps[i].loss);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Unit tests for the simulation substrate: time base, RNG, thread pool.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "sim/chip_config.hpp"
@@ -205,6 +207,53 @@ TEST(ThreadPool, BackToBackSmallCallsNeverOutliveTheirCaller) {
     scribble_stack();
   }
   EXPECT_EQ(total.load(), kCalls * 28);
+}
+
+/// The threads `pool` runs each index of a 64-wide range on.
+std::vector<std::thread::id> threads_per_index(ThreadPool& pool) {
+  std::vector<std::thread::id> ran(64);
+  pool.parallel_for(ran.size(), [&](std::size_t i) {
+    ran[i] = std::this_thread::get_id();
+  });
+  return ran;
+}
+
+TEST(ThreadPool, OneWorkerRunsOnTheCaller) {
+  // One worker could only take ranges off a caller that then sleeps: the
+  // pool starts none and runs everything, in order, on the calling thread.
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 0u);
+  for (const std::thread::id id : threads_per_index(pool)) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  pool.parallel_for_chunks(100, [&](std::size_t b, std::size_t e) {
+    chunks.emplace_back(b, e);
+  });
+  EXPECT_EQ(chunks, (std::vector<std::pair<std::size_t, std::size_t>>{{0, 100}}));
+}
+
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
+  // A process pinned to one CPU (taskset, a cpuset) gets a default pool
+  // that runs inline rather than one worker per CPU of the machine.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  std::size_t workers = 0;
+  std::vector<std::thread::id> ran;
+  {
+    ThreadPool pool;
+    workers = pool.size();
+    ran = threads_per_index(pool);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(workers, 0u);
+  for (const std::thread::id id : ran) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(Errors, CheckMacroThrowsTyped) {

@@ -2,7 +2,11 @@
 // reference math that defines the semantics the engines must match.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -198,6 +202,151 @@ TEST(Ops, LargeGemmThreadedMatchesSmallPath) {
   float acc = 0.0f;
   for (int k = 0; k < 64; ++k) acc += a.f32()[37 * 64 + k] * b.f32()[k * 128 + 91];
   EXPECT_NEAR(c.f32()[37 * 128 + 91], acc, 1e-3f);
+}
+
+/// gemm's documented order as a plain triple loop: C[i][j] adds
+/// A[i][k] * B[k][j] for ascending k, skipping A[i][k] == 0, one rounded
+/// multiply then one rounded add.
+std::vector<float> scalar_gemm(std::span<const float> a, std::span<const float> b,
+                               std::vector<float> c, std::int64_t m,
+                               std::int64_t k, std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = c[static_cast<std::size_t>(i * n + j)];
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float aik = a[static_cast<std::size_t>(i * k + kk)];
+        if (aik == 0.0f) continue;
+        const float product = aik * b[static_cast<std::size_t>(kk * n + j)];
+        acc += product;
+      }
+      c[static_cast<std::size_t>(i * n + j)] = acc;
+    }
+  }
+  return c;
+}
+
+void expect_same_bits(std::span<const float> got, std::span<const float> want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) != std::bit_cast<std::uint32_t>(want[i])) {
+      ADD_FAILURE() << what << ": element " << i << " is " << got[i] << " (0x"
+                    << std::hex << std::bit_cast<std::uint32_t>(got[i])
+                    << "), the scalar loop gives " << want[i] << " (0x"
+                    << std::bit_cast<std::uint32_t>(want[i]) << ")";
+      return;
+    }
+  }
+}
+
+/// A [batch, m, k] operand with an exact zero (of either sign) in every
+/// fourth element of each row, shifted by one column per row.
+Tensor gemm_lhs(std::int64_t batch, std::int64_t m, std::int64_t k,
+                const sim::CounterRng& rng, std::uint64_t stream) {
+  Tensor a = Tensor::uniform(Shape{{batch, m, k}}, rng.stream(stream), -1.0f, 1.0f);
+  auto v = a.f32();
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const std::size_t row = i / static_cast<std::size_t>(k);
+    const std::size_t col = i % static_cast<std::size_t>(k);
+    if ((row + col) % 4 == 0) v[i] = row % 2 == 0 ? 0.0f : -0.0f;
+  }
+  return a.reshape(batch == 1 ? Shape{{m, k}} : Shape{{batch, m, k}});
+}
+
+/// A [batch, k, n] operand with a NaN, +Inf or -Inf in every third column
+/// of each matrix; `gemm_lhs`'s zeros sit above each special for one row of
+/// A in four.  One special per column keeps Inf - Inf, and with it a second
+/// NaN payload, out of every sum.
+Tensor gemm_rhs(std::int64_t batch, std::int64_t k, std::int64_t n,
+                const sim::CounterRng& rng, std::uint64_t stream) {
+  Tensor b = Tensor::uniform(Shape{{batch, k, n}}, rng.stream(stream), -1.0f, 1.0f);
+  auto v = b.f32();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (std::int64_t bi = 0; bi < batch; ++bi) {
+    for (std::int64_t j = 0; j < n; j += 3) {
+      const std::int64_t row = (5 * j + 1) % k;
+      v[static_cast<std::size_t>((bi * k + row) * n + j)] = specials[(j / 3) % 3];
+    }
+  }
+  return b.reshape(batch == 1 ? Shape{{k, n}} : Shape{{batch, k, n}});
+}
+
+TEST(Ops, GemmIsBitExactAgainstAScalarLoop) {
+  // Every output bit must equal the documented order's, whatever the
+  // vector width, the thread count or the remainder of n mod 4: n = 1..3,
+  // every residue mod 4, k across the 256-deep k-block, zeros of A above
+  // NaN and +-Inf rows of B, and a shape large enough for the pooled path
+  // (work >= 2^18).
+  struct Dims {
+    std::int64_t m, k, n;
+  };
+  const std::vector<Dims> shapes = {
+      {1, 1, 1},  {3, 5, 2},    {2, 7, 3},    {5, 3, 4},   {4, 9, 5},
+      {6, 17, 6}, {7, 11, 7},   {5, 260, 16}, {3, 300, 18}, {2, 513, 9},
+      {6, 31, 13}, {7, 40, 31}, {64, 64, 66}};
+  const sim::CounterRng rng(0x6E44);
+  std::uint64_t stream = 0;
+  for (const Dims& d : shapes) {
+    const std::string what = "gemm " + std::to_string(d.m) + "x" +
+                             std::to_string(d.k) + "x" + std::to_string(d.n);
+    const Tensor a = gemm_lhs(1, d.m, d.k, rng, ++stream);
+    const Tensor b = gemm_rhs(1, d.k, d.n, rng, ++stream);
+    Tensor c = Tensor::full(Shape{{d.m, d.n}}, 7.0f);
+    ops::gemm(a, b, c);
+    const std::vector<float> zeros(static_cast<std::size_t>(d.m * d.n), 0.0f);
+    expect_same_bits(c.f32(), scalar_gemm(a.f32(), b.f32(), zeros, d.m, d.k, d.n),
+                     what);
+    expect_same_bits(ops::matmul(a, b).f32(), c.f32(), what + " via matmul");
+
+    // Accumulate into a C holding -0.0 and NaN: a -0.0 under an all-zero
+    // row of A receives no add and must keep its sign bit.
+    Tensor acc = Tensor::uniform(Shape{{d.m, d.n}}, rng.stream(++stream), -1.0f, 1.0f);
+    auto accv = acc.f32();
+    for (std::size_t i = 0; i < accv.size(); ++i) {
+      if (i % 3 == 0) accv[i] = -0.0f;
+      if (i % 7 == 5) accv[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    Tensor a_sparse = a.clone();
+    auto av = a_sparse.f32();
+    for (std::int64_t kk = 0; kk < d.k; ++kk) {
+      av[static_cast<std::size_t>(kk)] = 0.0f;  // row 0 of A: every k skipped
+    }
+    const std::vector<float> before(accv.begin(), accv.end());
+    ops::gemm(a_sparse, b, acc, /*accumulate=*/true);
+    expect_same_bits(acc.f32(),
+                     scalar_gemm(a_sparse.f32(), b.f32(), before, d.m, d.k, d.n),
+                     what + " accumulate");
+  }
+
+  // Batched and shared-B matmul, small and pooled (batch x m x n x k over
+  // 2^18 splits the batches across the pool).
+  for (const Dims& d : {Dims{3, 5, 7}, Dims{32, 64, 40}}) {
+    constexpr std::int64_t kBatch = 4;
+    const std::string what = "matmul " + std::to_string(kBatch) + "x" +
+                             std::to_string(d.m) + "x" + std::to_string(d.k) +
+                             "x" + std::to_string(d.n);
+    const Tensor a = gemm_lhs(kBatch, d.m, d.k, rng, ++stream);
+    const Tensor b = gemm_rhs(kBatch, d.k, d.n, rng, ++stream);
+    const Tensor shared = gemm_rhs(1, d.k, d.n, rng, ++stream);
+    const Tensor batched = ops::matmul(a, b);
+    const Tensor broadcast = ops::matmul(a, shared);
+    const std::size_t a_size = static_cast<std::size_t>(d.m * d.k);
+    const std::size_t b_size = static_cast<std::size_t>(d.k * d.n);
+    const std::size_t c_size = static_cast<std::size_t>(d.m * d.n);
+    const std::vector<float> zeros(c_size, 0.0f);
+    for (std::size_t bi = 0; bi < kBatch; ++bi) {
+      const auto ai = a.f32().subspan(bi * a_size, a_size);
+      expect_same_bits(
+          batched.f32().subspan(bi * c_size, c_size),
+          scalar_gemm(ai, b.f32().subspan(bi * b_size, b_size), zeros, d.m, d.k, d.n),
+          what + " batch " + std::to_string(bi));
+      expect_same_bits(broadcast.f32().subspan(bi * c_size, c_size),
+                       scalar_gemm(ai, shared.f32(), zeros, d.m, d.k, d.n),
+                       what + " shared B, batch " + std::to_string(bi));
+    }
+  }
 }
 
 TEST(Ops, TransposeLast2) {
