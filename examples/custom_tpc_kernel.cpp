@@ -20,9 +20,12 @@ using namespace gaudi;
 ///
 /// A kernel implements: a name, an index space (units of independent work),
 /// a local-memory budget, and a per-member instruction stream expressed
-/// through KernelContext intrinsics — each intrinsic is charged to its VLIW
-/// slot, so the cycle count below *is* the performance model.
-class SwishResidualKernel final : public tpc::Kernel {
+/// through context intrinsics — each intrinsic is charged to its VLIW slot,
+/// so the cycle count below *is* the performance model.  The body is written
+/// once as a template over the context: functional runs instantiate it over
+/// a DataContext that computes, and timing runs over a CostContext that only
+/// charges; KernelBody builds both of Kernel's entry points from it.
+class SwishResidualKernel final : public tpc::KernelBody<SwishResidualKernel> {
  public:
   SwishResidualKernel(tensor::Tensor x, tensor::Tensor y, tensor::Tensor out)
       : x_(std::move(x)), y_(std::move(y)), out_(std::move(out)) {
@@ -37,7 +40,8 @@ class SwishResidualKernel final : public tpc::Kernel {
     return tpc::IndexSpace{{(x_.numel() + 511) / 512}};
   }
 
-  void execute(tpc::KernelContext& ctx, const tpc::Member& m) const override {
+  template <class Ctx>
+  void body(Ctx& ctx, const tpc::Member& m) const {
     const auto x = tpc::ro(x_);
     const auto y = tpc::ro(y_);
     auto out = tpc::rw(out_);
@@ -46,9 +50,9 @@ class SwishResidualKernel final : public tpc::Kernel {
     for (std::int64_t off = begin; off < end; off += tpc::kLanes) {
       const int count =
           static_cast<int>(std::min<std::int64_t>(tpc::kLanes, end - off));
-      const tpc::VecF vx = ctx.v_ld_g(x, off, count);
-      const tpc::VecF vy = ctx.v_ld_g(y, off, count);
-      const tpc::VecF sw = ctx.v_mul(vy, ctx.v_sigmoid(vy));
+      const auto vx = ctx.v_ld_g(x, off, count);
+      const auto vy = ctx.v_ld_g(y, off, count);
+      const auto sw = ctx.v_mul(vy, ctx.v_sigmoid(vy));
       ctx.v_st_g(out, off, ctx.v_add(vx, sw), count);
     }
   }

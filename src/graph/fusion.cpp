@@ -147,8 +147,9 @@ tpc::IndexSpace FusedChainKernel::index_space() const {
   return tpc::IndexSpace{{(numel_ + 511) / 512}};
 }
 
-void FusedChainKernel::execute(tpc::KernelContext& ctx,
-                               const tpc::Member& m) const {
+template <class Ctx>
+void FusedChainKernel::body(Ctx& ctx, const tpc::Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = tpc::ro(chain_input_);
   auto out = tpc::rw(output_);
   const std::int64_t begin = m.linear * 512;
@@ -156,15 +157,15 @@ void FusedChainKernel::execute(tpc::KernelContext& ctx,
 
   for (std::int64_t off = begin; off < end; off += tpc::kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(tpc::kLanes, end - off));
-    tpc::VecF reg = ctx.v_ld_g(in, off, count);
+    Vec reg = ctx.v_ld_g(in, off, count);
 
     for (const Step& s : steps_) {
-      tpc::VecF ext{};
+      Vec ext{};
       if (s.has_external) {
         ext = ctx.v_ld_g(tpc::ro(s.external), off, count);
       }
-      const tpc::VecF& a = s.chain_is_rhs ? ext : reg;
-      const tpc::VecF& b = s.chain_is_rhs ? reg : (s.has_external ? ext : reg);
+      const Vec& a = s.chain_is_rhs ? ext : reg;
+      const Vec& b = s.chain_is_rhs ? reg : (s.has_external ? ext : reg);
       switch (s.kind) {
         case OpKind::kAdd: reg = ctx.v_add(a, b); break;
         case OpKind::kSub: reg = ctx.v_sub(a, b); break;
@@ -205,6 +206,8 @@ void FusedChainKernel::execute(tpc::KernelContext& ctx,
     ctx.v_st_g(out, off, reg, count);
   }
 }
+template void FusedChainKernel::body(tpc::DataContext&, const tpc::Member&) const;
+template void FusedChainKernel::body(tpc::CostContext&, const tpc::Member&) const;
 
 std::uint64_t FusedChainKernel::flop_count() const {
   return static_cast<std::uint64_t>(numel_) * steps_.size();

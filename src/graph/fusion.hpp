@@ -77,7 +77,7 @@ struct FusedChainSpec {
 /// global memory, the chain value flows through vector registers, only the
 /// tail result is stored.  `tensors` is indexed by ValueId; internal values
 /// need no storage.
-class FusedChainKernel final : public tpc::Kernel {
+class FusedChainKernel final : public tpc::KernelBody<FusedChainKernel> {
  public:
   /// Binds a compile-time chain spec to this run's tensors.
   FusedChainKernel(const FusedChainSpec& spec,
@@ -85,7 +85,8 @@ class FusedChainKernel final : public tpc::Kernel {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] tpc::IndexSpace index_space() const override;
-  void execute(tpc::KernelContext& ctx, const tpc::Member& m) const override;
+  template <class Ctx>
+  void body(Ctx& ctx, const tpc::Member& m) const;
   [[nodiscard]] std::uint64_t flop_count() const override;
 
  private:

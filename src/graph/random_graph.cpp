@@ -75,7 +75,7 @@ RandomDag random_dag(std::uint64_t seed, const RandomDagOptions& opts) {
   bool recompile_used = false;
 
   for (int i = 0; i < n_nodes; ++i) {
-    const std::string tag = "n" + std::to_string(i);
+    const std::string tag = std::string("n").append(std::to_string(i));
     // The first node is always a matmul so every DAG exercises the MME (and
     // the MME<->TPC DMA edges the validator exists for).
     const std::uint64_t op = i == 0 ? 0 : b.draw(14);

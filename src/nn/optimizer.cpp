@@ -133,9 +133,9 @@ std::vector<OptimizerState::StateRef> OptimizerState::state_refs(
     const graph::Graph& g) const {
   std::vector<StateRef> refs;
   for (const OptimizerSlot& slot : slots) {
-    for (const auto [in, out] : {std::pair{slot.vel_in, slot.vel_out},
-                                 std::pair{slot.m_in, slot.m_out},
-                                 std::pair{slot.v_in, slot.v_out}}) {
+    for (const auto& [in, out] : {std::pair{slot.vel_in, slot.vel_out},
+                                  std::pair{slot.m_in, slot.m_out},
+                                  std::pair{slot.v_in, slot.v_out}}) {
       if (in != graph::kInvalidValue) {
         refs.push_back(StateRef{g.value(in).name, in, out});
       }

@@ -289,7 +289,7 @@ TrainResult train_language_model(const TrainOptions& opts,
       for (std::size_t i = 0; i < ostate.slots.size(); ++i) {
         const OptimizerSlot& slot = ostate.slots[i];
         feeds[trainable[i]] = ur.outputs.at(slot.new_param);
-        for (const auto [in, outv] :
+        for (const auto& [in, outv] :
              {std::pair{slot.vel_in, slot.vel_out},
               std::pair{slot.m_in, slot.m_out},
               std::pair{slot.v_in, slot.v_out}}) {

@@ -34,7 +34,7 @@ RunResult TpcCluster::run(const Kernel& kernel, ExecMode mode) const {
   std::vector<CoreOutcome> outcomes(cores);
 
   auto run_core_functional = [&](std::uint32_t core) {
-    KernelContext ctx(cfg_, core, /*phantom=*/false, lm_vectors, rng_.stream(core));
+    DataContext ctx(cfg_, core, lm_vectors, rng_.stream(core));
     const std::int64_t count = space.members_on_core(core, cores);
     for (std::int64_t k = 0; k < count; ++k) {
       const std::int64_t linear = space.core_member(core, k, cores);
@@ -61,7 +61,7 @@ RunResult TpcCluster::run(const Kernel& kernel, ExecMode mode) const {
       for (std::int64_t i = 0; i < n_samples; ++i) dup = dup || samples[i] == k;
       if (!dup) samples[n_samples++] = k;
     }
-    KernelContext ctx(cfg_, core, /*phantom=*/true, lm_vectors, rng_.stream(core));
+    CostContext ctx(cfg_, core, lm_vectors, rng_.stream(core));
     SlotCycles per_member_sum{};
     std::uint64_t per_member_bytes = 0;
     for (std::int64_t i = 0; i < n_samples; ++i) {

@@ -1,14 +1,16 @@
 // The TPC cluster: eight cores executing one kernel cooperatively.
 //
 // Index-space members are distributed cyclically across cores.  Two
-// execution modes share the same kernel code:
+// execution modes run the same kernel body (tpc/kernel.hpp):
 //
-//  * kFunctional — every member executes with real data; cycle counts are
-//    exact and outputs are valid.  Host threads parallelize across cores.
-//  * kTiming — a small deterministic sample of members per core executes
-//    with phantom memory; per-member cycles are extrapolated to the full
-//    space.  Outputs are not produced.  This is how paper-scale shapes
-//    (3.2-G-element attention matrices) are timed.
+//  * kFunctional — every member executes over a DataContext with real data;
+//    cycle counts are exact and outputs are valid.  Host threads
+//    parallelize across cores.
+//  * kTiming — a small deterministic sample of members per core runs over a
+//    CostContext, which charges every intrinsic and computes nothing;
+//    per-member cycles are extrapolated to the full space.  Outputs are not
+//    produced.  This is how paper-scale shapes (3.2-G-element attention
+//    matrices) are timed.
 #pragma once
 
 #include <cstdint>

@@ -69,13 +69,15 @@ std::string UnaryEwKernel::name() const {
 
 IndexSpace UnaryEwKernel::index_space() const { return flat_space(in_.numel()); }
 
-void UnaryEwKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void UnaryEwKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const float alpha = alpha_;
   for_member_vectors(in_.numel(), m, [&](std::int64_t off, int count) {
-    VecF v = ctx.v_ld_g(in, off, count);
-    VecF r;
+    Vec v = ctx.v_ld_g(in, off, count);
+    Vec r;
     switch (kind_) {
       case UnaryKind::kExp: r = ctx.v_exp(v); break;
       case UnaryKind::kLog: r = ctx.v_log(v); break;
@@ -100,6 +102,8 @@ void UnaryEwKernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(out, off, r, count);
   });
 }
+template void UnaryEwKernel::body(DataContext&, const Member&) const;
+template void UnaryEwKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t UnaryEwKernel::flop_count() const {
   return static_cast<std::uint64_t>(in_.numel());
@@ -124,22 +128,24 @@ std::string UnaryGradKernel::name() const {
 
 IndexSpace UnaryGradKernel::index_space() const { return flat_space(x_.numel()); }
 
-void UnaryGradKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void UnaryGradKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto x = ro(x_);
   const auto dy = ro(dy_);
   auto dx = rw(dx_);
   const float alpha = alpha_;
   for_member_vectors(x_.numel(), m, [&](std::int64_t off, int count) {
-    VecF vx = ctx.v_ld_g(x, off, count);
-    VecF vdy = ctx.v_ld_g(dy, off, count);
-    VecF d;  // f'(x)
+    Vec vx = ctx.v_ld_g(x, off, count);
+    Vec vdy = ctx.v_ld_g(dy, off, count);
+    Vec d;  // f'(x)
     switch (kind_) {
       case UnaryKind::kExp: d = ctx.v_exp(vx); break;
       case UnaryKind::kLog: d = ctx.v_recip(vx); break;
       case UnaryKind::kSqrt: d = ctx.v_mul_s(ctx.v_rsqrt(vx), 0.5f); break;
       case UnaryKind::kSquare: d = ctx.v_mul_s(vx, 2.0f); break;
       case UnaryKind::kRecip: {
-        const VecF r = ctx.v_recip(vx);
+        const Vec r = ctx.v_recip(vx);
         d = ctx.v_neg(ctx.v_mul(r, r));
         break;
       }
@@ -154,25 +160,25 @@ void UnaryGradKernel::execute(KernelContext& ctx, const Member& m) const {
         break;
       case UnaryKind::kGelu: {
         // d/dx [0.5x(1+tanh(u))], u = c(x + 0.044715x^3)
-        const VecF x2 = ctx.v_mul(vx, vx);
-        const VecF u = ctx.v_mul_s(
+        const Vec x2 = ctx.v_mul(vx, vx);
+        const Vec u = ctx.v_mul_s(
             ctx.v_madd_s(0.044715f, ctx.v_mul(x2, vx), vx), kGeluC);
-        const VecF t = ctx.v_tanh(u);
-        const VecF sech2 = ctx.v_sub(ctx.v_mov(1.0f), ctx.v_mul(t, t));
-        const VecF du = ctx.v_mul_s(ctx.v_madd_s(3.0f * 0.044715f, x2, ctx.v_mov(1.0f)),
+        const Vec t = ctx.v_tanh(u);
+        const Vec sech2 = ctx.v_sub(ctx.v_mov(1.0f), ctx.v_mul(t, t));
+        const Vec du = ctx.v_mul_s(ctx.v_madd_s(3.0f * 0.044715f, x2, ctx.v_mov(1.0f)),
                                     kGeluC);
-        const VecF half_x = ctx.v_mul_s(vx, 0.5f);
+        const Vec half_x = ctx.v_mul_s(vx, 0.5f);
         d = ctx.v_add(ctx.v_mul_s(ctx.v_add_s(t, 1.0f), 0.5f),
                       ctx.v_mul(half_x, ctx.v_mul(sech2, du)));
         break;
       }
       case UnaryKind::kSigmoid: {
-        const VecF s = ctx.v_sigmoid(vx);
+        const Vec s = ctx.v_sigmoid(vx);
         d = ctx.v_mul(s, ctx.v_sub(ctx.v_mov(1.0f), s));
         break;
       }
       case UnaryKind::kTanh: {
-        const VecF t = ctx.v_tanh(vx);
+        const Vec t = ctx.v_tanh(vx);
         d = ctx.v_sub(ctx.v_mov(1.0f), ctx.v_mul(t, t));
         break;
       }
@@ -184,6 +190,8 @@ void UnaryGradKernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(dx, off, ctx.v_mul(vdy, d), count);
   });
 }
+template void UnaryGradKernel::body(DataContext&, const Member&) const;
+template void UnaryGradKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t UnaryGradKernel::flop_count() const {
   return 2 * static_cast<std::uint64_t>(x_.numel());
@@ -218,14 +226,16 @@ std::string BinaryEwKernel::name() const {
 
 IndexSpace BinaryEwKernel::index_space() const { return flat_space(a_.numel()); }
 
-void BinaryEwKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void BinaryEwKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto a = ro(a_);
   const auto b = ro(b_);
   auto out = rw(out_);
   for_member_vectors(a_.numel(), m, [&](std::int64_t off, int count) {
-    VecF va = ctx.v_ld_g(a, off, count);
-    VecF vb = ctx.v_ld_g(b, off, count);
-    VecF r;
+    Vec va = ctx.v_ld_g(a, off, count);
+    Vec vb = ctx.v_ld_g(b, off, count);
+    Vec r;
     switch (kind_) {
       case BinaryKind::kAdd: r = ctx.v_add(va, vb); break;
       case BinaryKind::kSub: r = ctx.v_sub(va, vb); break;
@@ -236,6 +246,8 @@ void BinaryEwKernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(out, off, r, count);
   });
 }
+template void BinaryEwKernel::body(DataContext&, const Member&) const;
+template void BinaryEwKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t BinaryEwKernel::flop_count() const {
   return static_cast<std::uint64_t>(a_.numel());
@@ -268,13 +280,15 @@ std::string ScalarEwKernel::name() const {
 
 IndexSpace ScalarEwKernel::index_space() const { return flat_space(in_.numel()); }
 
-void ScalarEwKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void ScalarEwKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const float s = scalar_;
   for_member_vectors(in_.numel(), m, [&](std::int64_t off, int count) {
-    VecF v = ctx.v_ld_g(in, off, count);
-    VecF r;
+    Vec v = ctx.v_ld_g(in, off, count);
+    Vec r;
     switch (kind_) {
       case ScalarKind::kAddS: r = ctx.v_add_s(v, s); break;
       case ScalarKind::kSubS: r = ctx.v_add_s(v, -s); break;
@@ -284,6 +298,8 @@ void ScalarEwKernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(out, off, r, count);
   });
 }
+template void ScalarEwKernel::body(DataContext&, const Member&) const;
+template void ScalarEwKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t ScalarEwKernel::flop_count() const {
   return static_cast<std::uint64_t>(in_.numel());
@@ -298,13 +314,17 @@ FillKernel::FillKernel(tensor::Tensor out, float value)
 
 IndexSpace FillKernel::index_space() const { return flat_space(out_.numel()); }
 
-void FillKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void FillKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   auto out = rw(out_);
-  const VecF v = ctx.v_mov(value_);
+  const Vec v = ctx.v_mov(value_);
   for_member_vectors(out_.numel(), m, [&](std::int64_t off, int count) {
     ctx.v_st_g(out, off, v, count);
   });
 }
+template void FillKernel::body(DataContext&, const Member&) const;
+template void FillKernel::body(CostContext&, const Member&) const;
 
 // ---------------------------------------------------------------------------
 // RowvecKernel
@@ -329,7 +349,9 @@ IndexSpace RowvecKernel::index_space() const {
   return IndexSpace{{in_.numel() / d}};
 }
 
-void RowvecKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void RowvecKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   const auto vec = ro(vec_);
   auto out = rw(out_);
@@ -337,12 +359,14 @@ void RowvecKernel::execute(KernelContext& ctx, const Member& m) const {
   const std::int64_t base = m.linear * d;
   for (std::int64_t j = 0; j < d; j += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, d - j));
-    VecF vi = ctx.v_ld_g(in, base + j, count);
-    VecF vv = ctx.v_ld_g(vec, j, count);
-    VecF r = op_ == Op::kAdd ? ctx.v_add(vi, vv) : ctx.v_mul(vi, vv);
+    Vec vi = ctx.v_ld_g(in, base + j, count);
+    Vec vv = ctx.v_ld_g(vec, j, count);
+    Vec r = op_ == Op::kAdd ? ctx.v_add(vi, vv) : ctx.v_mul(vi, vv);
     ctx.v_st_g(out, base + j, r, count);
   }
 }
+template void RowvecKernel::body(DataContext&, const Member&) const;
+template void RowvecKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t RowvecKernel::flop_count() const {
   return static_cast<std::uint64_t>(in_.numel());
@@ -366,7 +390,9 @@ IndexSpace GluKernel::index_space() const {
   return IndexSpace{{in_.numel() / d2}};
 }
 
-void GluKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void GluKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const std::int64_t d2 = in_.shape()[in_.shape().rank() - 1];
@@ -375,11 +401,13 @@ void GluKernel::execute(KernelContext& ctx, const Member& m) const {
   const std::int64_t out_base = m.linear * d;
   for (std::int64_t j = 0; j < d; j += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, d - j));
-    VecF a = ctx.v_ld_g(in, in_base + j, count);
-    VecF b = ctx.v_ld_g(in, in_base + d + j, count);
+    Vec a = ctx.v_ld_g(in, in_base + j, count);
+    Vec b = ctx.v_ld_g(in, in_base + d + j, count);
     ctx.v_st_g(out, out_base + j, ctx.v_mul(a, ctx.v_sigmoid(b)), count);
   }
 }
+template void GluKernel::body(DataContext&, const Member&) const;
+template void GluKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t GluKernel::flop_count() const {
   return static_cast<std::uint64_t>(out_.numel()) * 2;
@@ -399,7 +427,9 @@ IndexSpace GluGradKernel::index_space() const {
   return IndexSpace{{in_.numel() / d2}};
 }
 
-void GluGradKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void GluGradKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   const auto dout = ro(dout_);
   auto din = rw(din_);
@@ -409,16 +439,18 @@ void GluGradKernel::execute(KernelContext& ctx, const Member& m) const {
   const std::int64_t out_base = m.linear * d;
   for (std::int64_t j = 0; j < d; j += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, d - j));
-    VecF a = ctx.v_ld_g(in, in_base + j, count);
-    VecF b = ctx.v_ld_g(in, in_base + d + j, count);
-    VecF g = ctx.v_ld_g(dout, out_base + j, count);
-    const VecF s = ctx.v_sigmoid(b);
+    Vec a = ctx.v_ld_g(in, in_base + j, count);
+    Vec b = ctx.v_ld_g(in, in_base + d + j, count);
+    Vec g = ctx.v_ld_g(dout, out_base + j, count);
+    const Vec s = ctx.v_sigmoid(b);
     // da = g * sigmoid(b); db = g * a * s * (1 - s)
     ctx.v_st_g(din, in_base + j, ctx.v_mul(g, s), count);
-    const VecF ds = ctx.v_mul(s, ctx.v_sub(ctx.v_mov(1.0f), s));
+    const Vec ds = ctx.v_mul(s, ctx.v_sub(ctx.v_mov(1.0f), s));
     ctx.v_st_g(din, in_base + d + j, ctx.v_mul(ctx.v_mul(g, a), ds), count);
   }
 }
+template void GluGradKernel::body(DataContext&, const Member&) const;
+template void GluGradKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t GluGradKernel::flop_count() const {
   return static_cast<std::uint64_t>(in_.numel()) * 3;
@@ -439,7 +471,8 @@ CastKernel::CastKernel(tensor::Tensor in, tensor::Tensor out)
 
 IndexSpace CastKernel::index_space() const { return flat_space(in_.numel()); }
 
-void CastKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void CastKernel::body(Ctx& ctx, const Member& m) const {
   const bool in_bf16 = in_.dtype() == tensor::DType::BF16;
   const auto in_f = in_bf16 ? std::span<const float>{} : ro(in_);
   const auto in_b = in_bf16 ? ro_bf16(in_) : std::span<const std::uint16_t>{};
@@ -453,6 +486,8 @@ void CastKernel::execute(KernelContext& ctx, const Member& m) const {
     }
   });
 }
+template void CastKernel::body(DataContext&, const Member&) const;
+template void CastKernel::body(CostContext&, const Member&) const;
 
 // ---------------------------------------------------------------------------
 // DropoutKernel
@@ -468,19 +503,23 @@ DropoutKernel::DropoutKernel(tensor::Tensor in, tensor::Tensor out, float p,
 
 IndexSpace DropoutKernel::index_space() const { return flat_space(in_.numel()); }
 
-void DropoutKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void DropoutKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const float scale = 1.0f / (1.0f - p_);
   for_member_vectors(in_.numel(), m, [&](std::int64_t off, int count) {
-    VecF v = ctx.v_ld_g(in, off, count);
-    VecF u = ctx.v_rng(seed_offset_ + static_cast<std::uint64_t>(off) / kLanes);
+    Vec v = ctx.v_ld_g(in, off, count);
+    Vec u = ctx.v_rng(seed_offset_ + static_cast<std::uint64_t>(off) / kLanes);
     // keep-mask: u >= p  →  (u - p) > 0 ? x*scale : 0
-    VecF keep = ctx.v_add_s(u, -p_);
-    VecF r = ctx.v_sel_gtz(keep, ctx.v_mul_s(v, scale), ctx.v_mov(0.0f));
+    Vec keep = ctx.v_add_s(u, -p_);
+    Vec r = ctx.v_sel_gtz(keep, ctx.v_mul_s(v, scale), ctx.v_mov(0.0f));
     ctx.v_st_g(out, off, r, count);
   });
 }
+template void DropoutKernel::body(DataContext&, const Member&) const;
+template void DropoutKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t DropoutKernel::flop_count() const {
   return static_cast<std::uint64_t>(in_.numel());

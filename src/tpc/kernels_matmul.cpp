@@ -43,7 +43,9 @@ std::size_t BatchedMatMulTpcKernel::local_memory_vectors() const {
   return static_cast<std::size_t>(kKBlock + kRowTile);
 }
 
-void BatchedMatMulTpcKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void BatchedMatMulTpcKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto a = ro(a_);
   const auto b = ro(b_);
   auto c = rw(c_);
@@ -62,7 +64,7 @@ void BatchedMatMulTpcKernel::execute(KernelContext& ctx, const Member& m) const 
   constexpr std::int64_t kBSlot = 0;
   constexpr std::int64_t kASlot = kKBlock;
 
-  VecF acc[kRowTile];
+  Vec acc[kRowTile];
   for (std::int64_t i = 0; i < rows; ++i) acc[i] = ctx.v_mov(0.0f);
 
   for (std::int64_t k0 = 0; k0 < k_; k0 += kKBlock) {
@@ -70,19 +72,19 @@ void BatchedMatMulTpcKernel::execute(KernelContext& ctx, const Member& m) const 
 
     // Stage B[k0:k0+kb, j0:j0+cols] into local memory, one row per vector.
     for (std::int64_t kk = 0; kk < kb; ++kk) {
-      VecF vb = ctx.v_ld_g(b, b_base + (k0 + kk) * n_ + j0, cols);
+      Vec vb = ctx.v_ld_g(b, b_base + (k0 + kk) * n_ + j0, cols);
       ctx.v_st_l(kBSlot + kk, vb);
     }
     // Stage A[i0:i0+rows, k0:k0+kb] — one vector per row chunk.
     for (std::int64_t i = 0; i < rows; ++i) {
-      VecF va = ctx.v_ld_g(a, a_base + (i0 + i) * k_ + k0, static_cast<int>(kb));
+      Vec va = ctx.v_ld_g(a, a_base + (i0 + i) * k_ + k0, static_cast<int>(kb));
       ctx.v_st_l(kASlot + i, va);
     }
 
     // Inner loop: for each k, one B vector feeds FMAs for all staged rows;
     // A scalars are fetched in pairs so the Load slot keeps up with the VPU.
     for (std::int64_t kk = 0; kk < kb; ++kk) {
-      const VecF vb = ctx.v_ld_l(kBSlot + kk);
+      const Vec vb = ctx.v_ld_l(kBSlot + kk);
       std::int64_t i = 0;
       for (; i + 1 < rows; i += 2) {
         const auto [a0, a1] = ctx.s_ld_l2(kASlot + i, static_cast<int>(kk),
@@ -101,6 +103,8 @@ void BatchedMatMulTpcKernel::execute(KernelContext& ctx, const Member& m) const 
     ctx.v_st_g(c, c_base + (i0 + i) * n_ + j0, acc[i], cols);
   }
 }
+template void BatchedMatMulTpcKernel::body(DataContext&, const Member&) const;
+template void BatchedMatMulTpcKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t BatchedMatMulTpcKernel::flop_count() const {
   return 2ull * static_cast<std::uint64_t>(batch_) * m_ * n_ * k_;

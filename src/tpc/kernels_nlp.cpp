@@ -24,7 +24,8 @@ IndexSpace EmbeddingGatherKernel::index_space() const {
   return IndexSpace{{tokens_}};
 }
 
-void EmbeddingGatherKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void EmbeddingGatherKernel::body(Ctx& ctx, const Member& m) const {
   const auto table = ro(table_);
   const auto ids = ro_i32(ids_);
   auto out = rw(out_);
@@ -36,6 +37,8 @@ void EmbeddingGatherKernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(out, dst + j, ctx.v_ld_g(table, src + j, count), count);
   }
 }
+template void EmbeddingGatherKernel::body(DataContext&, const Member&) const;
+template void EmbeddingGatherKernel::body(CostContext&, const Member&) const;
 
 // ---------------------------------------------------------------------------
 // EmbeddingGradKernel
@@ -55,7 +58,9 @@ IndexSpace EmbeddingGradKernel::index_space() const {
   return IndexSpace{{(dim_ + kLanes - 1) / kLanes}};
 }
 
-void EmbeddingGradKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void EmbeddingGradKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto ids = ro_i32(ids_);
   const auto dy = ro(dy_);
   auto dtable = rw(dtable_);
@@ -64,11 +69,13 @@ void EmbeddingGradKernel::execute(KernelContext& ctx, const Member& m) const {
   for (std::int64_t t = 0; t < tokens_; ++t) {
     const std::int32_t id = ctx.i_ld_g(ids, t);
     const std::int64_t row = static_cast<std::int64_t>(id) * dim_;
-    VecF acc = ctx.v_ld_g(dtable, row + j, count);
-    VecF g = ctx.v_ld_g(dy, t * dim_ + j, count);
+    Vec acc = ctx.v_ld_g(dtable, row + j, count);
+    Vec g = ctx.v_ld_g(dy, t * dim_ + j, count);
     ctx.v_st_g(dtable, row + j, ctx.v_add(acc, g), count);
   }
 }
+template void EmbeddingGradKernel::body(DataContext&, const Member&) const;
+template void EmbeddingGradKernel::body(CostContext&, const Member&) const;
 
 // ---------------------------------------------------------------------------
 // CrossEntropyKernel
@@ -87,14 +94,16 @@ CrossEntropyKernel::CrossEntropyKernel(tensor::Tensor logits, tensor::Tensor tar
 
 IndexSpace CrossEntropyKernel::index_space() const { return IndexSpace{{rows_}}; }
 
-void CrossEntropyKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void CrossEntropyKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto logits = ro(logits_);
   const auto targets = ro_i32(targets_);
   auto loss = rw(loss_);
   const std::int64_t base = m.linear * vocab_;
   const float neg_inf = -std::numeric_limits<float>::infinity();
 
-  VecF vmax = ctx.v_mov(neg_inf);
+  Vec vmax = ctx.v_mov(neg_inf);
   for (std::int64_t off = 0; off < vocab_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
     vmax = ctx.v_max(vmax, ctx.v_ld_g(logits, base + off, count, neg_inf));
@@ -104,15 +113,14 @@ void CrossEntropyKernel::execute(KernelContext& ctx, const Member& m) const {
   // zero: the defined loss is +inf, not the NaN the generic path's
   // exp(-inf + inf) would produce.  Host-side selects (subtract 0 instead
   // of the max, patch the stored loss) keep the instruction stream — and so
-  // the cycle count in both execution modes, where phantom loads splat the
-  // -inf fill — identical to the generic path.
+  // the cycle count in both contexts — identical to the generic path.
   const bool masked = mx == neg_inf;
   const float safe_mx = masked ? 0.0f : mx;
 
-  VecF vsum = ctx.v_mov(0.0f);
+  Vec vsum = ctx.v_mov(0.0f);
   for (std::int64_t off = 0; off < vocab_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
-    VecF x = ctx.v_ld_g(logits, base + off, count, neg_inf);
+    Vec x = ctx.v_ld_g(logits, base + off, count, neg_inf);
     vsum = ctx.v_add(vsum, ctx.v_exp(ctx.v_add_s(x, -safe_mx)));
   }
   const float lse = ctx.s_add(std::log(ctx.v_reduce_add(vsum)), safe_mx);
@@ -123,6 +131,8 @@ void CrossEntropyKernel::execute(KernelContext& ctx, const Member& m) const {
   ctx.s_st_g(loss, m.linear,
              masked ? std::numeric_limits<float>::infinity() : l);
 }
+template void CrossEntropyKernel::body(DataContext&, const Member&) const;
+template void CrossEntropyKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t CrossEntropyKernel::flop_count() const {
   return static_cast<std::uint64_t>(logits_.numel()) * 4;
@@ -147,14 +157,16 @@ CrossEntropyGradKernel::CrossEntropyGradKernel(tensor::Tensor logits,
 
 IndexSpace CrossEntropyGradKernel::index_space() const { return IndexSpace{{rows_}}; }
 
-void CrossEntropyGradKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void CrossEntropyGradKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto logits = ro(logits_);
   const auto targets = ro_i32(targets_);
   auto dlogits = rw(dlogits_);
   const std::int64_t base = m.linear * vocab_;
   const float neg_inf = -std::numeric_limits<float>::infinity();
 
-  VecF vmax = ctx.v_mov(neg_inf);
+  Vec vmax = ctx.v_mov(neg_inf);
   for (std::int64_t off = 0; off < vocab_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
     vmax = ctx.v_max(vmax, ctx.v_ld_g(logits, base + off, count, neg_inf));
@@ -169,10 +181,10 @@ void CrossEntropyGradKernel::execute(KernelContext& ctx, const Member& m) const 
   const bool masked = mx == neg_inf;
   const float safe_mx = masked ? 0.0f : mx;
 
-  VecF vsum = ctx.v_mov(0.0f);
+  Vec vsum = ctx.v_mov(0.0f);
   for (std::int64_t off = 0; off < vocab_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
-    VecF x = ctx.v_ld_g(logits, base + off, count, neg_inf);
+    Vec x = ctx.v_ld_g(logits, base + off, count, neg_inf);
     vsum = ctx.v_add(vsum, ctx.v_exp(ctx.v_add_s(x, -safe_mx)));
   }
   const float inv_sum = ctx.s_recip(std::max(
@@ -181,11 +193,11 @@ void CrossEntropyGradKernel::execute(KernelContext& ctx, const Member& m) const 
   const std::int32_t tgt = ctx.i_ld_g(targets, m.linear);
   for (std::int64_t off = 0; off < vocab_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, vocab_ - off));
-    VecF x = ctx.v_ld_g(logits, base + off, count, neg_inf);
-    VecF p = ctx.v_mul_s(ctx.v_exp(ctx.v_add_s(x, -safe_mx)), inv_sum);
-    if (!ctx.phantom() && !dlogits.empty() && !masked) {
+    Vec x = ctx.v_ld_g(logits, base + off, count, neg_inf);
+    Vec p = ctx.v_mul_s(ctx.v_exp(ctx.v_add_s(x, -safe_mx)), inv_sum);
+    if constexpr (Ctx::carries_data) {
       // Subtract the one-hot target lane; branch is on coordinates, not data.
-      if (tgt >= off && tgt < off + count) {
+      if (!masked && tgt >= off && tgt < off + count) {
         p.lane[static_cast<std::size_t>(tgt - off)] -= 1.0f;
       }
     }
@@ -193,6 +205,8 @@ void CrossEntropyGradKernel::execute(KernelContext& ctx, const Member& m) const 
     ctx.v_st_g(dlogits, base + off, ctx.v_mul_s(p, scale_), count);
   }
 }
+template void CrossEntropyGradKernel::body(DataContext&, const Member&) const;
+template void CrossEntropyGradKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t CrossEntropyGradKernel::flop_count() const {
   return static_cast<std::uint64_t>(logits_.numel()) * 6;

@@ -51,7 +51,9 @@ IndexSpace SgdUpdateKernel::index_space() const {
   return flat_space(param_.numel());
 }
 
-void SgdUpdateKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void SgdUpdateKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto p = ro(param_);
   const auto g = ro(grad_);
   auto po = rw(param_out_);
@@ -59,10 +61,10 @@ void SgdUpdateKernel::execute(KernelContext& ctx, const Member& m) const {
   auto vo = rw(vel_out_);
   const bool with_momentum = momentum_ != 0.0f;
   for_member_vectors(param_.numel(), m, [&](std::int64_t off, int count) {
-    VecF vp = ctx.v_ld_g(p, off, count);
-    VecF vg = ctx.v_ld_g(g, off, count);
+    Vec vp = ctx.v_ld_g(p, off, count);
+    Vec vg = ctx.v_ld_g(g, off, count);
     if (with_momentum) {
-      VecF vv = ctx.v_ld_g(vel, off, count);
+      Vec vv = ctx.v_ld_g(vel, off, count);
       vv = ctx.v_madd_s(momentum_, vv, vg);  // mu*vel + grad
       ctx.v_st_g(vo, off, vv, count);
       vg = vv;
@@ -70,6 +72,8 @@ void SgdUpdateKernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(po, off, ctx.v_madd_s(-lr_, vg, vp), count);
   });
 }
+template void SgdUpdateKernel::body(DataContext&, const Member&) const;
+template void SgdUpdateKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t SgdUpdateKernel::flop_count() const {
   return static_cast<std::uint64_t>(param_.numel()) * (momentum_ != 0.0f ? 4 : 2);
@@ -100,7 +104,9 @@ IndexSpace AdamUpdateKernel::index_space() const {
   return flat_space(param_.numel());
 }
 
-void AdamUpdateKernel::execute(KernelContext& ctx, const Member& mem) const {
+template <class Ctx>
+void AdamUpdateKernel::body(Ctx& ctx, const Member& mem) const {
+  using Vec = typename Ctx::Vec;
   const auto p = ro(param_);
   const auto g = ro(grad_);
   const auto m_in = ro(m_);
@@ -115,21 +121,23 @@ void AdamUpdateKernel::execute(KernelContext& ctx, const Member& mem) const {
   const float alpha = ctx.s_mul(lr_, ctx.s_mul(ctx.s_sqrt(bc2), ctx.s_recip(bc1)));
 
   for_member_vectors(param_.numel(), mem, [&](std::int64_t off, int count) {
-    VecF vp = ctx.v_ld_g(p, off, count);
-    VecF vg = ctx.v_ld_g(g, off, count);
-    VecF vm = ctx.v_ld_g(m_in, off, count);
-    VecF vv = ctx.v_ld_g(v_in, off, count);
+    Vec vp = ctx.v_ld_g(p, off, count);
+    Vec vg = ctx.v_ld_g(g, off, count);
+    Vec vm = ctx.v_ld_g(m_in, off, count);
+    Vec vv = ctx.v_ld_g(v_in, off, count);
 
     vm = ctx.v_madd_s(beta1_, vm, ctx.v_mul_s(vg, 1.0f - beta1_));
     vv = ctx.v_madd_s(beta2_, vv, ctx.v_mul_s(ctx.v_mul(vg, vg), 1.0f - beta2_));
     ctx.v_st_g(mo, off, vm, count);
     ctx.v_st_g(vo, off, vv, count);
 
-    const VecF denom = ctx.v_add_s(ctx.v_sqrt(vv), eps_);
-    const VecF update = ctx.v_mul(vm, ctx.v_recip(denom));
+    const Vec denom = ctx.v_add_s(ctx.v_sqrt(vv), eps_);
+    const Vec update = ctx.v_mul(vm, ctx.v_recip(denom));
     ctx.v_st_g(po, off, ctx.v_madd_s(-alpha, update, vp), count);
   });
 }
+template void AdamUpdateKernel::body(DataContext&, const Member&) const;
+template void AdamUpdateKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t AdamUpdateKernel::flop_count() const {
   return static_cast<std::uint64_t>(param_.numel()) * 12;

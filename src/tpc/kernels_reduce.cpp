@@ -50,7 +50,9 @@ std::size_t SoftmaxKernel::local_memory_vectors() const {
   return cache_row_ ? static_cast<std::size_t>(vectors_per_row(row_len_)) : 0;
 }
 
-void SoftmaxKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void SoftmaxKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const std::int64_t base = m.linear * row_len_;
@@ -58,11 +60,11 @@ void SoftmaxKernel::execute(KernelContext& ctx, const Member& m) const {
   const float neg_inf = -std::numeric_limits<float>::infinity();
 
   // Pass 1: row max.  Tail lanes are filled with -inf so they cannot win.
-  VecF vmax = ctx.v_mov(neg_inf);
+  Vec vmax = ctx.v_mov(neg_inf);
   for (std::int64_t v = 0; v < nvec; ++v) {
     const std::int64_t off = v * kLanes;
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF x = ctx.v_ld_g(in, base + off, count, neg_inf);
+    Vec x = ctx.v_ld_g(in, base + off, count, neg_inf);
     if (cache_row_) ctx.v_st_l(v, x);
     vmax = ctx.v_max(vmax, x);
   }
@@ -78,12 +80,12 @@ void SoftmaxKernel::execute(KernelContext& ctx, const Member& m) const {
 
   // Pass 2: exponentials and their sum; exp(x - max) staged back to local
   // memory (or recomputed into output) so pass 3 only rescales.
-  VecF vsum = ctx.v_mov(0.0f);
+  Vec vsum = ctx.v_mov(0.0f);
   for (std::int64_t v = 0; v < nvec; ++v) {
     const std::int64_t off = v * kLanes;
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF x = cache_row_ ? ctx.v_ld_l(v) : ctx.v_ld_g(in, base + off, count, neg_inf);
-    VecF e = ctx.v_exp(ctx.v_add_s(x, -safe_max));
+    Vec x = cache_row_ ? ctx.v_ld_l(v) : ctx.v_ld_g(in, base + off, count, neg_inf);
+    Vec e = ctx.v_exp(ctx.v_add_s(x, -safe_max));
     if (cache_row_) {
       ctx.v_st_l(v, e);
     } else {
@@ -103,10 +105,12 @@ void SoftmaxKernel::execute(KernelContext& ctx, const Member& m) const {
   for (std::int64_t v = 0; v < nvec; ++v) {
     const std::int64_t off = v * kLanes;
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF e = cache_row_ ? ctx.v_ld_l(v) : ctx.v_ld_g(out, base + off, count);
+    Vec e = cache_row_ ? ctx.v_ld_l(v) : ctx.v_ld_g(out, base + off, count);
     ctx.v_st_g(out, base + off, ctx.v_mul_s(e, inv_sum), count);
   }
 }
+template void SoftmaxKernel::body(DataContext&, const Member&) const;
+template void SoftmaxKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t SoftmaxKernel::flop_count() const {
   // max + sub + exp + add + mul per element (exp counted as one).
@@ -130,18 +134,20 @@ SoftmaxGradKernel::SoftmaxGradKernel(tensor::Tensor y, tensor::Tensor dy,
 
 IndexSpace SoftmaxGradKernel::index_space() const { return IndexSpace{{rows_}}; }
 
-void SoftmaxGradKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void SoftmaxGradKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto y = ro(y_);
   const auto dy = ro(dy_);
   auto dx = rw(dx_);
   const std::int64_t base = m.linear * row_len_;
 
   // Pass 1: s = sum(y * dy).
-  VecF vs = ctx.v_mov(0.0f);
+  Vec vs = ctx.v_mov(0.0f);
   for (std::int64_t off = 0; off < row_len_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF vy = ctx.v_ld_g(y, base + off, count);
-    VecF vdy = ctx.v_ld_g(dy, base + off, count);
+    Vec vy = ctx.v_ld_g(y, base + off, count);
+    Vec vdy = ctx.v_ld_g(dy, base + off, count);
     vs = ctx.v_madd(vy, vdy, vs);
   }
   const float s = ctx.v_reduce_add(vs);
@@ -149,11 +155,13 @@ void SoftmaxGradKernel::execute(KernelContext& ctx, const Member& m) const {
   // Pass 2: dx = y * (dy - s).
   for (std::int64_t off = 0; off < row_len_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF vy = ctx.v_ld_g(y, base + off, count);
-    VecF vdy = ctx.v_ld_g(dy, base + off, count);
+    Vec vy = ctx.v_ld_g(y, base + off, count);
+    Vec vdy = ctx.v_ld_g(dy, base + off, count);
     ctx.v_st_g(dx, base + off, ctx.v_mul(vy, ctx.v_add_s(vdy, -s)), count);
   }
 }
+template void SoftmaxGradKernel::body(DataContext&, const Member&) const;
+template void SoftmaxGradKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t SoftmaxGradKernel::flop_count() const {
   return static_cast<std::uint64_t>(y_.numel()) * 4;
@@ -183,7 +191,9 @@ LayerNormKernel::LayerNormKernel(tensor::Tensor x, tensor::Tensor gamma,
 
 IndexSpace LayerNormKernel::index_space() const { return IndexSpace{{rows_}}; }
 
-void LayerNormKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void LayerNormKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto x = ro(x_);
   const auto gamma = ro(gamma_);
   const auto beta = ro(beta_);
@@ -194,11 +204,11 @@ void LayerNormKernel::execute(KernelContext& ctx, const Member& m) const {
   const float inv_d = 1.0f / static_cast<float>(row_len_);
 
   // Pass 1: mean and mean of squares in one sweep.
-  VecF vsum = ctx.v_mov(0.0f);
-  VecF vsq = ctx.v_mov(0.0f);
+  Vec vsum = ctx.v_mov(0.0f);
+  Vec vsq = ctx.v_mov(0.0f);
   for (std::int64_t off = 0; off < row_len_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF vx = ctx.v_ld_g(x, base + off, count);
+    Vec vx = ctx.v_ld_g(x, base + off, count);
     vsum = ctx.v_add(vsum, vx);
     vsq = ctx.v_madd(vx, vx, vsq);
   }
@@ -216,13 +226,15 @@ void LayerNormKernel::execute(KernelContext& ctx, const Member& m) const {
   // Pass 2: normalize, scale, shift.
   for (std::int64_t off = 0; off < row_len_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF vx = ctx.v_ld_g(x, base + off, count);
-    VecF vg = ctx.v_ld_g(gamma, off, count);
-    VecF vb = ctx.v_ld_g(beta, off, count);
-    VecF norm = ctx.v_mul_s(ctx.v_add_s(vx, -mean), rstd);
+    Vec vx = ctx.v_ld_g(x, base + off, count);
+    Vec vg = ctx.v_ld_g(gamma, off, count);
+    Vec vb = ctx.v_ld_g(beta, off, count);
+    Vec norm = ctx.v_mul_s(ctx.v_add_s(vx, -mean), rstd);
     ctx.v_st_g(y, base + off, ctx.v_madd(norm, vg, vb), count);
   }
 }
+template void LayerNormKernel::body(DataContext&, const Member&) const;
+template void LayerNormKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t LayerNormKernel::flop_count() const {
   return static_cast<std::uint64_t>(x_.numel()) * 7;
@@ -246,7 +258,9 @@ IndexSpace LayerNormInputGradKernel::index_space() const {
   return IndexSpace{{rows_}};
 }
 
-void LayerNormInputGradKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void LayerNormInputGradKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto x = ro(x_);
   const auto gamma = ro(gamma_);
   const auto mean = ro(mean_);
@@ -259,15 +273,15 @@ void LayerNormInputGradKernel::execute(KernelContext& ctx, const Member& m) cons
   const float inv_d = 1.0f / static_cast<float>(row_len_);
 
   // a = sum(dy*gamma), b = sum(dy*gamma*xhat)
-  VecF va = ctx.v_mov(0.0f);
-  VecF vb = ctx.v_mov(0.0f);
+  Vec va = ctx.v_mov(0.0f);
+  Vec vb = ctx.v_mov(0.0f);
   for (std::int64_t off = 0; off < row_len_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF vdy = ctx.v_ld_g(dy, base + off, count);
-    VecF vg = ctx.v_ld_g(gamma, off, count);
-    VecF vx = ctx.v_ld_g(x, base + off, count);
-    VecF g = ctx.v_mul(vdy, vg);
-    VecF xhat = ctx.v_mul_s(ctx.v_add_s(vx, -mu), rs);
+    Vec vdy = ctx.v_ld_g(dy, base + off, count);
+    Vec vg = ctx.v_ld_g(gamma, off, count);
+    Vec vx = ctx.v_ld_g(x, base + off, count);
+    Vec g = ctx.v_mul(vdy, vg);
+    Vec xhat = ctx.v_mul_s(ctx.v_add_s(vx, -mu), rs);
     va = ctx.v_add(va, g);
     vb = ctx.v_madd(g, xhat, vb);
   }
@@ -277,15 +291,17 @@ void LayerNormInputGradKernel::execute(KernelContext& ctx, const Member& m) cons
   // dx = rstd * (dy*gamma - a - xhat*b)
   for (std::int64_t off = 0; off < row_len_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF vdy = ctx.v_ld_g(dy, base + off, count);
-    VecF vg = ctx.v_ld_g(gamma, off, count);
-    VecF vx = ctx.v_ld_g(x, base + off, count);
-    VecF g = ctx.v_mul(vdy, vg);
-    VecF xhat = ctx.v_mul_s(ctx.v_add_s(vx, -mu), rs);
-    VecF t = ctx.v_sub(ctx.v_add_s(g, -a), ctx.v_mul_s(xhat, b));
+    Vec vdy = ctx.v_ld_g(dy, base + off, count);
+    Vec vg = ctx.v_ld_g(gamma, off, count);
+    Vec vx = ctx.v_ld_g(x, base + off, count);
+    Vec g = ctx.v_mul(vdy, vg);
+    Vec xhat = ctx.v_mul_s(ctx.v_add_s(vx, -mu), rs);
+    Vec t = ctx.v_sub(ctx.v_add_s(g, -a), ctx.v_mul_s(xhat, b));
     ctx.v_st_g(dx, base + off, ctx.v_mul_s(t, rs), count);
   }
 }
+template void LayerNormInputGradKernel::body(DataContext&, const Member&) const;
+template void LayerNormInputGradKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t LayerNormInputGradKernel::flop_count() const {
   return static_cast<std::uint64_t>(x_.numel()) * 11;
@@ -309,7 +325,9 @@ IndexSpace LayerNormParamGradKernel::index_space() const {
   return IndexSpace{{vectors_per_row(row_len_)}};
 }
 
-void LayerNormParamGradKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void LayerNormParamGradKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto x = ro(x_);
   const auto mean = ro(mean_);
   const auto rstd = ro(rstd_);
@@ -319,20 +337,22 @@ void LayerNormParamGradKernel::execute(KernelContext& ctx, const Member& m) cons
   const std::int64_t off = m.linear * kLanes;
   const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
 
-  VecF vg = ctx.v_mov(0.0f);
-  VecF vbta = ctx.v_mov(0.0f);
+  Vec vg = ctx.v_mov(0.0f);
+  Vec vbta = ctx.v_mov(0.0f);
   for (std::int64_t r = 0; r < rows_; ++r) {
     const float mu = ctx.s_ld_g(mean, r);
     const float rs = ctx.s_ld_g(rstd, r);
-    VecF vdy = ctx.v_ld_g(dy, r * row_len_ + off, count);
-    VecF vx = ctx.v_ld_g(x, r * row_len_ + off, count);
-    VecF xhat = ctx.v_mul_s(ctx.v_add_s(vx, -mu), rs);
+    Vec vdy = ctx.v_ld_g(dy, r * row_len_ + off, count);
+    Vec vx = ctx.v_ld_g(x, r * row_len_ + off, count);
+    Vec xhat = ctx.v_mul_s(ctx.v_add_s(vx, -mu), rs);
     vg = ctx.v_madd(vdy, xhat, vg);
     vbta = ctx.v_add(vbta, vdy);
   }
   ctx.v_st_g(dgamma, off, vg, count);
   ctx.v_st_g(dbeta, off, vbta, count);
 }
+template void LayerNormParamGradKernel::body(DataContext&, const Member&) const;
+template void LayerNormParamGradKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t LayerNormParamGradKernel::flop_count() const {
   return static_cast<std::uint64_t>(x_.numel()) * 6;
@@ -366,17 +386,19 @@ std::string ReduceLastDimKernel::name() const {
 
 IndexSpace ReduceLastDimKernel::index_space() const { return IndexSpace{{rows_}}; }
 
-void ReduceLastDimKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void ReduceLastDimKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const std::int64_t base = m.linear * row_len_;
   const bool is_max = kind_ == ReduceKind::kMax;
   const float fill = is_max ? -std::numeric_limits<float>::infinity() : 0.0f;
 
-  VecF acc = ctx.v_mov(fill);
+  Vec acc = ctx.v_mov(fill);
   for (std::int64_t off = 0; off < row_len_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
-    VecF v = ctx.v_ld_g(in, base + off, count, fill);
+    Vec v = ctx.v_ld_g(in, base + off, count, fill);
     acc = is_max ? ctx.v_max(acc, v) : ctx.v_add(acc, v);
   }
   float r = is_max ? ctx.v_reduce_max(acc) : ctx.v_reduce_add(acc);
@@ -385,6 +407,8 @@ void ReduceLastDimKernel::execute(KernelContext& ctx, const Member& m) const {
   }
   ctx.s_st_g(out, m.linear, r);
 }
+template void ReduceLastDimKernel::body(DataContext&, const Member&) const;
+template void ReduceLastDimKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t ReduceLastDimKernel::flop_count() const {
   return static_cast<std::uint64_t>(in_.numel());
@@ -404,17 +428,21 @@ BroadcastLastKernel::BroadcastLastKernel(tensor::Tensor in, tensor::Tensor out)
 
 IndexSpace BroadcastLastKernel::index_space() const { return IndexSpace{{rows_}}; }
 
-void BroadcastLastKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void BroadcastLastKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const float s = ctx.s_ld_g(in, m.linear);
-  const VecF v = ctx.v_mov(s);
+  const Vec v = ctx.v_mov(s);
   const std::int64_t base = m.linear * row_len_;
   for (std::int64_t off = 0; off < row_len_; off += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, row_len_ - off));
     ctx.v_st_g(out, base + off, v, count);
   }
 }
+template void BroadcastLastKernel::body(DataContext&, const Member&) const;
+template void BroadcastLastKernel::body(CostContext&, const Member&) const;
 
 // ---------------------------------------------------------------------------
 // ColumnSumKernel
@@ -433,17 +461,21 @@ IndexSpace ColumnSumKernel::index_space() const {
   return IndexSpace{{vectors_per_row(cols_)}};
 }
 
-void ColumnSumKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void ColumnSumKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const std::int64_t off = m.linear * kLanes;
   const int count = static_cast<int>(std::min<std::int64_t>(kLanes, cols_ - off));
-  VecF acc = ctx.v_mov(0.0f);
+  Vec acc = ctx.v_mov(0.0f);
   for (std::int64_t r = 0; r < rows_; ++r) {
     acc = ctx.v_add(acc, ctx.v_ld_g(in, r * cols_ + off, count));
   }
   ctx.v_st_g(out, off, acc, count);
 }
+template void ColumnSumKernel::body(DataContext&, const Member&) const;
+template void ColumnSumKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t ColumnSumKernel::flop_count() const {
   return static_cast<std::uint64_t>(in_.numel());
@@ -474,7 +506,8 @@ IndexSpace ConcatRowsKernel::index_space() const {
   return IndexSpace{{batch_, rows_a_ + rows_b_}};
 }
 
-void ConcatRowsKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void ConcatRowsKernel::body(Ctx& ctx, const Member& m) const {
   const auto a = ro(a_);
   const auto b = ro(b_);
   auto out = rw(out_);
@@ -491,6 +524,8 @@ void ConcatRowsKernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(out, dst_base + j, ctx.v_ld_g(src, src_base + j, count), count);
   }
 }
+template void ConcatRowsKernel::body(DataContext&, const Member&) const;
+template void ConcatRowsKernel::body(CostContext&, const Member&) const;
 
 SliceRowsKernel::SliceRowsKernel(tensor::Tensor in, tensor::Tensor out,
                                  std::int64_t begin)
@@ -511,7 +546,8 @@ IndexSpace SliceRowsKernel::index_space() const {
   return IndexSpace{{batch_, rows_out_}};
 }
 
-void SliceRowsKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void SliceRowsKernel::body(Ctx& ctx, const Member& m) const {
   const auto in = ro(in_);
   auto out = rw(out_);
   const std::int64_t batch = m[0];
@@ -523,6 +559,8 @@ void SliceRowsKernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(out, dst_base + j, ctx.v_ld_g(in, src_base + j, count), count);
   }
 }
+template void SliceRowsKernel::body(DataContext&, const Member&) const;
+template void SliceRowsKernel::body(CostContext&, const Member&) const;
 
 // ---------------------------------------------------------------------------
 // AddMask2DKernel
@@ -546,7 +584,9 @@ IndexSpace AddMask2DKernel::index_space() const {
   return IndexSpace{{batch_, rows_}};
 }
 
-void AddMask2DKernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void AddMask2DKernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   const auto mask = ro(mask_);
   auto out = rw(out_);
@@ -554,11 +594,13 @@ void AddMask2DKernel::execute(KernelContext& ctx, const Member& m) const {
   const std::int64_t mask_base = m[1] * cols_;
   for (std::int64_t j = 0; j < cols_; j += kLanes) {
     const int count = static_cast<int>(std::min<std::int64_t>(kLanes, cols_ - j));
-    VecF a = ctx.v_ld_g(in, base + j, count);
-    VecF b = ctx.v_ld_g(mask, mask_base + j, count);
+    Vec a = ctx.v_ld_g(in, base + j, count);
+    Vec b = ctx.v_ld_g(mask, mask_base + j, count);
     ctx.v_st_g(out, base + j, ctx.v_add(a, b), count);
   }
 }
+template void AddMask2DKernel::body(DataContext&, const Member&) const;
+template void AddMask2DKernel::body(CostContext&, const Member&) const;
 
 std::uint64_t AddMask2DKernel::flop_count() const {
   return static_cast<std::uint64_t>(in_.numel());
@@ -585,7 +627,8 @@ IndexSpace SwapAxes12Kernel::index_space() const {
   return IndexSpace{{a_, c_, b_}};
 }
 
-void SwapAxes12Kernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void SwapAxes12Kernel::body(Ctx& ctx, const Member& m) const {
   const auto in = ro(in_);
   auto out = rw(out_);
   const std::int64_t a = m[0];
@@ -598,6 +641,8 @@ void SwapAxes12Kernel::execute(KernelContext& ctx, const Member& m) const {
     ctx.v_st_g(out, dst + j, ctx.v_ld_g(in, src + j, count), count);
   }
 }
+template void SwapAxes12Kernel::body(DataContext&, const Member&) const;
+template void SwapAxes12Kernel::body(CostContext&, const Member&) const;
 
 // ---------------------------------------------------------------------------
 // TransposeLast2Kernel
@@ -620,7 +665,9 @@ IndexSpace TransposeLast2Kernel::index_space() const {
   return IndexSpace{{batch_, mt, nt}};
 }
 
-void TransposeLast2Kernel::execute(KernelContext& ctx, const Member& m) const {
+template <class Ctx>
+void TransposeLast2Kernel::body(Ctx& ctx, const Member& m) const {
+  using Vec = typename Ctx::Vec;
   const auto in = ro(in_);
   auto out = rw(out_);
   const std::int64_t b = m[0];
@@ -633,23 +680,21 @@ void TransposeLast2Kernel::execute(KernelContext& ctx, const Member& m) const {
 
   // Stage the 64x64 tile row-by-row into local memory.
   for (std::int64_t i = 0; i < rows; ++i) {
-    VecF v = ctx.v_ld_g(in, in_base + (i0 + i) * n_ + j0, static_cast<int>(cols));
+    Vec v = ctx.v_ld_g(in, in_base + (i0 + i) * n_ + j0, static_cast<int>(cols));
     ctx.v_st_l(i, v);
   }
   // In-register transpose network: log2(64) shuffle stages per output vector.
   // We charge the shuffles and materialize columns from local memory.
   for (std::int64_t j = 0; j < cols; ++j) {
-    VecF col{};
-    if (!ctx.phantom() && !in.empty()) {
-      for (std::int64_t i = 0; i < rows; ++i) {
-        col.lane[static_cast<std::size_t>(i)] = ctx.s_ld_l(i, static_cast<int>(j));
-      }
-    } else {
-      // Timing mode: charge equivalent local traffic for the gather.
-      for (std::int64_t i = 0; i < rows; ++i) ctx.s_ld_l(0, 0);
+    Vec col{};
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const float x = ctx.s_ld_l(i, static_cast<int>(j));
+      if constexpr (Ctx::carries_data) col.lane[static_cast<std::size_t>(i)] = x;
     }
     ctx.v_st_g(out, out_base + (j0 + j) * m_ + i0, col, static_cast<int>(rows));
   }
 }
+template void TransposeLast2Kernel::body(DataContext&, const Member&) const;
+template void TransposeLast2Kernel::body(CostContext&, const Member&) const;
 
 }  // namespace gaudi::tpc

@@ -1,8 +1,9 @@
 // TPC vector datapath types.
 //
 // The TPC's SIMD mechanism is 2048 bits wide (paper §2.2): 64 f32 lanes.
-// `VecF` is the register value type; all operations on it go through the
-// KernelContext so that every instruction is charged to its VLIW slot.
+// `VecF` is a data context's register value type; all operations on it go
+// through the KernelContext so that every instruction is charged to its VLIW
+// slot.
 #pragma once
 
 #include <array>

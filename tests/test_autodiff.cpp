@@ -373,7 +373,7 @@ TEST(Autodiff, UnusedPathsGetNoNodes) {
   const ValueId loss = g.reduce_mean(g.reshape(g.mul(x, x), Shape{{1, 4}}));
   const std::size_t before = g.num_nodes();
   const ValueId wrt[] = {x};
-  build_backward(g, loss, wrt);
+  (void)build_backward(g, loss, wrt);
   // Backward of the dead exp would need an UnaryGrad node; ensure none.
   for (std::size_t n = before; n < g.num_nodes(); ++n) {
     EXPECT_EQ(g.node(static_cast<NodeId>(n)).kind == OpKind::kUnaryGrad, false);

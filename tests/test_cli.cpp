@@ -47,7 +47,7 @@ TEST(ArgParser, TracksUnusedKeys) {
 TEST(ArgParser, RejectsMalformedTokens) {
   EXPECT_THROW(ArgParser({"seq", "1024"}), sim::InvalidArgument);
   ArgParser p({"--seq", "abc"});
-  EXPECT_THROW(p.get_int("seq", 0), sim::InvalidArgument);
+  EXPECT_THROW((void)p.get_int("seq", 0), sim::InvalidArgument);
 }
 
 TEST(ArgParser, BooleansShareOneGrammar) {

@@ -32,15 +32,15 @@ TEST(DeviceAllocator, TracksUsageAndPeak) {
 TEST(DeviceAllocator, ThrowsOnExhaustion) {
   DeviceAllocator alloc(100);
   const Allocation a = alloc.allocate(80);
-  EXPECT_THROW(alloc.allocate(21, "too big"), sim::ResourceExhausted);
+  EXPECT_THROW((void)alloc.allocate(21, "too big"), sim::ResourceExhausted);
   alloc.release(a);
-  EXPECT_NO_THROW(alloc.allocate(100));
+  EXPECT_NO_THROW((void)alloc.allocate(100));
 }
 
 TEST(DeviceAllocator, ExhaustionMessageNamesTheTensor) {
   DeviceAllocator alloc(10);
   try {
-    alloc.allocate(11, "attention_scores");
+    (void)alloc.allocate(11, "attention_scores");
     FAIL();
   } catch (const sim::ResourceExhausted& e) {
     EXPECT_NE(std::string(e.what()).find("attention_scores"), std::string::npos);

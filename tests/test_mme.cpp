@@ -31,10 +31,10 @@ TEST(MmeShapeOf, DerivesAndValidates) {
   EXPECT_EQ(t.k, 16);
   EXPECT_EQ(t.n, 32);
 
-  EXPECT_THROW(MmeEngine::shape_of(Shape{{2, 3}}, Shape{{4, 5}}, false, false),
+  EXPECT_THROW((void)MmeEngine::shape_of(Shape{{2, 3}}, Shape{{4, 5}}, false, false),
                sim::InvalidArgument);
   EXPECT_THROW(
-      MmeEngine::shape_of(Shape{{2, 3, 4}}, Shape{{3, 4, 5}}, false, false),
+      (void)MmeEngine::shape_of(Shape{{2, 3, 4}}, Shape{{3, 4, 5}}, false, false),
       sim::InvalidArgument);
 }
 
@@ -72,7 +72,7 @@ TEST(MmeCost, MonotoneInEveryDimension) {
                       GemmShape{2, 256, 512, 256}, GemmShape{2, 256, 256, 512}}) {
     EXPECT_GT(mme.cost(s).cycles, t0);
   }
-  EXPECT_THROW(mme.cost(GemmShape{0, 1, 1, 1}), sim::InvalidArgument);
+  EXPECT_THROW((void)mme.cost(GemmShape{0, 1, 1, 1}), sim::InvalidArgument);
 }
 
 TEST(MmeCost, ThroughputBoundedByPeak) {

@@ -317,7 +317,7 @@ TEST(Attention, LocalAttentionRequiresDivisibleWindow) {
   AttentionConfig cfg;
   cfg.kind = AttentionKind::kLocal;
   cfg.local_window = 3;  // does not divide N = 8
-  EXPECT_THROW(build_attention(fx.g, fx.params, cfg, fx.q, fx.k, fx.v, "attn"),
+  EXPECT_THROW((void)build_attention(fx.g, fx.params, cfg, fx.q, fx.k, fx.v, "attn"),
                sim::InvalidArgument);
 }
 
@@ -352,7 +352,7 @@ TEST(MultiHeadAttention, RejectsWrongInputShape) {
   ParamStore params(1);
   MultiHeadAttention mha(g, params, 16, 2, 8, {}, "mha");
   const ValueId x = g.input(Shape{{13, 16}}, DType::F32, "x");
-  EXPECT_THROW(mha(g, params, x, 2, 6), sim::InvalidArgument);
+  EXPECT_THROW((void)mha(g, params, x, 2, 6), sim::InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -183,7 +183,9 @@ TEST(Workload, PoissonStreamIsDeterministicAndInRange) {
     EXPECT_LE(a[i].prompt_len, 4);
     EXPECT_GE(a[i].output_len, 2);
     EXPECT_LE(a[i].output_len, 3);
-    if (i > 0) EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    }
   }
   serve::StreamConfig other = tiny_stream();
   other.seed = 0xF00D;

@@ -122,8 +122,8 @@ TEST(SnapshotFormat, RejectsDuplicateOrWhitespaceNames) {
                sim::Error);
   s.add_meta("k", 1);
   EXPECT_THROW(s.add_meta("k", 2), sim::Error);
-  EXPECT_THROW(s.require("absent"), sim::CheckpointShapeMismatch);
-  EXPECT_THROW(s.require_meta("absent"), sim::CheckpointShapeMismatch);
+  EXPECT_THROW((void)s.require("absent"), sim::CheckpointShapeMismatch);
+  EXPECT_THROW((void)s.require_meta("absent"), sim::CheckpointShapeMismatch);
 }
 
 // ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ std::string execs_text(const ProfileResult& r) {
 }
 
 TEST(KernelCostCache, TimingModeCostsDoNotDependOnTheSeed) {
-  // The key leaves RunOptions::seed out: phantom-mode cycles must not read
+  // The key leaves RunOptions::seed out: timing-mode cycles must not read
   // the RNG stream.  The tiny GPT training step covers the RNG-drawing
   // dropout kernel plus embedding, cross-entropy, layernorm and Adam.
   Graph g;

@@ -41,7 +41,7 @@ TEST(IndexSpace, MemberCoordinates) {
   EXPECT_EQ(m[0], 1);
   EXPECT_EQ(m[1], 0);
   EXPECT_EQ(m[2], 1);
-  EXPECT_THROW(space.member(24), sim::InvalidArgument);
+  EXPECT_THROW((void)space.member(24), sim::InvalidArgument);
 }
 
 TEST(IndexSpace, CyclicDistributionCoversAllMembers) {
@@ -82,8 +82,8 @@ TEST(SlotCycles, ElapsedIsMaxOverSlots) {
 }
 
 TEST(Cluster, TimingEqualsFunctionalCyclesForUniformKernels) {
-  // Phantom-mode extrapolation must agree exactly with full execution when
-  // members are uniform.
+  // Timing-mode extrapolation over the cost context must agree exactly with
+  // full execution when members are uniform.
   const Tensor in = rand_tensor(Shape{{64, 64}}, 1);
   Tensor out_f = Tensor::zeros(Shape{{64, 64}});
   const TpcCluster cluster = make_cluster();
