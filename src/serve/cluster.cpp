@@ -427,7 +427,7 @@ void ClusterRouter::apply_events(std::int64_t r,
       }
       case ReplicaEventKind::kToken:
         if (t.winner == e.id) {
-          sink_.on_token(orig, sim::SimTime::from_ps(e.aux));
+          sink_.on_token(orig, sim::SimTime::from_ps(e.aux), e.count);
         }
         break;
       case ReplicaEventKind::kComplete: {

@@ -92,8 +92,9 @@ class PagedKvAllocator {
   [[nodiscard]] std::int64_t peak_used_blocks() const { return peak_used_; }
 
   /// Verifies the ownership and accounting invariants; throws
-  /// sim::InternalError on violation.  Cheap enough to run per scheduler
-  /// iteration under GAUDI_VALIDATE.
+  /// sim::InternalError on violation.  Cheap enough to run at the end of
+  /// every scheduler step (one iteration, or one and a stretch of repeats)
+  /// under GAUDI_VALIDATE.
   void audit() const;
 
  private:

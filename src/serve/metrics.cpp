@@ -123,15 +123,17 @@ void MetricsSink::on_first_token(std::int64_t id, sim::SimTime now) {
   e.has_ttft = true;
 }
 
-void MetricsSink::on_token(std::int64_t id, sim::SimTime gap) {
+void MetricsSink::on_token(std::int64_t id, sim::SimTime gap,
+                           std::int64_t count) {
+  GAUDI_ASSERT(count >= 1, "a token event carries at least one token");
   Entry& e = open(id);
-  e.record.tokens_out += 1;
+  e.record.tokens_out += count;
   // Consecutive gaps of one request are mostly equal (the same iteration
   // cost), so runs keep the buffer and the completion fold short.
   if (!e.itl_runs.empty() && e.itl_runs.back().first == gap.ps()) {
-    e.itl_runs.back().second += 1;
+    e.itl_runs.back().second += count;
   } else {
-    e.itl_runs.emplace_back(gap.ps(), 1);
+    e.itl_runs.emplace_back(gap.ps(), count);
   }
 }
 

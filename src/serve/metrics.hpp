@@ -98,9 +98,9 @@ class MetricsSink {
  public:
   void on_offered(const Request& r);
   void on_first_token(std::int64_t id, sim::SimTime now);
-  /// One generated token; `gap` is the latency since the previous token of
-  /// the same request (the ITL sample).
-  void on_token(std::int64_t id, sim::SimTime gap);
+  /// `count` generated tokens, each `gap` after the previous token of the
+  /// same request (the ITL sample).
+  void on_token(std::int64_t id, sim::SimTime gap, std::int64_t count = 1);
   void on_preempt(std::int64_t id, std::int64_t recomputed_tokens);
   void on_complete(std::int64_t id, sim::SimTime now);
   void on_reject(std::int64_t id, sim::SimTime now);

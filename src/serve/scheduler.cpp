@@ -1,7 +1,9 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "graph/fingerprint.hpp"
 #include "graph/timing_memo.hpp"
@@ -26,6 +28,9 @@ namespace {
 /// to a disabled injector as "faults off", overriding the env fallback.)
 const sim::FaultInjector kNoFaults{};
 
+/// A cost-table slot no bucket has been priced into yet.
+constexpr sim::SimTime kUnpriced = sim::SimTime::from_ps(-1);
+
 /// Victim order of preemption and load shedding: true when `a` goes before
 /// `b` — lowest priority first, then latest arrival, then highest id.
 bool evict_before(const Request& a, const Request& b) {
@@ -39,7 +44,7 @@ void record_event(MetricsSink& sink, const ReplicaEvent& e) {
   switch (e.kind) {
     case ReplicaEventKind::kFirstToken: sink.on_first_token(e.id, e.at); break;
     case ReplicaEventKind::kToken:
-      sink.on_token(e.id, sim::SimTime::from_ps(e.aux));
+      sink.on_token(e.id, sim::SimTime::from_ps(e.aux), e.count);
       break;
     case ReplicaEventKind::kComplete: sink.on_complete(e.id, e.at); break;
     case ReplicaEventKind::kReject: sink.on_reject(e.id, e.at); break;
@@ -120,8 +125,12 @@ std::string ContinuousBatchScheduler::price_key(Phase phase,
 
 sim::SimTime ContinuousBatchScheduler::price(Phase phase,
                                              std::int64_t bucket) {
-  const auto it = costs_.find({phase, bucket});
-  if (it != costs_.end()) return it->second;
+  // Buckets are multiples of ctx_bucket except the top one, clamped to
+  // max_seq - 1, which rounds up to a slot of its own.
+  std::vector<sim::SimTime>& table = costs_[static_cast<std::size_t>(phase)];
+  const auto slot = static_cast<std::size_t>(
+      (bucket + cfg_.ctx_bucket - 1) / cfg_.ctx_bucket);
+  if (slot < table.size() && table[slot] != kUnpriced) return table[slot];
   // A decode step runs the whole batch shape; a prefill chunk runs one
   // request at a time.
   nn::DecodeConfig m = cfg_.model;
@@ -146,7 +155,8 @@ sim::SimTime ContinuousBatchScheduler::price(Phase phase,
     cost = rt_.run(g, {}, opts).makespan;
     if (timing_only_) memo.insert_time(key, cost);
   }
-  costs_.emplace(std::make_pair(phase, bucket), cost);
+  if (slot >= table.size()) table.resize(slot + 1, kUnpriced);
+  table[slot] = cost;
   return cost;
 }
 
@@ -447,8 +457,78 @@ std::int64_t ContinuousBatchScheduler::free_kv_blocks() const {
   return kv_.free_blocks();
 }
 
+void ContinuousBatchScheduler::stretch(sim::SimTime& now,
+                                       sim::SimTime until) {
+  // The next iteration starts at `now`.  It repeats the last decode step
+  // exactly when admission and overload control have nothing to do, nothing
+  // waits out a backoff, and no fault can fire.
+  if (running_.empty() || !requeued_.empty() || cfg_.faults.enabled()) return;
+  if (!waiting_.empty() &&
+      (static_cast<std::int64_t>(running_.size()) < cfg_.max_batch ||
+       cfg_.shed_queue_depth > 0 || cfg_.shed_min_free_blocks > 0)) {
+    return;
+  }
+  // Every running request must have its last token at `now`: then it
+  // decodes (a request in prefill emitted none), each repeat appends one
+  // row to it and emits one token T after the last, and the watchdog, which
+  // runs after emission, finds nothing pending.  k is bounded by the first
+  // repeat that would allocate a KV block or finish a request.
+  const std::int64_t block = cfg_.block_tokens;
+  // Bounded so that a token event's count, folded or not, fits its int32.
+  std::int64_t k = std::numeric_limits<std::int32_t>::max() - 1;
+  std::int64_t max_ctx = 1;
+  for (const Active& a : running_) {
+    if (a.last_token != now) return;
+    const std::int64_t rows = a.kv_tokens();
+    k = std::min({k, (rows + block - 1) / block * block - rows,
+                  a.req.output_len - 1 - a.generated});
+    max_ctx = std::max(max_ctx, rows);
+  }
+  // The j-th repeat attends over max_ctx + j - 1 rows; it keeps the first
+  // repeat's bucket up to the bucket's edge (the top bucket has none).
+  const std::int64_t bucket = ctx_to_bucket(max_ctx);
+  if (bucket < cfg_.model.max_seq - 1) k = std::min(k, bucket - max_ctx + 1);
+  if (k < 1) return;
+  // The next iteration is a repeat, so pricing it here prices nothing a
+  // single step would not.
+  const sim::SimTime cost = price(Phase::kDecode, bucket);
+  GAUDI_ASSERT(cost > sim::SimTime::zero(), "a decode step costs no time");
+  // Repeats start at now, now + T, ...: ceil((until - now) / T) of them
+  // start before `until`.
+  k = std::min(k, ((until - now).ps() - 1) / cost.ps() + 1);
+
+  // Fragmentation only falls while no block is allocated, so the peak
+  // recorded at the last iteration's end stands.
+  const std::int64_t free_blocks = kv_.free_blocks();
+  now += cost * k;
+  // A request whose token at the iteration just run came T after the one
+  // before extends that event; the others get one of their own.
+  for (Active& a : running_) {
+    const bool grown = kv_.grow(a.req.id, a.kv_tokens() + k);
+    GAUDI_ASSERT(grown, "a stretch grows inside held blocks");
+    a.generated += k;
+    a.last_token = now;
+    const auto last = std::find_if(
+        events_.begin(), events_.end(), [&](const ReplicaEvent& e) {
+          return e.kind == ReplicaEventKind::kToken && e.id == a.req.id;
+        });
+    if (last != events_.end() && last->aux == cost.ps()) {
+      last->count += static_cast<std::int32_t>(k);
+      last->at = now;
+    } else {
+      emit(ReplicaEventKind::kToken, a.req.id, now, cost.ps(),
+           static_cast<std::int32_t>(k));
+    }
+  }
+  GAUDI_ASSERT(kv_.free_blocks() == free_blocks,
+               "a stretch allocated a KV block");
+  stats_.iterations += k;
+  stats_.decode_steps += k;
+  if (validate_) kv_.audit();
+}
+
 ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
-    sim::SimTime now) {
+    sim::SimTime now, sim::SimTime until) {
   StepResult out;
   events_.clear();
 
@@ -518,8 +598,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
     if (!a.in_prefill()) continue;
     const std::int64_t chunk =
         std::min(cfg_.prefill_chunk, a.prefill_needed - a.prefilled);
-    iter_time += price(Phase::kPrefill,
-                       std::min(ctx_to_bucket(chunk), cfg_.model.max_seq));
+    iter_time += price(Phase::kPrefill, ctx_to_bucket(chunk));
     a.prefilled += chunk;
     prefill_id = a.req.id;
     ++stats_.prefill_chunks;
@@ -599,6 +678,7 @@ ContinuousBatchScheduler::StepResult ContinuousBatchScheduler::step(
       running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
     }
     finish_iteration(now);
+    if (until > now) stretch(now, until);
   }
 
   out.end = now;
@@ -638,7 +718,10 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
       ++next;
     }
 
-    StepResult sr = step(now);
+    // Nothing arrives before the next pending arrival, so step() may run
+    // every exact repeat that starts before it in one stretch.
+    StepResult sr = step(now, next < pending.size() ? pending[next].arrival
+                                                    : sim::SimTime::max());
     record(sr.events);
     recycle(std::move(sr.events));
     if (sr.chip_failed) {
@@ -676,10 +759,11 @@ ServeReport ContinuousBatchScheduler::run(const std::vector<Request>& stream) {
   report.summary = sink.summary(now);
   report.requests = sink.requests();
   report.faults_enabled = cfg_.faults.enabled();
+  const std::vector<sim::SimTime>& decode =
+      costs_[static_cast<std::size_t>(Phase::kDecode)];
   report.compiled_decode_steps = static_cast<std::size_t>(
-      std::count_if(costs_.begin(), costs_.end(), [](const auto& entry) {
-        return entry.first.first == Phase::kDecode;
-      }));
+      std::count_if(decode.begin(), decode.end(),
+                    [](sim::SimTime c) { return c != kUnpriced; }));
   report.kv_total_blocks = kv_.total_blocks();
   report.kv_peak_blocks = kv_.peak_used_blocks();
   return report;

@@ -26,9 +26,14 @@
 // at admission with the same typed validation the graph builders apply.
 //
 // One event stream: step() runs one iteration and returns every observable
-// outcome as ReplicaEvents.  Two drivers consume them — run() applies them
-// to its own MetricsSink, and the cluster router (serve/cluster.*) maps them
-// back to the original requests.
+// outcome as ReplicaEvents.  Given a horizon, it also runs, in the same call,
+// every following iteration that starts before the horizon and exactly
+// repeats the decode step before it: such a stretch of k iterations is k
+// times one priced step, emitted as one counted token event per request.
+// Two drivers consume the events — run() applies them to its own
+// MetricsSink and passes its next arrival as the horizon; the cluster router
+// (serve/cluster.*) maps them back to the original requests and passes none,
+// because it may act between any two iterations.
 //
 // Fault tolerance (see DESIGN.md §11): an optional seeded FaultInjector is
 // consulted once per iteration.  kTpcStraggler and kHbmPressure stretch the
@@ -46,12 +51,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/runtime.hpp"
@@ -154,7 +158,7 @@ struct ServeReport {
 /// accounting.
 enum class ReplicaEventKind : std::uint8_t {
   kFirstToken,
-  kToken,     ///< aux = inter-token gap in ps (the ITL sample)
+  kToken,     ///< `count` tokens, each aux ps (the ITL sample) after the last
   kComplete,
   kReject,
   kDrop,
@@ -165,10 +169,15 @@ enum class ReplicaEventKind : std::uint8_t {
 
 struct ReplicaEvent {
   ReplicaEventKind kind = ReplicaEventKind::kToken;
+  /// Tokens a kToken event stands for: 1, except a stretch's run of equal
+  /// gaps, whose last token lands at `at`.
+  std::int32_t count = 1;
   std::int64_t id = 0;
   sim::SimTime at{};
   std::int64_t aux = 0;
 };
+static_assert(sizeof(ReplicaEvent) == 32,
+              "count must stay in the padding after kind");
 
 /// How far one request got: what a driver carries when it moves the request
 /// off a replica (extract, drain_all) and hands it to another
@@ -197,9 +206,10 @@ class ContinuousBatchScheduler {
   // observable events, and a chip failure is surfaced (chip_failed) for the
   // driver to handle.
 
-  /// What one driven iteration produced.  `worked == false` means nothing
-  /// was admissible at `now` (ask next_wake() for the earliest retry
-  /// window); events still carry any admission-time drops/sheds/rejects.
+  /// What one driven step produced: one iteration, or one followed by a
+  /// stretch of exact repeats.  `worked == false` means nothing was
+  /// admissible at `now` (ask next_wake() for the earliest retry window);
+  /// events still carry any admission-time drops/sheds/rejects.
   struct StepResult {
     bool worked = false;
     /// The chip died mid-iteration: no tokens emitted, the running
@@ -210,7 +220,7 @@ class ContinuousBatchScheduler {
     /// (serve/migration.*).  Both false on a clean iteration.
     bool straggled = false;
     bool hbm_stalled = false;
-    sim::SimTime end{};        ///< simulated instant the results landed
+    sim::SimTime end{};  ///< simulated instant the last iteration ended
     std::vector<ReplicaEvent> events;
   };
 
@@ -239,8 +249,12 @@ class ContinuousBatchScheduler {
   /// `id` is not here (died / completed since).
   [[nodiscard]] std::optional<RequestProgress> extract(std::int64_t id);
   /// Runs one iteration at `now` (admission, overload control, prefill +
-  /// decode, fault oracle, token emission, watchdog).
-  [[nodiscard]] StepResult step(sim::SimTime now);
+  /// decode, fault oracle, token emission, watchdog).  When `until` is past
+  /// the iteration's end, it then runs as one stretch every following
+  /// iteration that starts before `until` and repeats the decode step
+  /// before it (see stretch()); the caller must hand over nothing before
+  /// `until`.  The default horizon runs exactly one iteration.
+  [[nodiscard]] StepResult step(sim::SimTime now, sim::SimTime until = {});
   /// Hands a consumed StepResult::events buffer back so the next step()
   /// reuses its capacity instead of allocating.
   void recycle(std::vector<ReplicaEvent>&& events);
@@ -322,6 +336,14 @@ class ContinuousBatchScheduler {
   /// Iteration epilogue at `now`: the watchdog, the KV fragmentation peak,
   /// and the GAUDI_VALIDATE allocator audit.
   void finish_iteration(sim::SimTime now);
+  /// Fast-forwards from `now`, the end of an iteration, over the k >= 0
+  /// following iterations that start before `until` and repeat one decode
+  /// step of cost T exactly: nothing to admit, shed, re-admit or fault,
+  /// every running request with its last token at `now`, growing inside its
+  /// current KV block and short of its last token, the decode bucket
+  /// unchanged.  Advances `now` by k * T and adds k tokens at gap T to each
+  /// request's token event.
+  void stretch(sim::SimTime& now, sim::SimTime until);
   /// Aborts running/requeued requests whose next token has been pending
   /// longer than the watchdog timeout.
   void run_watchdog(sim::SimTime now);
@@ -336,8 +358,8 @@ class ContinuousBatchScheduler {
   }
   /// Appends an observable event to the current step's event list.
   void emit(ReplicaEventKind kind, std::int64_t id, sim::SimTime at,
-            std::int64_t aux = 0) {
-    events_.push_back({kind, id, at, aux});
+            std::int64_t aux = 0, std::int32_t count = 1) {
+    events_.push_back({kind, count, id, at, aux});
   }
 
   graph::Runtime rt_;
@@ -347,7 +369,9 @@ class ContinuousBatchScheduler {
   std::vector<ReplicaEvent> events_;  ///< the current step's events
   memory::DeviceAllocator hbm_;
   PagedKvAllocator kv_;
-  std::map<std::pair<Phase, std::int64_t>, sim::SimTime> costs_;  ///< price()
+  /// price()'s cost table: per phase, the makespan of each bucket at slot
+  /// ceil(bucket / ctx_bucket), or -1 ps while the bucket is unpriced.
+  std::array<std::vector<sim::SimTime>, 2> costs_;
   std::vector<Active> running_;
   /// step()'s decode set and its survivors of KV growth, kept so that an
   /// iteration allocates nothing.

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "serve/workload.hpp"
 #include "sim/error.hpp"
 #include "sim/fault.hpp"
+#include "sim/rng.hpp"
 
 namespace gaudi {
 namespace {
@@ -738,6 +740,161 @@ TEST(ServeDrivers, OneReplicaRouterMatchesRun) {
   EXPECT_GT(alone.summary.timed_out, 0);
   EXPECT_EQ(fleet.summary.to_report(), alone.summary.to_report());
   expect_same_records(fleet.requests, alone.requests);
+}
+
+/// run()'s half of the event stream, rebuilt here so the test can drive
+/// step() itself.
+void record_event(serve::MetricsSink& sink, const serve::ReplicaEvent& e) {
+  switch (e.kind) {
+    case serve::ReplicaEventKind::kFirstToken:
+      sink.on_first_token(e.id, e.at);
+      break;
+    case serve::ReplicaEventKind::kToken:
+      sink.on_token(e.id, sim::SimTime::from_ps(e.aux), e.count);
+      break;
+    case serve::ReplicaEventKind::kComplete: sink.on_complete(e.id, e.at); break;
+    case serve::ReplicaEventKind::kReject: sink.on_reject(e.id, e.at); break;
+    case serve::ReplicaEventKind::kDrop: sink.on_drop(e.id, e.at); break;
+    case serve::ReplicaEventKind::kShed: sink.on_shed(e.id, e.at); break;
+    case serve::ReplicaEventKind::kTimeout: sink.on_timeout(e.id, e.at); break;
+    case serve::ReplicaEventKind::kPreempt: sink.on_preempt(e.id, e.aux); break;
+  }
+}
+
+/// What a test-local driver of step() ends with.
+struct Driven {
+  std::int64_t iterations = 0;
+  std::int64_t steps = 0;
+  std::string summary;
+  std::vector<serve::RequestMetrics> requests;
+};
+
+/// Drives a fresh scheduler over `stream` (sorted by arrival, no faults) the
+/// way run() does: one step() per call, each with the next arrival as its
+/// horizon when `stretch` is set and with no horizon otherwise.
+Driven drive(const graph::Runtime& rt, const serve::ServeConfig& cfg,
+             const std::vector<serve::Request>& stream, bool stretch) {
+  serve::ContinuousBatchScheduler sched(rt, cfg);
+  serve::MetricsSink sink;
+  for (const serve::Request& r : stream) sink.on_offered(r);
+  Driven out;
+  std::size_t next = 0;
+  sim::SimTime now{};
+  while (true) {
+    while (next < stream.size() && stream[next].arrival <= now) {
+      sched.enqueue(stream[next++]);
+    }
+    const sim::SimTime until = !stretch                ? sim::SimTime::zero()
+                               : next < stream.size() ? stream[next].arrival
+                                                      : sim::SimTime::max();
+    const serve::ContinuousBatchScheduler::StepResult sr =
+        sched.step(now, until);
+    out.steps += sr.worked ? 1 : 0;
+    for (const serve::ReplicaEvent& e : sr.events) {
+      if (!stretch) {
+        EXPECT_EQ(e.count, 1);
+      }
+      record_event(sink, e);
+    }
+    if (sr.worked) {
+      now = sr.end;
+      continue;
+    }
+    std::optional<sim::SimTime> wake = sched.next_wake();
+    if (next < stream.size() && (!wake || stream[next].arrival < *wake)) {
+      wake = stream[next].arrival;
+    }
+    if (!wake) break;
+    now = *wake;
+  }
+  out.iterations = sched.iterations();
+  out.summary = sink.summary(now).to_report();
+  out.requests = sink.requests();
+  return out;
+}
+
+TEST(ServeDrivers, StretchedRunMatchesSingleIterationsFuzz) {
+  // run() hands step() its next arrival as a horizon, so it runs repeated
+  // decode iterations as stretches.  A one-replica router with its breaker
+  // off, and a local loop of step(now) calls, run every iteration alone.
+  // Over seeded streams and configs that preempt, shed, time out and drop,
+  // all must agree on the summary's bytes and every per-request record, and
+  // the loop on the iteration count.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  const double watchdog_ms[] = {1.0, 2.5, 3.0, 5.0, 12.0, 40.0, 100.0};
+  std::int64_t iterations = 0, steps = 0, preempted = 0, shed = 0,
+               timed_out = 0, dropped = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const sim::CounterRng rng(seed, 0x57E7C4);
+    std::uint64_t draw = 0;
+    const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+      return lo + static_cast<std::int64_t>(
+                      rng.below(draw++, static_cast<std::uint64_t>(hi - lo + 1)));
+    };
+    serve::StreamConfig scfg;
+    scfg.num_requests = pick(8, 48);
+    scfg.arrival_rate_rps = static_cast<double>(pick(2, 150));
+    const std::int64_t prompt_lo = pick(1, 12);
+    scfg.prompt = {prompt_lo, prompt_lo + pick(0, 12)};
+    const std::int64_t output_lo = pick(1, 16);
+    scfg.output = {output_lo, output_lo + pick(0, 64)};
+    scfg.priority_levels = static_cast<std::int32_t>(pick(1, 3));
+    if (pick(0, 2) == 0) {
+      scfg.deadline = sim::SimTime::from_ms(static_cast<double>(pick(20, 300)));
+    }
+    scfg.seed = seed;
+    const auto stream = serve::poisson_stream(scfg);
+
+    serve::ClusterConfig cfg = tiny_cluster(1);
+    cfg.breaker_enabled = false;
+    serve::ServeConfig& rc = cfg.replica;
+    rc.model.max_seq = 96;
+    rc.max_batch = pick(1, 8);
+    rc.block_tokens = std::int64_t{1} << pick(pick(0, 1), 6);
+    rc.ctx_bucket = pick(1, 64);
+    rc.prefill_chunk = pick(1, 16);
+    // Blocks for the largest admissible request, plus at most twice that:
+    // a few co-resident requests exhaust the pool and preempt.
+    const std::int64_t rows =
+        std::min<std::int64_t>(scfg.prompt.hi + scfg.output.hi - 1, 96);
+    const std::int64_t need = (rows + rc.block_tokens - 1) / rc.block_tokens;
+    rc.kv_budget_bytes = static_cast<std::size_t>(
+        (need + pick(0, 2 * need)) * rc.block_tokens * 128);
+    if (pick(0, 2) != 0) {
+      rc.watchdog = sim::SimTime::from_ms(watchdog_ms[pick(0, 6)]);
+    }
+    if (pick(0, 2) == 0) rc.shed_queue_depth = pick(1, 8);
+    if (pick(0, 3) == 0) rc.shed_min_free_blocks = pick(1, 3);
+
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    serve::ContinuousBatchScheduler sched(rt, rc);
+    const serve::ServeReport alone = sched.run(stream);
+    serve::ClusterRouter router(rt, cfg);
+    const serve::ClusterReport fleet = router.run(stream);
+    const Driven single = drive(rt, rc, stream, false);
+    const Driven stretched = drive(rt, rc, stream, true);
+
+    EXPECT_EQ(fleet.summary.to_report(), alone.summary.to_report());
+    expect_same_records(fleet.requests, alone.requests);
+    EXPECT_EQ(single.iterations, alone.iterations);
+    EXPECT_EQ(single.summary, alone.summary.to_report());
+    expect_same_records(single.requests, alone.requests);
+    EXPECT_EQ(stretched.iterations, alone.iterations);
+    EXPECT_EQ(stretched.summary, alone.summary.to_report());
+    iterations += alone.iterations;
+    steps += stretched.steps;
+    preempted += alone.summary.preemptions;
+    shed += alone.summary.shed;
+    timed_out += alone.summary.timed_out;
+    dropped += alone.summary.dropped;
+  }
+  // The axes reach what they are for, and over a quarter of the iterations
+  // run inside stretches.
+  EXPECT_GT(preempted, 0);
+  EXPECT_GT(shed, 0);
+  EXPECT_GT(timed_out, 0);
+  EXPECT_GT(dropped, 0);
+  EXPECT_LT(4 * steps, 3 * iterations);
 }
 
 // ------------------------------------------------------------- CLI surface

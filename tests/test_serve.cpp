@@ -157,6 +157,40 @@ TEST(MetricsSink, ItlTailsEqualPercentileOverCompletedSamples) {
   }
 }
 
+TEST(MetricsSink, CountedTokenEqualsItsSingleTokens) {
+  // A counted token event stands for `count` single ones at the same gap:
+  // seeded histories fed both ways must reduce to the same report.
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    const sim::CounterRng rng(seed);
+    std::uint64_t draw = 0;
+    const auto below = [&](std::uint64_t n) {
+      return static_cast<std::int64_t>(rng.below(draw++, n));
+    };
+    serve::MetricsSink counted;
+    serve::MetricsSink single;
+    const std::int64_t requests = 1 + below(6);
+    for (std::int64_t id = 0; id < requests; ++id) {
+      serve::Request r;
+      r.id = id;
+      counted.on_offered(r);
+      single.on_offered(r);
+      counted.on_first_token(id, sim::SimTime::from_ms(1.0));
+      single.on_first_token(id, sim::SimTime::from_ms(1.0));
+      for (std::int64_t run = below(5); run > 0; --run) {
+        const sim::SimTime gap = sim::SimTime::from_ps(1 + below(3));
+        const std::int64_t count = 1 + below(4);
+        counted.on_token(id, gap, count);
+        for (std::int64_t i = 0; i < count; ++i) single.on_token(id, gap);
+      }
+      counted.on_complete(id, sim::SimTime::from_ms(2.0));
+      single.on_complete(id, sim::SimTime::from_ms(2.0));
+    }
+    const sim::SimTime end = sim::SimTime::from_ms(2.0);
+    EXPECT_EQ(counted.summary(end).to_report(), single.summary(end).to_report())
+        << "seed " << seed;
+  }
+}
+
 // ------------------------------------------------------------------ workload
 
 serve::StreamConfig tiny_stream() {
@@ -840,6 +874,203 @@ TEST(FaultServe, WatchdogShedAndRetryComposeToOneTypedOutcome) {
   serve::ContinuousBatchScheduler again(rt, cfg);
   EXPECT_EQ(r.to_report(), again.run(stream).to_report());
   ::unsetenv("GAUDI_VALIDATE");
+}
+
+// ----------------------------------------------------------------- stretch
+
+/// One batch slot over the tiny model with room for long outputs: 64
+/// positions, so its one 64-token context bucket is the top one, and four
+/// 64-row KV blocks.
+serve::ServeConfig stretch_serve() {
+  serve::ServeConfig cfg = tiny_serve();
+  cfg.model.max_seq = 64;
+  cfg.max_batch = 1;
+  cfg.prefill_chunk = 16;
+  cfg.ctx_bucket = 64;
+  cfg.block_tokens = 64;
+  cfg.kv_budget_bytes = 4 * 64 * 128;
+  cfg.timing_only = true;
+  return cfg;
+}
+
+serve::Request lone_request(std::int64_t prompt_len, std::int64_t output_len) {
+  serve::Request r;
+  r.prompt_len = prompt_len;
+  r.output_len = output_len;
+  return r;
+}
+
+/// Admits `r` and runs its one-chunk prefill; returns the instant of its
+/// first token, from which it decodes.
+sim::SimTime prefill(serve::ContinuousBatchScheduler& sched,
+                     const serve::Request& r) {
+  sched.enqueue(r);
+  const serve::ContinuousBatchScheduler::StepResult sr =
+      sched.step(sim::SimTime::zero());
+  EXPECT_EQ(sched.iterations(), 1);
+  EXPECT_EQ(sr.events.size(), 1u);
+  EXPECT_EQ(sr.events.at(0).kind, serve::ReplicaEventKind::kFirstToken);
+  return sr.end;
+}
+
+/// The one event of `sr`, which must be a token event.
+serve::ReplicaEvent only_token(
+    const serve::ContinuousBatchScheduler::StepResult& sr) {
+  EXPECT_EQ(sr.events.size(), 1u);
+  if (sr.events.empty()) return {};
+  EXPECT_EQ(sr.events[0].kind, serve::ReplicaEventKind::kToken);
+  return sr.events[0];
+}
+
+TEST(Stretch, LoneDecodeRequestRunsAsOneCountedTokenEvent) {
+  // Decoding alone with nothing arriving, every iteration repeats the one
+  // before: one step runs them all as one token event of count k, k steps
+  // of T after `now`, and stops one token short of the last.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ContinuousBatchScheduler sched(rt, stretch_serve());
+  const sim::SimTime now = prefill(sched, lone_request(4, 40));
+  const auto sr = sched.step(now, sim::SimTime::max());
+  const serve::ReplicaEvent e = only_token(sr);
+  EXPECT_EQ(e.count, 38);  // tokens 2..39 of 40
+  EXPECT_GT(e.aux, 0);
+  EXPECT_EQ(sr.end, now + sim::SimTime::from_ps(e.aux) * e.count);
+  EXPECT_EQ(e.at, sr.end);
+  EXPECT_EQ(sched.iterations(), 1 + 38);
+
+  // One iteration at a time lands at the same instant, T apart.
+  serve::ContinuousBatchScheduler twin(rt, stretch_serve());
+  sim::SimTime t = prefill(twin, lone_request(4, 40));
+  for (int i = 0; i < 38; ++i) {
+    const auto one = twin.step(t);
+    const serve::ReplicaEvent token = only_token(one);
+    EXPECT_EQ(token.count, 1);
+    EXPECT_EQ(token.aux, e.aux);
+    t = one.end;
+  }
+  EXPECT_EQ(t, sr.end);
+  EXPECT_EQ(twin.iterations(), sched.iterations());
+}
+
+TEST(Stretch, StopsAtTheBlockBoundary) {
+  // 8-row blocks: the prompt's block holds rows 1..8, so the step that
+  // appends row 5 stretches to row 8 and allocates nothing; the next one
+  // allocates a block for row 9 and stretches to row 16.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ServeConfig cfg = stretch_serve();
+  cfg.block_tokens = 8;
+  cfg.kv_budget_bytes = 8 * 8 * 128;  // 8 blocks
+  serve::ContinuousBatchScheduler sched(rt, cfg);
+  const sim::SimTime now = prefill(sched, lone_request(4, 40));
+  EXPECT_EQ(sched.free_kv_blocks(), 7);
+  const auto first = sched.step(now, sim::SimTime::max());
+  EXPECT_EQ(only_token(first).count, 4);  // rows 5..8
+  EXPECT_EQ(sched.free_kv_blocks(), 7);
+  const auto second = sched.step(first.end, sim::SimTime::max());
+  EXPECT_EQ(only_token(second).count, 8);  // rows 9..16
+  EXPECT_EQ(sched.free_kv_blocks(), 6);
+}
+
+TEST(Stretch, StopsAtTheBucketEdge) {
+  // 8-token context buckets: the step over 4 rows repeats over 5..8 rows
+  // (bucket 8), and the next step starts bucket 16 and stops at its edge.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ServeConfig cfg = stretch_serve();
+  cfg.ctx_bucket = 8;
+  serve::ContinuousBatchScheduler sched(rt, cfg);
+  const sim::SimTime now = prefill(sched, lone_request(4, 40));
+  const auto first = sched.step(now, sim::SimTime::max());
+  EXPECT_EQ(only_token(first).count, 5);  // over 4..8 rows
+  const auto second = sched.step(first.end, sim::SimTime::max());
+  EXPECT_EQ(only_token(second).count, 8);  // over 9..16 rows
+  EXPECT_EQ(sched.iterations(), 1 + 5 + 8);
+}
+
+TEST(Stretch, StopsOneTokenBeforeCompletion) {
+  // The last token completes the request and frees its KV, which only a
+  // single iteration does.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ContinuousBatchScheduler sched(rt, stretch_serve());
+  const sim::SimTime now = prefill(sched, lone_request(4, 10));
+  const auto first = sched.step(now, sim::SimTime::max());
+  EXPECT_EQ(only_token(first).count, 8);  // tokens 2..9
+  const auto last = sched.step(first.end, sim::SimTime::max());
+  ASSERT_EQ(last.events.size(), 2u);
+  EXPECT_EQ(last.events[0].kind, serve::ReplicaEventKind::kToken);
+  EXPECT_EQ(last.events[0].count, 1);
+  EXPECT_EQ(last.events[1].kind, serve::ReplicaEventKind::kComplete);
+  EXPECT_EQ(sched.iterations(), 1 + 8 + 1);
+  EXPECT_FALSE(sched.has_work());
+}
+
+TEST(Stretch, StopsBeforeUntil) {
+  // Every iteration that starts before `until` runs, the last one ending at
+  // or after it; one that would start at `until` is left to the caller.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ContinuousBatchScheduler sched(rt, stretch_serve());
+  const sim::SimTime now = prefill(sched, lone_request(4, 40));
+  const auto one = sched.step(now);
+  const sim::SimTime step = sim::SimTime::from_ps(only_token(one).aux);
+  ASSERT_EQ(one.end, now + step);
+  const auto three = sched.step(one.end, one.end + step * 3);
+  EXPECT_EQ(only_token(three).count, 3);
+  EXPECT_EQ(three.end, one.end + step * 3);
+  const sim::SimTime t = three.end;
+  const auto past = sched.step(t, t + step * 2 + sim::SimTime::from_ps(1));
+  EXPECT_EQ(only_token(past).count, 3);
+  EXPECT_EQ(past.end, t + step * 3);
+  EXPECT_EQ(sched.iterations(), 1 + 1 + 3 + 3);
+}
+
+TEST(Stretch, NoHorizonRunsOneIteration) {
+  // The router's call: no horizon, or one the first iteration already
+  // reaches, runs exactly one iteration.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ContinuousBatchScheduler sched(rt, stretch_serve());
+  const sim::SimTime now = prefill(sched, lone_request(4, 40));
+  const auto a = sched.step(now);
+  EXPECT_EQ(only_token(a).count, 1);
+  EXPECT_EQ(sched.iterations(), 2);
+  const auto b = sched.step(a.end, a.end);
+  EXPECT_EQ(only_token(b).count, 1);
+  const sim::SimTime step = b.end - a.end;
+  const auto c = sched.step(b.end, b.end + step);
+  EXPECT_EQ(only_token(c).count, 1);
+  EXPECT_EQ(sched.iterations(), 4);
+}
+
+TEST(Stretch, EnabledFaultInjectorKeepsSingleIterations) {
+  // Any iteration may fault, so none repeats another.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ServeConfig cfg = stretch_serve();
+  sim::FaultProfile p;
+  p.tpc_straggler_rate = 1e-12;
+  cfg.faults = sim::FaultInjector{0x5EED, p};
+  ASSERT_TRUE(cfg.faults.enabled());
+  serve::ContinuousBatchScheduler sched(rt, cfg);
+  const sim::SimTime now = prefill(sched, lone_request(4, 40));
+  EXPECT_EQ(only_token(sched.step(now, sim::SimTime::max())).count, 1);
+  EXPECT_EQ(sched.iterations(), 2);
+}
+
+TEST(Stretch, ResumedRequestStretchesFromItsFirstTokenHere) {
+  // A resumed request re-prefills without a token, so its next gap runs
+  // from a token on another replica: that step is not a repeat, and the
+  // repeats after it start a run of their own.
+  const graph::Runtime rt(sim::ChipConfig::hls1());
+  serve::ContinuousBatchScheduler sched(rt, stretch_serve());
+  const sim::SimTime start = sim::SimTime::from_ms(1.0);
+  sched.enqueue_resume(lone_request(4, 40), 5, sim::SimTime::zero(), 0,
+                       start);
+  const auto refill = sched.step(start, sim::SimTime::max());
+  EXPECT_TRUE(refill.worked);
+  EXPECT_TRUE(refill.events.empty());
+  EXPECT_EQ(sched.iterations(), 1);
+  const auto sr = sched.step(refill.end, sim::SimTime::max());
+  ASSERT_EQ(sr.events.size(), 2u);
+  EXPECT_EQ(sr.events[0].count, 1);
+  EXPECT_EQ(sr.events[1].count, 33);  // tokens 7..39
+  EXPECT_GT(sr.events[0].aux, sr.events[1].aux);
+  EXPECT_EQ(sr.end, refill.end + sim::SimTime::from_ps(sr.events[1].aux) * 34);
 }
 
 // ------------------------------------------------------------ golden bytes
