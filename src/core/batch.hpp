@@ -33,8 +33,7 @@
 // sim::ThreadPool and merge in replica order, so the report is identical
 // however many worker threads ran it.  Timing costs flow through the
 // process-wide graph::TimingMemo: serving replicas of the same model with
-// timing-only on build and schedule each step shape once, and every
-// timing-mode cell reuses the TPC kernel costs earlier cells measured.
+// timing-only on build and schedule each step shape once.
 #pragma once
 
 #include <cstdint>

@@ -1,57 +1,14 @@
 #include "graph/executor.hpp"
 
-#include <sstream>
 #include <utility>
 
-#include "graph/fingerprint.hpp"
-#include "graph/timing_memo.hpp"
 #include "tensor/ops.hpp"
 #include "tpc/kernels.hpp"
 
 namespace gaudi::graph {
 
-namespace {
-
 using tensor::Tensor;
 using tpc::ExecMode;
-
-std::string describe(const tpc::RunResult& r) {
-  std::ostringstream os;
-  os << "{cycles " << r.cycles << ", duration " << r.duration.ps()
-     << " ps, slots " << r.slot_totals.load << '/' << r.slot_totals.spu << '/'
-     << r.slot_totals.vpu << '/' << r.slot_totals.store << ", members "
-     << r.members << ", flops " << r.flops << ", global bytes "
-     << r.global_bytes << ", memory bound " << r.memory_bound
-     << ", extrapolated " << r.extrapolated << '}';
-  return os.str();
-}
-
-}  // namespace
-
-tpc::RunResult NodeExecutor::launch(const tpc::Kernel& k, ExecMode mode,
-                                    const std::string& key, const Graph& g,
-                                    NodeId n) const {
-  if (mode == ExecMode::kFunctional) return cluster_.run(k, mode);
-  TimingMemo& memo = TimingMemo::global();
-  tpc::RunResult cached;
-  if (!memo.find_kernel(key, &cached)) {
-    const tpc::RunResult r = cluster_.run(k, mode);
-    memo.insert_kernel(key, r);
-    return r;
-  }
-  if (cross_check_) {
-    const tpc::RunResult fresh = cluster_.run(k, mode);
-    if (!(fresh == cached)) {
-      const Node& node = g.node(n);
-      throw sim::InternalError(
-          "kernel cost cache mismatch at '" + node.label + "' (node " +
-          std::to_string(n) + ", op " + std::string(op_kind_name(node.kind)) +
-          ", kernel " + k.name() + "): cached " + describe(cached) +
-          ", recomputed " + describe(fresh));
-    }
-  }
-  return cached;
-}
 
 Tensor make_output_tensor(const ValueInfo& info, ExecMode mode, bool poison) {
   if (mode == ExecMode::kFunctional) {
@@ -94,14 +51,10 @@ NodeExec NodeExecutor::run(const Graph& g, NodeId nid,
 
   NodeExec exec;
 
-  // Helper that runs a TPC kernel and accumulates duration/flops.  Each of
-  // the node's launches (cross-entropy has two) gets its own cost key.
-  std::uint8_t launches = 0;
+  // Helper that runs a TPC kernel and accumulates duration/flops (the
+  // cross-entropy mean launches two kernels).
   auto run_tpc = [&](const tpc::Kernel& k) {
-    const std::string key = mode == ExecMode::kTiming
-                                ? kernel_cost_key(g, nid, cfg_, launches++)
-                                : std::string{};
-    const tpc::RunResult r = launch(k, mode, key, g, nid);
+    const tpc::RunResult r = cluster_.run(k, mode);
     exec.duration += r.duration;
     exec.flops += r.flops;
   };
@@ -328,10 +281,7 @@ NodeExec NodeExecutor::run(const Graph& g, const FusedChainSpec& chain,
   tensors[static_cast<std::size_t>(chain.output)] =
       make_output_tensor(g.value(chain.output), mode, poison_outputs);
   const FusedChainKernel kernel(chain, tensors);
-  const tpc::RunResult r = launch(
-      kernel, mode,
-      mode == ExecMode::kTiming ? kernel_cost_key(g, chain, cfg_) : std::string{},
-      g, chain.tail);
+  const tpc::RunResult r = cluster_.run(kernel, mode);
   NodeExec exec;
   exec.duration = r.duration;
   exec.flops = r.flops;

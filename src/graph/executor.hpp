@@ -52,14 +52,9 @@ struct NodeExec {
 
 class NodeExecutor {
  public:
-  /// `cross_check` (set when validation is requested) recomputes every
-  /// kernel-cost cache hit and requires it to match the stored result.
-  NodeExecutor(const sim::ChipConfig& cfg, sim::CounterRng rng,
-               bool cross_check = false)
-      : cfg_(cfg),
-        cluster_(cfg.tpc, rng, cfg.memory.hbm_bandwidth_bytes_per_s),
-        mme_(cfg.mme),
-        cross_check_(cross_check) {}
+  NodeExecutor(const sim::ChipConfig& cfg, sim::CounterRng rng)
+      : cluster_(cfg.tpc, rng, cfg.memory.hbm_bandwidth_bytes_per_s),
+        mme_(cfg.mme) {}
 
   /// Executes node `n`.  `tensors` is indexed by ValueId; inputs must be
   /// present (real in functional mode, phantom in timing mode); outputs are
@@ -77,19 +72,8 @@ class NodeExecutor {
                bool poison_outputs = false) const;
 
  private:
-  /// Launches `k`, node `n`'s kernel, on the cluster.  In timing mode the
-  /// result is looked up in, or deposited into, the TimingMemo's kernel
-  /// costs under `key` (see kernel_cost_key); functional mode always
-  /// executes and ignores `key`.  Under cross-checking a hit is recomputed
-  /// and a mismatch throws sim::InternalError naming the node and op.
-  tpc::RunResult launch(const tpc::Kernel& k, tpc::ExecMode mode,
-                        const std::string& key, const Graph& g,
-                        NodeId n) const;
-
-  sim::ChipConfig cfg_;
   tpc::TpcCluster cluster_;
   mme::MmeEngine mme_;
-  bool cross_check_ = false;
 };
 
 }  // namespace gaudi::graph

@@ -84,8 +84,7 @@ ProfileResult Runtime::run(const CompiledGraph& cg,
     allocs[static_cast<std::size_t>(v)] = hbm.allocate(info.nbytes(), info.name);
   }
 
-  NodeExecutor executor(cg.config, sim::CounterRng{opts.seed},
-                        /*cross_check=*/validating);
+  const NodeExecutor executor(cg.config, sim::CounterRng{opts.seed});
   std::vector<NodeExec> execs(g.num_nodes());
 
   auto release_if_dead = [&](ValueId v) {

@@ -42,9 +42,8 @@ struct RunOptions {
   std::uint64_t seed = 0x6A0D1;
   /// Run TraceValidator on the scheduled trace (plus the memory-plan
   /// invariants on the compiled artifact) and throw sim::InternalError on
-  /// any violation (see graph/validate.hpp); in timing mode, also recompute
-  /// every kernel cost the TimingMemo replays and throw on a mismatch.
-  /// Also enabled globally by the GAUDI_VALIDATE environment variable.
+  /// any violation (see graph/validate.hpp).  Also enabled globally by the
+  /// GAUDI_VALIDATE environment variable.
   bool validate = false;
   /// Deterministic fault injection for the schedule (see sim/fault.hpp):
   /// TPC stragglers stretch their span with an explicit nested kStall, and

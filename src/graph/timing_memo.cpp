@@ -58,24 +58,6 @@ void TimingMemo::insert_time(const std::string& key, sim::SimTime t) {
   times_.emplace(key, t);
 }
 
-bool TimingMemo::find_kernel(const std::string& key, tpc::RunResult* out) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = kernels_.find(key);
-  if (it == kernels_.end()) {
-    ++kernel_misses_;
-    return false;
-  }
-  ++kernel_hits_;
-  *out = it->second;
-  return true;
-}
-
-void TimingMemo::insert_kernel(const std::string& key,
-                               const tpc::RunResult& r) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  kernels_.emplace(key, r);
-}
-
 std::size_t TimingMemo::save_times(const std::string& path) const {
   std::vector<std::pair<std::string, sim::SimTime>> entries;
   {
@@ -189,29 +171,11 @@ std::size_t TimingMemo::size() const {
   return times_.size();
 }
 
-std::uint64_t TimingMemo::kernel_hits() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return kernel_hits_;
-}
-
-std::uint64_t TimingMemo::kernel_misses() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return kernel_misses_;
-}
-
-std::size_t TimingMemo::kernel_entries() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return kernels_.size();
-}
-
 void TimingMemo::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   times_.clear();
-  kernels_.clear();
   hits_ = 0;
   misses_ = 0;
-  kernel_hits_ = 0;
-  kernel_misses_ = 0;
 }
 
 bool timing_only_from_env() { return sim::env_flag("GAUDI_TIMING_ONLY", false); }

@@ -1,27 +1,18 @@
-// Process-wide memo for timing-mode costs.
+// Process-wide memo for the serving pricer's makespans.
 //
-// Timing-mode results are analytic functions of shapes, and the callers that
-// produce them repeat themselves: serving sweeps price the same decode-step
-// and prefill-chunk shapes for every scheduler, and one model graph launches
-// the same TPC kernel once per layer.  The memo holds two kinds of entry:
-//
-//   - Serving makespans.  When `ServeConfig::timing_only` (or its default,
-//     GAUDI_TIMING_ONLY) is on, the serving scheduler's pricer stores each
-//     decode-step and prefill-chunk makespan under a key of the model, chip,
-//     batch, phase and context bucket, so a shape priced once costs later
-//     schedulers one mutex-guarded map probe, without building or compiling
-//     the graph.  Only these entries persist across processes
-//     (GAUDI_MEMO_FILE).
-//   - Kernel costs.  Every timing-mode `Runtime::run` memoizes each TPC
-//     kernel launch's cost under its exact node key (graph/fingerprint.hpp
-//     `kernel_cost_key`): layer 1 of a model replays layer 0's kernels, and
-//     an overlap run replays its barrier run's.  Functional runs never
-//     consult these entries.
+// Serving sweeps price the same decode-step and prefill-chunk shapes for
+// every scheduler.  When `ServeConfig::timing_only` (or its default,
+// GAUDI_TIMING_ONLY) is on, the serving scheduler's pricer stores each
+// makespan under a key of the model, chip, batch, phase and context bucket
+// (graph/fingerprint.hpp), so a shape priced once costs later schedulers one
+// mutex-guarded map probe, without building or compiling the graph.  With
+// GAUDI_MEMO_FILE set, the entries persist across processes.  A graph run
+// never reads or writes the memo.
 //
 // The memo is deliberately process-global (guarded by a mutex, safe for the
 // batch runner's parallel replicas): the entries are pure functions of their
-// keys, so sharing across Runtime instances, threads, and schedulers can
-// never change a result — only make it arrive faster.
+// keys, so sharing across schedulers, threads and processes can never change
+// a result — only make it arrive faster.
 #pragma once
 
 #include <cstdint>
@@ -30,29 +21,22 @@
 #include <unordered_map>
 
 #include "sim/time.hpp"
-#include "tpc/cluster.hpp"
 
 namespace gaudi::graph {
 
 class TimingMemo {
  public:
-  /// The process-wide instance every timing-mode caller shares.
+  /// The process-wide instance every pricer shares.
   [[nodiscard]] static TimingMemo& global();
 
-  /// Makespan-only entries (decode-step / prefill-chunk cost tables). ------
+  /// Makespan entries (decode-step / prefill-chunk cost tables). ----------
   [[nodiscard]] bool find_time(const std::string& key, sim::SimTime* out);
   void insert_time(const std::string& key, sim::SimTime t);
 
-  /// Timing-mode TPC kernel costs, under exact `kernel_cost_key` keys. -----
-  [[nodiscard]] bool find_kernel(const std::string& key, tpc::RunResult* out);
-  void insert_kernel(const std::string& key, const tpc::RunResult& r);
-
   /// Cross-process persistence. --------------------------------------------
-  /// The makespan entries are pure functions of their keys, so they survive
-  /// the process: a sweep can deposit its cost tables on disk and the next
-  /// process warm-starts instead of re-simulating the first cell.  Only
-  /// `times_` persists — kernel costs are cheap to rebuild and expensive to
-  /// serialize.
+  /// The entries are pure functions of their keys, so they survive the
+  /// process: a sweep can deposit its cost tables on disk and the next
+  /// process warm-starts instead of re-simulating the first cell.
   ///
   /// `save_times` writes a sorted, checksummed text file atomically
   /// (tmp + rename); returns the number of entries written.
@@ -64,31 +48,22 @@ class TimingMemo {
   /// garbled entries.  Returns the number of entries merged.
   std::size_t load_times(const std::string& path);
 
-  /// Lookup counters over makespan entries.  A hit proves the O(1) path was
-  /// taken; tests, perfbench and bench_serving assert on the deltas.
+  /// Lookup counters.  A hit proves the O(1) path was taken; tests,
+  /// perfbench and bench_serving assert on the deltas.
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
-  /// Resident makespan entries.
+  /// Resident entries.
   [[nodiscard]] std::size_t size() const;
 
-  /// The same three counters for kernel-cost entries, kept apart so the
-  /// ones above keep meaning makespans.
-  [[nodiscard]] std::uint64_t kernel_hits() const;
-  [[nodiscard]] std::uint64_t kernel_misses() const;
-  [[nodiscard]] std::size_t kernel_entries() const;
-
-  /// Drops every entry of both kinds and zeroes every counter.  Tests,
-  /// perfbench and bench_serving call it to make the next pass cold.
+  /// Drops every entry and zeroes both counters.  Tests, perfbench and
+  /// bench_serving call it to make the next pass cold.
   void clear();
 
  private:
   mutable std::mutex mu_;
   std::unordered_map<std::string, sim::SimTime> times_;
-  std::unordered_map<std::string, tpc::RunResult> kernels_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t kernel_hits_ = 0;
-  std::uint64_t kernel_misses_ = 0;
 };
 
 /// True when GAUDI_TIMING_ONLY asks the serving pricer to share makespans

@@ -44,42 +44,6 @@ void gemm_rows(const float* __restrict a, const float* __restrict b,
 
 }  // namespace
 
-void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
-  check_f32(a, "gemm A");
-  check_f32(b, "gemm B");
-  check_f32(c, "gemm C");
-  GAUDI_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2 && c.shape().rank() == 2,
-              "gemm expects rank-2 tensors");
-  const std::int64_t m = a.shape()[0];
-  const std::int64_t k = a.shape()[1];
-  const std::int64_t n = b.shape()[1];
-  GAUDI_CHECK(b.shape()[0] == k, "gemm inner dims mismatch");
-  GAUDI_CHECK(c.shape()[0] == m && c.shape()[1] == n, "gemm output shape mismatch");
-
-  float* cp = c.f32().data();
-  const float* ap = a.f32().data();
-  const float* bp = b.f32().data();
-  const auto overlaps = [&](const float* p, std::int64_t len) {
-    return p < cp + m * n && cp < p + len;
-  };
-  GAUDI_CHECK(!overlaps(ap, m * k) && !overlaps(bp, k * n),
-              "gemm C must not share storage with A or B");
-  if (!accumulate) {
-    std::fill_n(cp, m * n, 0.0f);
-  }
-
-  const std::int64_t work = m * n * k;
-  if (work < (1 << 18)) {
-    gemm_rows(ap, bp, cp, 0, m, k, n);
-    return;
-  }
-  sim::ThreadPool::global().parallel_for_chunks(
-      static_cast<std::size_t>(m), [&](std::size_t begin, std::size_t end) {
-        gemm_rows(ap, bp, cp, static_cast<std::int64_t>(begin),
-                  static_cast<std::int64_t>(end), k, n);
-      });
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_f32(a, "matmul A");
   check_f32(b, "matmul B");
@@ -116,16 +80,15 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
               0, m, k, n);
   };
   // Output starts zeroed (Tensor ctor), so gemm_rows can accumulate directly.
-  if (work < (1 << 18) || batch_a == 1) {
-    if (batch_a == 1 && work >= (1 << 18)) {
-      sim::ThreadPool::global().parallel_for_chunks(
-          static_cast<std::size_t>(m), [&](std::size_t begin, std::size_t end) {
-            gemm_rows(ap, bp, op, static_cast<std::int64_t>(begin),
-                      static_cast<std::int64_t>(end), k, n);
-          });
-    } else {
-      for (std::int64_t bidx = 0; bidx < batch_a; ++bidx) run_batch(bidx);
-    }
+  // Large work splits one matrix's rows, or the batches, across the pool.
+  if (work < (1 << 18)) {
+    for (std::int64_t bidx = 0; bidx < batch_a; ++bidx) run_batch(bidx);
+  } else if (batch_a == 1) {
+    sim::ThreadPool::global().parallel_for_chunks(
+        static_cast<std::size_t>(m), [&](std::size_t begin, std::size_t end) {
+          gemm_rows(ap, bp, op, static_cast<std::int64_t>(begin),
+                    static_cast<std::int64_t>(end), k, n);
+        });
   } else {
     sim::ThreadPool::global().parallel_for(
         static_cast<std::size_t>(batch_a),

@@ -19,14 +19,11 @@ namespace gaudi::tensor::ops {
 // Matrix products
 // ---------------------------------------------------------------------------
 
-/// C[m,n] = A[m,k] @ B[k,n] (f32).  `accumulate` adds into existing C, which
-/// must not share storage with A or B.  Bit-exact by contract: each C[i][j]
-/// adds A[i][k] * B[k][j] for ascending k, skipping A[i][k] == 0, whatever
-/// the thread count or vector width.
-void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
-
-/// Batched matmul over the trailing two dims.  Batch dims of `a` and `b` must
-/// match, or `b` may be rank-2 (shared right operand, e.g. weights).
+/// Batched matmul over the trailing two dims (f32).  Batch dims of `a` and
+/// `b` must match, or `b` may be rank-2 (shared right operand, e.g.
+/// weights).  Bit-exact by contract: each C[i][j] starts at +0 and adds
+/// A[i][k] * B[k][j] for ascending k, skipping A[i][k] == 0, whatever the
+/// thread count or vector width.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// Swap the trailing two dims (copying).

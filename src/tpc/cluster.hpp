@@ -40,7 +40,6 @@ struct RunResult {
     const double s = duration.seconds();
     return s > 0 ? static_cast<double>(flops) / s * 1e-12 : 0.0;
   }
-  friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
 class TpcCluster {

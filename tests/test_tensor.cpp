@@ -147,8 +147,7 @@ TEST(Ops, GemmMatchesNaive) {
   const sim::CounterRng rng(11);
   const Tensor a = Tensor::uniform(Shape{{7, 5}}, rng.stream(1), -1.0f, 1.0f);
   const Tensor b = Tensor::uniform(Shape{{5, 9}}, rng.stream(2), -1.0f, 1.0f);
-  Tensor c = Tensor::zeros(Shape{{7, 9}});
-  ops::gemm(a, b, c);
+  const Tensor c = ops::matmul(a, b);
   for (int i = 0; i < 7; ++i) {
     for (int j = 0; j < 9; ++j) {
       float acc = 0.0f;
@@ -156,14 +155,6 @@ TEST(Ops, GemmMatchesNaive) {
       EXPECT_NEAR(c.f32()[i * 9 + j], acc, 1e-4f);
     }
   }
-}
-
-TEST(Ops, GemmAccumulateAddsIntoC) {
-  const Tensor a = Tensor::full(Shape{{2, 2}}, 1.0f);
-  const Tensor b = Tensor::full(Shape{{2, 2}}, 1.0f);
-  Tensor c = Tensor::full(Shape{{2, 2}}, 10.0f);
-  ops::gemm(a, b, c, /*accumulate=*/true);
-  EXPECT_EQ(c.f32()[0], 12.0f);
 }
 
 TEST(Ops, MatmulBatchedAndShared) {
@@ -204,15 +195,15 @@ TEST(Ops, LargeGemmThreadedMatchesSmallPath) {
   EXPECT_NEAR(c.f32()[37 * 128 + 91], acc, 1e-3f);
 }
 
-/// gemm's documented order as a plain triple loop: C[i][j] adds
-/// A[i][k] * B[k][j] for ascending k, skipping A[i][k] == 0, one rounded
-/// multiply then one rounded add.
+/// matmul's documented order as a plain triple loop: C[i][j] starts at +0
+/// and adds A[i][k] * B[k][j] for ascending k, skipping A[i][k] == 0, one
+/// rounded multiply then one rounded add.
 std::vector<float> scalar_gemm(std::span<const float> a, std::span<const float> b,
-                               std::vector<float> c, std::int64_t m,
-                               std::int64_t k, std::int64_t n) {
+                               std::int64_t m, std::int64_t k, std::int64_t n) {
+  std::vector<float> c(static_cast<std::size_t>(m * n));
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      float acc = c[static_cast<std::size_t>(i * n + j)];
+      float acc = 0.0f;
       for (std::int64_t kk = 0; kk < k; ++kk) {
         const float aik = a[static_cast<std::size_t>(i * k + kk)];
         if (aik == 0.0f) continue;
@@ -289,35 +280,12 @@ TEST(Ops, GemmIsBitExactAgainstAScalarLoop) {
   const sim::CounterRng rng(0x6E44);
   std::uint64_t stream = 0;
   for (const Dims& d : shapes) {
-    const std::string what = "gemm " + std::to_string(d.m) + "x" +
+    const std::string what = "matmul " + std::to_string(d.m) + "x" +
                              std::to_string(d.k) + "x" + std::to_string(d.n);
     const Tensor a = gemm_lhs(1, d.m, d.k, rng, ++stream);
     const Tensor b = gemm_rhs(1, d.k, d.n, rng, ++stream);
-    Tensor c = Tensor::full(Shape{{d.m, d.n}}, 7.0f);
-    ops::gemm(a, b, c);
-    const std::vector<float> zeros(static_cast<std::size_t>(d.m * d.n), 0.0f);
-    expect_same_bits(c.f32(), scalar_gemm(a.f32(), b.f32(), zeros, d.m, d.k, d.n),
-                     what);
-    expect_same_bits(ops::matmul(a, b).f32(), c.f32(), what + " via matmul");
-
-    // Accumulate into a C holding -0.0 and NaN: a -0.0 under an all-zero
-    // row of A receives no add and must keep its sign bit.
-    Tensor acc = Tensor::uniform(Shape{{d.m, d.n}}, rng.stream(++stream), -1.0f, 1.0f);
-    auto accv = acc.f32();
-    for (std::size_t i = 0; i < accv.size(); ++i) {
-      if (i % 3 == 0) accv[i] = -0.0f;
-      if (i % 7 == 5) accv[i] = std::numeric_limits<float>::quiet_NaN();
-    }
-    Tensor a_sparse = a.clone();
-    auto av = a_sparse.f32();
-    for (std::int64_t kk = 0; kk < d.k; ++kk) {
-      av[static_cast<std::size_t>(kk)] = 0.0f;  // row 0 of A: every k skipped
-    }
-    const std::vector<float> before(accv.begin(), accv.end());
-    ops::gemm(a_sparse, b, acc, /*accumulate=*/true);
-    expect_same_bits(acc.f32(),
-                     scalar_gemm(a_sparse.f32(), b.f32(), before, d.m, d.k, d.n),
-                     what + " accumulate");
+    expect_same_bits(ops::matmul(a, b).f32(),
+                     scalar_gemm(a.f32(), b.f32(), d.m, d.k, d.n), what);
   }
 
   // Batched and shared-B matmul, small and pooled (batch x m x n x k over
@@ -335,15 +303,14 @@ TEST(Ops, GemmIsBitExactAgainstAScalarLoop) {
     const std::size_t a_size = static_cast<std::size_t>(d.m * d.k);
     const std::size_t b_size = static_cast<std::size_t>(d.k * d.n);
     const std::size_t c_size = static_cast<std::size_t>(d.m * d.n);
-    const std::vector<float> zeros(c_size, 0.0f);
     for (std::size_t bi = 0; bi < kBatch; ++bi) {
       const auto ai = a.f32().subspan(bi * a_size, a_size);
       expect_same_bits(
           batched.f32().subspan(bi * c_size, c_size),
-          scalar_gemm(ai, b.f32().subspan(bi * b_size, b_size), zeros, d.m, d.k, d.n),
+          scalar_gemm(ai, b.f32().subspan(bi * b_size, b_size), d.m, d.k, d.n),
           what + " batch " + std::to_string(bi));
       expect_same_bits(broadcast.f32().subspan(bi * c_size, c_size),
-                       scalar_gemm(ai, shared.f32(), zeros, d.m, d.k, d.n),
+                       scalar_gemm(ai, shared.f32(), d.m, d.k, d.n),
                        what + " shared B, batch " + std::to_string(bi));
     }
   }

@@ -1,13 +1,14 @@
-// Timing mode's one path: the kernel cost cache, its equivalence with
-// functional execution, and what GAUDI_TIMING_ONLY does not change.
+// Timing mode's one path: its equivalence with functional execution, and
+// what GAUDI_TIMING_ONLY does not change.
 //
-// A timing-mode run memoizes each TPC kernel's cost in the process-wide
-// TimingMemo; the contract under test is that a run which replays memoized
-// kernel costs reports exactly what a cold one does — byte-identical trace
-// and engine summaries — and that the cold run matches full functional
-// execution.  The fuzz section checks both over 50 seeded random
-// DAGs.  GAUDI_TIMING_ONLY is a serving knob: it must leave a graph run,
-// guard spans included, byte-identical.
+// A timing-mode run samples every TPC kernel over a cost context that
+// computes nothing; the contract under test is that it reports exactly what
+// full functional execution does — byte-identical trace and engine
+// summaries — over 50 seeded random DAGs, and that its costs never read the
+// execution seed.  GAUDI_TIMING_ONLY is a serving knob: it must leave a
+// graph run, guard spans included, byte-identical, and no graph run adds a
+// makespan entry to the TimingMemo.  The memo's makespan entries persist
+// across processes through GAUDI_MEMO_FILE.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,7 +20,6 @@
 
 #include "core/analysis.hpp"
 #include "graph/fingerprint.hpp"
-#include "graph/fusion.hpp"
 #include "graph/random_graph.hpp"
 #include "graph/runtime.hpp"
 #include "graph/timing_memo.hpp"
@@ -60,166 +60,12 @@ TEST(Fingerprint, ChipConfigChangesTheKey) {
   EXPECT_EQ(chip_fingerprint(a), chip_fingerprint(chip()));
 }
 
-// --- Kernel cost cache -----------------------------------------------------
-//
-// Timing-mode runs memoize each TPC launch's RunResult under an exact key of
-// what the kernel is built from.  These tests pin what the key covers: what
-// must share an entry, what must not, and the exactness cross-check that
-// validated runs apply to every hit.
+// --- Timing mode ------------------------------------------------------------
 
 RunOptions timing_run() {
   RunOptions opts;
   opts.mode = tpc::ExecMode::kTiming;
   return opts;
-}
-
-/// Runs `g` in timing mode on `cfg` (unfused unless `fuse`).
-ProfileResult run_timing(const Graph& g, const sim::ChipConfig& cfg = chip(),
-                         bool fuse = false) {
-  const Runtime rt(cfg);
-  CompileOptions copts;
-  copts.fuse_elementwise = fuse;
-  return rt.run(rt.compile(g, copts), {}, timing_run());
-}
-
-/// One add -> relu -> softmax chain whose labels and value names all carry
-/// `prefix`.
-Graph labelled_graph(const std::string& prefix) {
-  Graph g;
-  const ValueId x = g.input(tensor::Shape{{64, 128}}, tensor::DType::F32,
-                            prefix + "x");
-  const ValueId w = g.param(tensor::Shape{{64, 128}}, prefix + "w");
-  const ValueId s = g.add(x, w, prefix + "add");
-  const ValueId r = g.unary(tpc::UnaryKind::kRelu, s, 1.0f, prefix + "relu");
-  g.mark_output(g.softmax(r, prefix + "softmax"));
-  return g;
-}
-
-TEST(KernelCostCache, LabelsAndValueNamesStayOutOfTheKey) {
-  TimingMemo& memo = TimingMemo::global();
-  memo.clear();
-  const ProfileResult a = run_timing(labelled_graph("first."));
-  const std::size_t entries = memo.kernel_entries();
-  const std::uint64_t hits = memo.kernel_hits();
-  EXPECT_EQ(entries, 3u);
-  EXPECT_EQ(hits, 0u);
-
-  const ProfileResult b = run_timing(labelled_graph("second."));
-  EXPECT_EQ(memo.kernel_entries(), entries);
-  EXPECT_EQ(memo.kernel_hits(), hits + 3);
-  EXPECT_EQ(a.makespan, b.makespan);
-  // Whole-run counters are not kernel counters.
-  EXPECT_EQ(memo.size(), 0u);
-  EXPECT_EQ(memo.hits(), 0u);
-}
-
-/// A graph of one TPC op over an input of `shape` and `dtype`.
-template <class Build>
-Graph one_op(Build build, tensor::Shape shape = tensor::Shape{{64, 128}},
-             tensor::DType dtype = tensor::DType::F32) {
-  Graph g;
-  const ValueId x = g.input(std::move(shape), dtype, "x");
-  g.mark_output(build(g, x));
-  return g;
-}
-
-TEST(KernelCostCache, EveryKernelInputAddsAnEntry) {
-  TimingMemo& memo = TimingMemo::global();
-  memo.clear();
-  auto leaky = [](float alpha) {
-    return [alpha](Graph& g, ValueId x) {
-      return g.unary(tpc::UnaryKind::kLeakyRelu, x, alpha);
-    };
-  };
-  auto dropout = [](float p) {
-    return [p](Graph& g, ValueId x) { return g.dropout(x, p, 7); };
-  };
-  auto slice = [](std::int64_t begin) {
-    return [begin](Graph& g, ValueId x) { return g.slice_rows(x, begin, 8); };
-  };
-  auto cast_to = [](tensor::DType to) {
-    return [to](Graph& g, ValueId x) { return g.cast(x, to); };
-  };
-  auto relu = [](Graph& g, ValueId x) { return g.relu(x); };
-  sim::ChipConfig slower_launch = chip();
-  slower_launch.tpc.launch_overhead_cycles += 1;
-  sim::ChipConfig narrower_hbm = chip();
-  narrower_hbm.memory.hbm_bandwidth_bytes_per_s /= 2;
-
-  // Each pair differs in exactly one thing the kernel is built from; the
-  // first of a pair warms its entry, the second must add one more.
-  struct Variant {
-    const char* what;
-    Graph base;
-    Graph changed;
-    sim::ChipConfig base_chip = chip();
-    sim::ChipConfig changed_chip = chip();
-  };
-  std::vector<Variant> variants;
-  variants.push_back({"alpha", one_op(leaky(0.1f)), one_op(leaky(0.2f))});
-  variants.push_back({"p", one_op(dropout(0.1f)), one_op(dropout(0.2f))});
-  variants.push_back({"slice begin", one_op(slice(0)), one_op(slice(1))});
-  // A cast's target must differ from its input dtype, so cast_to moves
-  // together with the operand dtypes.
-  variants.push_back(
-      {"cast_to", one_op(cast_to(tensor::DType::BF16)),
-       one_op(cast_to(tensor::DType::F32), tensor::Shape{{64, 128}},
-              tensor::DType::BF16)});
-  variants.push_back({"operand dtype", one_op(relu),
-                      one_op(relu, tensor::Shape{{64, 128}},
-                             tensor::DType::BF16)});
-  variants.push_back(
-      {"shape dim", one_op(relu), one_op(relu, tensor::Shape{{64, 256}})});
-  variants.push_back(
-      {"TpcConfig", one_op(relu), one_op(relu), chip(), slower_launch});
-  variants.push_back(
-      {"HBM bandwidth", one_op(relu), one_op(relu), chip(), narrower_hbm});
-
-  for (const Variant& v : variants) {
-    (void)run_timing(v.base, v.base_chip);
-    const std::size_t entries = memo.kernel_entries();
-    const std::uint64_t misses = memo.kernel_misses();
-    (void)run_timing(v.changed, v.changed_chip);
-    EXPECT_EQ(memo.kernel_entries(), entries + 1) << v.what;
-    EXPECT_EQ(memo.kernel_misses(), misses + 1) << v.what;
-  }
-}
-
-/// x -> +1 -> relu -> (- y), with the step order and the side of the final
-/// subtraction selectable.
-Graph chain_graph(bool relu_first, bool chain_is_rhs) {
-  Graph g;
-  const ValueId x = g.input(tensor::Shape{{32, 512}}, tensor::DType::F32, "x");
-  const ValueId y = g.input(tensor::Shape{{32, 512}}, tensor::DType::F32, "y");
-  ValueId v = x;
-  if (relu_first) {
-    v = g.add_scalar(g.relu(v), 1.0f);
-  } else {
-    v = g.relu(g.add_scalar(v, 1.0f));
-  }
-  g.mark_output(chain_is_rhs ? g.sub(y, v) : g.sub(v, y));
-  return g;
-}
-
-TEST(KernelCostCache, FusedChainKeyCoversStepOrderAndOperandSide) {
-  Runtime rt(chip());
-  CompileOptions fused;
-  fused.fuse_elementwise = true;
-  for (const bool rhs : {false, true}) {
-    ASSERT_EQ(rt.compile(chain_graph(false, rhs), fused).chains.size(), 1u);
-  }
-  TimingMemo& memo = TimingMemo::global();
-  memo.clear();
-  (void)run_timing(chain_graph(false, false), chip(), /*fuse=*/true);
-  ASSERT_EQ(memo.kernel_entries(), 1u);
-  (void)run_timing(chain_graph(false, false), chip(), /*fuse=*/true);
-  EXPECT_EQ(memo.kernel_hits(), 1u);
-
-  (void)run_timing(chain_graph(true, false), chip(), /*fuse=*/true);
-  EXPECT_EQ(memo.kernel_entries(), 2u) << "reordered steps must miss";
-  (void)run_timing(chain_graph(false, true), chip(), /*fuse=*/true);
-  EXPECT_EQ(memo.kernel_entries(), 3u) << "flipped chain_is_rhs must miss";
-  EXPECT_EQ(memo.kernel_hits(), 1u);
 }
 
 /// Every NodeExec field, one node per line.
@@ -234,10 +80,10 @@ std::string execs_text(const ProfileResult& r) {
   return os.str();
 }
 
-TEST(KernelCostCache, TimingModeCostsDoNotDependOnTheSeed) {
-  // The key leaves RunOptions::seed out: timing-mode cycles must not read
-  // the RNG stream.  The tiny GPT training step covers the RNG-drawing
-  // dropout kernel plus embedding, cross-entropy, layernorm and Adam.
+TEST(TimingOnly, TimingModeCostsDoNotDependOnTheSeed) {
+  // Timing-mode cycles must not read the RNG stream.  The tiny GPT training
+  // step covers the RNG-drawing dropout kernel plus embedding,
+  // cross-entropy, layernorm and Adam.
   Graph g;
   nn::LmConfig cfg = nn::LmConfig::tiny(nn::LmArch::kGpt2);
   cfg.dropout_p = 0.1f;
@@ -257,58 +103,12 @@ TEST(KernelCostCache, TimingModeCostsDoNotDependOnTheSeed) {
   const CompiledGraph cg = rt.compile(g);
   std::vector<ProfileResult> runs;
   for (const std::uint64_t seed : {1ull, 0xDEADBEEFull}) {
-    TimingMemo::global().clear();
     RunOptions opts = timing_run();
     opts.seed = seed;
-    // Layer 1 replays layer 0's kernels; validation recomputes each hit.
-    opts.validate = true;
     runs.push_back(rt.run(cg, {}, opts));
-    EXPECT_GT(TimingMemo::global().kernel_hits(), 0u);
   }
   EXPECT_EQ(execs_text(runs[0]), execs_text(runs[1]));
   EXPECT_EQ(runs[0].trace.to_chrome_json(), runs[1].trace.to_chrome_json());
-}
-
-TEST(KernelCostCache, ValidatedRunCatchesAPlantedWrongEntry) {
-  Graph g;
-  const ValueId x = g.input(tensor::Shape{{64, 128}}, tensor::DType::F32, "x");
-  g.mark_output(g.unary(tpc::UnaryKind::kRelu, x, 1.0f, "planted_relu"));
-  Runtime rt(chip());
-  const CompiledGraph cg = rt.compile(g);
-  const NodeId relu = 0;
-  ASSERT_EQ(cg.graph.node(relu).kind, OpKind::kUnary);
-
-  TimingMemo& memo = TimingMemo::global();
-  memo.clear();
-  tpc::RunResult wrong;
-  wrong.duration = sim::SimTime::from_ps(1);
-  memo.insert_kernel(kernel_cost_key(cg.graph, relu, chip(), 0), wrong);
-
-  RunOptions opts = timing_run();
-  opts.validate = true;
-  try {
-    (void)rt.run(cg, {}, opts);
-    FAIL() << "a wrong cached kernel cost passed validation";
-  } catch (const sim::InternalError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("'planted_relu' (node 0, op unary"), std::string::npos)
-        << what;
-  }
-  EXPECT_EQ(memo.kernel_hits(), 1u);
-}
-
-TEST(KernelCostCache, FaultInjectedRunStillCachesKernelCosts) {
-  TimingMemo::global().clear();
-  Runtime rt(chip());
-  const CompiledGraph cg = rt.compile(small_graph());
-  const sim::FaultInjector faults{0xFA517, sim::FaultProfile::stress()};
-  RunOptions opts = timing_run();
-  opts.faults = &faults;
-  (void)rt.run(cg, {}, opts);
-  // Faults act only in the scheduler, never on a kernel's cycles, so the
-  // relu's cost is cached; a graph run adds no makespan entry.
-  EXPECT_EQ(TimingMemo::global().size(), 0u);
-  EXPECT_EQ(TimingMemo::global().kernel_entries(), 1u);
 }
 
 // --- GAUDI_TIMING_ONLY -----------------------------------------------------
@@ -334,6 +134,13 @@ TEST(TimingOnly, EnvLeavesAGuardedTimingRunByteIdentical) {
   ASSERT_GT(guard_time, sim::SimTime::zero()) << "the guard billed nothing";
   EXPECT_EQ(observable(plain), observable(under_env));
   EXPECT_EQ(execs_text(plain), execs_text(under_env));
+
+  // Faults act only in the scheduler; a fault-injected graph run adds no
+  // makespan entry either.
+  const sim::FaultInjector faults{0xFA517, sim::FaultProfile::stress()};
+  RunOptions faulted = timing_run();
+  faulted.faults = &faults;
+  (void)rt.run(cg, {}, faulted);
   EXPECT_EQ(TimingMemo::global().size(), 0u);
 }
 
@@ -342,7 +149,6 @@ TEST(TimingOnly, EnvLeavesAGuardedTimingRunByteIdentical) {
 TEST(TimingOnlyFuzz, MatchesFunctionalTraceAndSummariesOver50Seeds) {
   Runtime rt(chip());
   const sim::FaultInjector no_faults{};  // neutralizes GAUDI_FAULTS lanes
-  TimingMemo& memo = TimingMemo::global();
   CompileOptions fused;
   fused.fuse_elementwise = true;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
@@ -359,29 +165,21 @@ TEST(TimingOnlyFuzz, MatchesFunctionalTraceAndSummariesOver50Seeds) {
     const ProfileResult full =
         rt.run(cg, random_feeds(dag.graph, seed), functional);
 
-    // Plain timing mode, cold (memo cleared, every hit cross-checked) and
-    // then warm (every kernel cost replayed), unfused and fused.
+    // Validated timing mode, unfused and fused; the unfused run must match
+    // the functional one byte for byte.
     const CompiledGraph fused_cg = rt.compile(dag.graph, fused);
     for (const CompiledGraph* compiled : {&cg, &fused_cg}) {
-      memo.clear();
-      RunOptions cold = timing_run();
-      cold.guard = sim::NumericsPolicy::kOff;
-      cold.faults = &no_faults;
-      cold.validate = true;
-      const ProfileResult c = rt.run(*compiled, {}, cold);
-      const std::uint64_t misses = memo.kernel_misses();
-      RunOptions warm = cold;
-      warm.validate = false;
-      const ProfileResult w = rt.run(*compiled, {}, warm);
-      ASSERT_EQ(observable(c), observable(w)) << "seed " << seed;
-      ASSERT_EQ(memo.kernel_misses(), misses) << "seed " << seed;
+      RunOptions timing = timing_run();
+      timing.guard = sim::NumericsPolicy::kOff;
+      timing.faults = &no_faults;
+      timing.validate = true;
+      const ProfileResult t = rt.run(*compiled, {}, timing);
       if (compiled == &cg) {
-        ASSERT_EQ(observable(full), observable(c)) << "seed " << seed;
-        ASSERT_EQ(c.node_execs.size(), full.node_execs.size())
+        ASSERT_EQ(observable(full), observable(t)) << "seed " << seed;
+        ASSERT_EQ(t.node_execs.size(), full.node_execs.size())
             << "seed " << seed;
       }
     }
-
   }
 }
 
@@ -397,18 +195,13 @@ TEST(TimingOnly, ParallelReplicasMatchSerialMerge) {
     return observable(rt.run(dag.graph, {}, timing_run()));
   };
 
-  TimingMemo& memo = TimingMemo::global();
-  memo.clear();
   std::vector<std::string> serial(kReplicas);
   for (std::size_t i = 0; i < kReplicas; ++i) {
     serial[i] = run_one(kBase + i);
   }
-  const std::size_t serial_kernels = memo.kernel_entries();
 
-  // Fresh memo: the parallel pass races to fill its kernel entries, yet
-  // every entry is a pure function of its key, so the in-order merge is
-  // byte-identical to the serial pass and the same entries exist.
-  memo.clear();
+  // The same runs spread over a pool: a timing run shares no state with
+  // another, so the in-order merge is byte-identical to the serial pass.
   std::vector<std::string> parallel(kReplicas);
   sim::ThreadPool pool;
   pool.parallel_for(kReplicas,
@@ -416,8 +209,6 @@ TEST(TimingOnly, ParallelReplicasMatchSerialMerge) {
   for (std::size_t i = 0; i < kReplicas; ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "replica " << i;
   }
-  EXPECT_GT(serial_kernels, 0u);
-  EXPECT_EQ(memo.kernel_entries(), serial_kernels);
 }
 
 // --- Cross-process persistence ---------------------------------------------
